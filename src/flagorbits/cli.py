@@ -11,10 +11,10 @@ import sys
 
 from .flags import Composition, parse_flag_literal
 from .invariants import invariant_family, signature
+from .linalg import gf
 from .normalforms import (InfinitePairError, NonInjectiveError,
                           UnsupportedCaseError, classify_pair,
-                          counterexample_pair, reduce_flag,
-                          serialize_normal_form)
+                          counterexample_pair, reduce_flag)
 from .orbits import (catalog_to_text, count_multiplicity_free, emit_dot,
                      enumerate_orbits, hasse_candidate, orbit_dimension)
 
@@ -56,7 +56,7 @@ def cmd_normalize(args) -> int:
         print("flag file type differs from --mm", file=sys.stderr)
         return EXIT_USAGE
     nf = reduce_flag(f, nn)
-    print(serialize_normal_form(nf))
+    print(nf.serialize())
     return EXIT_OK
 
 
@@ -69,7 +69,7 @@ def cmd_signature(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    cat = enumerate_orbits(_comp(args.nn), _comp(args.mm), with_covers=True)
+    cat = enumerate_orbits(_comp(args.nn), _comp(args.mm))
     text = catalog_to_text(cat)
     if args.out:
         with open(args.out, "w") as fh:
@@ -103,11 +103,16 @@ def cmd_dimension(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import cross_validate, oracle_partition
+    from .oracle import BudgetExceededError, cross_validate, oracle_partition
 
+    gf(args.q)  # a q that is not a prime below 2**31 fails before any work
     nn, mm = _comp(args.nn), _comp(args.mm)
     cat = enumerate_orbits(nn, mm)
-    part = oracle_partition(nn, mm, args.q, budget=args.budget)
+    try:
+        part = oracle_partition(nn, mm, args.q, budget=args.budget)
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     report = cross_validate(part, cat)
     sys.stdout.write(report.to_text())
     return EXIT_OK if report.ok else EXIT_VALIDATION

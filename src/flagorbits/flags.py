@@ -208,15 +208,6 @@ class Flag:
         return self.to_literal()
 
 
-def canonicalize(typ: Composition, mat: Matrix) -> Flag:
-    """Canonical flag of an arbitrary full-column-rank representative.
-
-    Idempotent: flags always store their canonical representative, so
-    applying this to ``f.rep`` reproduces ``f``.
-    """
-    return Flag.from_matrix(typ, mat)
-
-
 def flags_equal(a: Flag, b: Flag) -> bool:
     if a.typ != b.typ:
         raise ValueError(f"flag type mismatch: {a.typ} vs {b.typ}")
@@ -270,27 +261,6 @@ def standard_flag(typ: Composition, field: Field = QQ) -> Flag:
 
 
 # -- group elements ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Invertible matrix with an optional membership tag."""
-
-    mat: Matrix
-    tag: Optional[str] = None
-
-    def __post_init__(self):
-        if not self.mat.is_invertible():
-            raise ValueError("group element must be invertible")
-
-
-def is_block_upper(mat: Matrix, shape: Composition) -> bool:
-    """Membership test for the standard parabolic of the given shape."""
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            if shape.block_of(i) > shape.block_of(j) and mat[i, j] != mat.field.zero:
-                return False
-    return True
 
 
 def is_borel_prime(mat: Matrix, nn: Composition) -> bool:

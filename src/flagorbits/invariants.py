@@ -41,9 +41,6 @@ class Signature:
     family: JFamily
     values: tuple[int, ...]
 
-    def value(self, s: int, J: tuple[int, ...]) -> int:
-        return self.values[self.family.index()[(s, J)]]
-
     def serialize(self) -> str:
         lines = []
         for (s, J), v in zip(self.family.entries, self.values):

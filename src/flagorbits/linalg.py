@@ -118,7 +118,7 @@ class GF(Field):
     """Prime field GF(p); elements are canonical residues in [0, p)."""
 
     def __init__(self, p: int):
-        if not _is_prime(p) or p >= 2**31:
+        if p >= 2**31 or not _is_prime(p):
             raise ValueError(f"GF({p}): p must be a prime below 2**31")
         self.p = p
         self.name = f"F{p}"

@@ -152,12 +152,6 @@ def triangular_reduce(a: Matrix) -> TriangularReduction:
         for j in range(p):
             left[dst][j] = F.add(left[dst][j], F.mul(c, left[src][j]))
 
-    def row_scale(i, c):
-        for j in range(q):
-            cols[j][i] = F.mul(c, cols[j][i])
-        for j in range(p):
-            left[i][j] = F.mul(c, left[i][j])
-
     remaining = list(range(q))
     pivots: list[tuple[int, int]] = []  # (row, col)
     while True:
@@ -328,14 +322,6 @@ class NFPattern:
 
 
 NormalForm = NFCase0 | NFChain | NFPattern
-
-
-def realize(nf: NormalForm, fld: Field = QQ) -> Flag:
-    return nf.realize(fld)
-
-
-def serialize_normal_form(nf: NormalForm) -> str:
-    return nf.serialize()
 
 
 # -- permutation helpers -----------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .flags import Composition, Flag, GroupElement
+from .flags import Composition, Flag
 from .invariants import invariant_family, signature
 from .linalg import Matrix, gf
 from .normalforms import WitnessPair
@@ -73,7 +73,7 @@ def _primitive_root(q: int) -> int:
     raise ValueError(f"no primitive root mod {q}")
 
 
-def group_generators(nn: Composition, q: int) -> list[GroupElement]:
+def group_generators(nn: Composition, q: int) -> list[Matrix]:
     """Generators of the block Borel over GF(q): one torus scaling per row
     (omitted for q = 2) and one superdiagonal unipotent per adjacent pair
     inside each block."""
@@ -87,13 +87,13 @@ def group_generators(nn: Composition, q: int) -> list[GroupElement]:
             for i in rows:
                 m = [[1 if a == c else 0 for c in range(n)] for a in range(n)]
                 m[i][i] = gamma
-                gens.append(GroupElement(Matrix.from_rows(fld, m), tag="Bprime"))
+                gens.append(Matrix.from_rows(fld, m))
         for i in rows[:-1]:
             m = [[1 if a == c else 0 for c in range(n)] for a in range(n)]
             m[i][i + 1] = 1
-            gens.append(GroupElement(Matrix.from_rows(fld, m), tag="Bprime"))
+            gens.append(Matrix.from_rows(fld, m))
     if not gens:  # trivial group over GF(2) with all blocks of size 1
-        gens.append(GroupElement(Matrix.identity(fld, n), tag="Bprime"))
+        gens.append(Matrix.identity(fld, n))
     return gens
 
 
@@ -294,8 +294,9 @@ def _encode_keys(A: np.ndarray, p: int):
     if digits * np.log2(p) < 62:
         weights = p ** np.arange(digits, dtype=np.int64)
         return A.reshape(N, -1) @ weights
-    flat = np.ascontiguousarray(A.astype(np.int8).reshape(N, -1))
-    return flat.view([("", np.int8)] * flat.shape[1]).reshape(N)
+    dtype = np.min_scalar_type(p - 1)
+    flat = np.ascontiguousarray(A.astype(dtype).reshape(N, -1))
+    return flat.view([("", dtype)] * flat.shape[1]).reshape(N)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +391,7 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
     return OrbitPartition(q, nn, mm, reps, labels)
 
 
-def orbit_partition(flags: Iterable[Flag], gens: Iterable[GroupElement],
+def orbit_partition(flags: Iterable[Flag], gens: Iterable[Matrix],
                     nn: Composition) -> OrbitPartition:
     """Partition a list of canonical flags under the generated left action."""
     flags = list(flags)
@@ -402,7 +403,7 @@ def orbit_partition(flags: Iterable[Flag], gens: Iterable[GroupElement],
     reps = np.array([[[int(x) for x in row] for row in f.rep.data]
                      for f in flags], dtype=np.int64)
     reps = reps.reshape(len(flags), flags[0].n, -1)
-    gen_mats = [np.array([[int(x) for x in row] for row in g.mat.data],
+    gen_mats = [np.array([[int(x) for x in row] for row in g.data],
                          dtype=np.int64) for g in gens]
     return orbit_partition_from_arrays(reps, gen_mats, nn, mm, q)
 
@@ -413,7 +414,7 @@ def oracle_partition(nn: Composition, mm: Composition, q: int,
     arr = enumerate_flag_array(nn.n, mm, q, budget)
     arr = canonicalize_batch(arr, q, mm.prefix_sums()[: max(len(mm) - 1, 0)])
     gens = group_generators(nn, q)
-    gen_mats = [np.array([[int(x) for x in row] for row in g.mat.data],
+    gen_mats = [np.array([[int(x) for x in row] for row in g.data],
                          dtype=np.int64) for g in gens]
     return orbit_partition_from_arrays(arr, gen_mats, nn, mm, q)
 

@@ -13,10 +13,9 @@ order itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .flags import (Composition, Flag, complete_to_invertible)
 from .invariants import (JFamily, Signature, dominates, invariant_family,
@@ -44,7 +43,6 @@ class OrbitCatalog:
     mm: Composition
     family: JFamily
     entries: tuple[CatalogEntry, ...]
-    covers: Optional[tuple[tuple[int, int], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -53,19 +51,14 @@ class HasseDiagram:
     edges: tuple[tuple[int, int], ...]   # (lower, upper) cover pairs
 
 
-_COVER_EAGER_LIMIT = 400
-
-
-def enumerate_orbits(nn: Composition, mm: Composition,
-                     with_covers: Optional[bool] = None) -> OrbitCatalog:
-    return _enumerate_cached(nn.parts, mm.parts,
-                             with_covers if with_covers is not None else -1)
-
-
 @lru_cache(maxsize=None)
-def _enumerate_cached(nn_parts, mm_parts, with_covers_flag):
-    nn = Composition(nn_parts)
-    mm = Composition(mm_parts)
+def enumerate_orbits(nn: Composition, mm: Composition) -> OrbitCatalog:
+    """Orbit catalog of the pair, sorted by (dimension, normal form).
+
+    Built once per pair and cached for the life of the process.  The
+    catalog holds no Hasse data: the verbs that print covers compute them
+    with ``hasse_candidate`` where they print them.
+    """
     tag = classify_pair(nn, mm)
     if tag is None:
         raise InfinitePairError(
@@ -115,12 +108,7 @@ def _enumerate_cached(nn_parts, mm_parts, with_covers_flag):
         entries.append(CatalogEntry(nf, flag, sig, dim, is_closed_flag(flag, nn)))
     entries.sort(key=lambda e: (e.dim, e.nf.serialize()))
 
-    cat = OrbitCatalog(tag, nn, mm, fam, tuple(entries))
-    want_covers = with_covers_flag == 1 or (
-        with_covers_flag == -1 and len(entries) <= _COVER_EAGER_LIMIT)
-    if want_covers:
-        cat = replace(cat, covers=hasse_candidate(cat).edges)
-    return cat
+    return OrbitCatalog(tag, nn, mm, fam, tuple(entries))
 
 
 def enumeration_count(nn: Composition, mm: Composition) -> int:
@@ -236,10 +224,6 @@ def is_closed_flag(f: Flag, nn: Composition) -> bool:
     return True
 
 
-def is_closed(nf: NormalForm, nn: Composition) -> bool:
-    return is_closed_flag(nf.realize(QQ), nn)
-
-
 # ---------------------------------------------------------------------------
 # dominance order
 # ---------------------------------------------------------------------------
@@ -316,9 +300,6 @@ def catalog_to_text(cat: OrbitCatalog) -> str:
     for i, e in enumerate(cat.entries):
         lines.append(f"entry {i} dim={e.dim} closed={int(e.closed)} "
                      f"sig={e.sig.hash()} nf={e.nf.serialize()}")
-    covers = cat.covers
-    if covers is None:
-        covers = hasse_candidate(cat).edges
-    for a, b in covers:
+    for a, b in hasse_candidate(cat).edges:
         lines.append(f"cover {a} {b}")
     return "\n".join(lines) + "\n"

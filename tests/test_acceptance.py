@@ -19,7 +19,7 @@ from flagorbits.linalg import Matrix, QQ, gf
 from flagorbits.normalforms import (case0_normal_forms, classify_pair,
                                     counterexample_pair,
                                     decode_signature_case0, has_catalog,
-                                    realize, reduce_by_catalog, reduce_case0,
+                                    reduce_by_catalog, reduce_case0,
                                     reduce_case3prime, reduce_flag,
                                     witness_pair_over)
 from flagorbits.oracle import (cross_validate, oracle_partition,
@@ -323,7 +323,7 @@ def test_criterion_9_property_suites():
                 b = random_borel_prime(nn, fld, rng)
                 assert signature(act(b, base), fam).values == vals
 
-    # (iv) decode(signature(realize(nf))) round trip on all catalog entries
+    # (iv) decode(signature(nf.realize())) round trip on all catalog entries
     count = 0
     for n in range(2, 6):
         for nn in compositions(n):
@@ -332,7 +332,7 @@ def test_criterion_9_property_suites():
                     continue
                 fam = invariant_family(nn, mm)
                 for nf in case0_normal_forms(nn, mm):
-                    sig = signature(realize(nf), fam)
+                    sig = signature(nf.realize(), fam)
                     assert decode_signature_case0(sig) == nf
                     count += 1
     elapsed = time.time() - t0

@@ -86,6 +86,25 @@ def test_oracle_verb_pass():
     assert "ok=1" in out
 
 
+def test_oracle_over_budget_is_usage_error():
+    # (2,2)/(1,3) over GF(2) has 15 flags
+    code, out, err = run_cli(["oracle", "--nn", "2,2", "--mm", "1,3",
+                              "--q", "2", "--budget", "10"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("q", ["0", "1", "4", str(2**31)])
+def test_oracle_bad_q_rejected_up_front(q, recwarn):
+    code, out, err = run_cli(["oracle", "--nn", "2,2", "--mm", "1,3",
+                              "--q", q])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err and "Warning" not in err
+    assert len(recwarn) == 0
+
+
 def test_counterexample_verb():
     code, out, _ = run_cli(["counterexample", "--case", "Iprime"])
     assert code == 0

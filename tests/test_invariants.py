@@ -95,7 +95,7 @@ def _all_lines(n, q):
 
 def _borel_gens(nn, q):
     from flagorbits.oracle import group_generators
-    return [g.mat for g in group_generators(nn, q)]
+    return group_generators(nn, q)
 
 
 def _violates(J, flags, gens, mm):

@@ -13,10 +13,10 @@ from flagorbits.normalforms import (CaseTag, InconsistentSignatureError,
                                     borel_elements, case0_normal_forms,
                                     classify_pair, counterexample_pair,
                                     decode_signature_case0, has_catalog,
-                                    realize, reduce_by_catalog, reduce_case0,
+                                    reduce_by_catalog, reduce_case0,
                                     reduce_case3prime, reduce_flag,
-                                    serialize_normal_form, transporter_empty,
-                                    triangular_reduce, witness_pair_over)
+                                    transporter_empty, triangular_reduce,
+                                    witness_pair_over)
 from flagorbits.orbits import enumerate_orbits
 
 
@@ -84,7 +84,7 @@ def test_triangular_reduce_multiply_back():
 def test_reduce_case0_idempotent_on_catalog():
     nn, mm = Composition.of(2, 2), Composition.of(2, 2)
     for nf in case0_normal_forms(nn, mm):
-        f = realize(nf)
+        f = nf.realize()
         assert reduce_case0(f, nn) == nf
 
 
@@ -148,7 +148,7 @@ def test_decode_signature_case0_round_trip():
         fam = invariant_family(nn, mm)
         forms = case0_normal_forms(nn, mm)
         for nf in rng.sample(forms, min(6, len(forms))):
-            sig = signature(realize(nf), fam)
+            sig = signature(nf.realize(), fam)
             assert decode_signature_case0(sig) == nf
 
 
@@ -198,7 +198,7 @@ def test_reduce_case3prime_figure_nodes_self():
     nn = Composition.of(2, 1)
     for f in figure1_flags():
         nf = reduce_case3prime(f, nn)
-        assert flags_equal(realize(nf), f)
+        assert flags_equal(nf.realize(), f)
 
 
 def test_reduce_case3prime_identity_chainless():
@@ -242,13 +242,13 @@ def test_reduce_by_catalog_examples():
     nn, mm = Composition.of(2, 2), Composition.of(1, 3)
     f = Flag.from_matrix(mm, Matrix.from_columns(QQ, [[0, 0, 1, 0]]))
     nf = reduce_by_catalog(f, nn)
-    assert flags_equal(realize(nf), f)
+    assert flags_equal(nf.realize(), f)
 
     nn2, mm2 = Composition.of(2, 2, 2), Composition.of(2, 4)
     rep = Matrix.from_columns(QQ, [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]])
     f2 = Flag.from_matrix(mm2, rep)
     nf2 = reduce_by_catalog(f2, nn2)
-    assert flags_equal(realize(nf2), f2)
+    assert flags_equal(nf2.realize(), f2)
 
 
 def test_reduce_by_catalog_case1_oracle_consistent():
@@ -287,9 +287,9 @@ def test_matching_rows_give_orbit_equal_reducers():
     for fld in (QQ, gf(2)):
         for _ in range(30):
             f = random_flag(mm, fld, rng)
-            via0 = realize(reduce_case0(f, nn), fld)
-            via3p = realize(reduce_case3prime(f, nn), fld)
-            viacat = realize(reduce_by_catalog(f, nn), fld)
+            via0 = reduce_case0(f, nn).realize(fld)
+            via3p = reduce_case3prime(f, nn).realize(fld)
+            viacat = reduce_by_catalog(f, nn).realize(fld)
             fam = invariant_family(nn, mm)
             vals = {signature(x, fam).values
                     for x in (via0, via3p, viacat, f)}
@@ -325,12 +325,12 @@ def test_counterexample_rejects_injective_case():
 
 def test_normal_form_serializations_stable():
     nn, mm = Composition.of(2, 2), Composition.of(1, 3)
-    texts = [serialize_normal_form(e.nf)
+    texts = [e.nf.serialize()
              for e in enumerate_orbits(nn, mm).entries]
     assert len(set(texts)) == 8
     assert all(t.startswith("case=0 ") for t in texts)
     nn2, mm2 = Composition.of(2, 1), Composition.of(1, 1, 1)
-    texts2 = [serialize_normal_form(e.nf)
+    texts2 = [e.nf.serialize()
               for e in enumerate_orbits(nn2, mm2).entries]
     assert all(t.startswith("case=III' ") for t in texts2)
 

@@ -87,7 +87,7 @@ def test_group_generators_orders():
     assert borel_order(Composition.of(1,), 3) == 2
     for nn_parts, q in [((2, 1), 2), ((1, 1), 3), ((2,), 3), ((1, 2), 2)]:
         nn = Composition(nn_parts)
-        gens = [g.mat for g in group_generators(nn, q)]
+        gens = group_generators(nn, q)
         assert _closure_size(gens) == borel_order(nn, q)
 
 
@@ -131,7 +131,7 @@ def test_orbit_partition_from_flag_list():
     for cls in part.classes():
         rep = cls[0]
         for g in group_generators(nn, 2):
-            assert part.class_of_flag(act(g.mat, rep)) == \
+            assert part.class_of_flag(act(g, rep)) == \
                 part.class_of_flag(rep)
 
 
@@ -223,3 +223,13 @@ def test_index_of_unknown_flag_raises():
     other = random_flag(Composition.of(1, 2), gf(2), random.Random(0))
     with pytest.raises((KeyError, ValueError)):
         part.class_of_flag(other)
+
+
+def test_encode_keys_exact_beyond_one_byte():
+    # 4 entries at p = 65537 need more than 62 bits, so keys take the
+    # structured-dtype path; residues 1 and 257 must stay distinct there
+    from flagorbits.oracle import _encode_keys
+    A = np.zeros((2, 2, 2), dtype=np.int64)
+    A[0, 0, 0], A[1, 0, 0] = 1, 257
+    keys = _encode_keys(A, 65537)
+    assert keys[0] != keys[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -178,3 +179,20 @@ def test_open_orbit_unique_and_dominant():
         assert len(tops) == 1
         from flagorbits.invariants import dominates
         assert all(dominates(e.sig, tops[0].sig) for e in cat.entries)
+
+
+def test_catalog_built_once_per_pair():
+    nn, mm = Composition.of(2, 1), Composition.of(1, 1, 1)
+    assert enumerate_orbits(nn, mm) is enumerate_orbits(nn, mm)
+    assert enumerate_orbits(Composition.of(2, 1), Composition.of(1, 1, 1)) \
+        is enumerate_orbits(nn, mm)
+
+
+def test_dominance_dimension_guard():
+    cat = enumerate_orbits(Composition.of(2, 1), Composition.of(1, 1, 1))
+    flat = dataclasses.replace(
+        cat, entries=tuple(dataclasses.replace(e, dim=0) for e in cat.entries))
+    with pytest.raises(DominanceDimensionError):
+        hasse_candidate(flat)
+    with pytest.raises(DominanceDimensionError):
+        catalog_to_text(flat)
