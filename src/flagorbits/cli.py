@@ -103,16 +103,18 @@ def cmd_dimension(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import BudgetExceededError, cross_validate, oracle_partition
+    from .oracle import (BudgetExceededError, check_budget, cross_validate,
+                         oracle_partition)
 
     gf(args.q)  # a q that is not a prime below 2**31 fails before any work
     nn, mm = _comp(args.nn), _comp(args.mm)
-    cat = enumerate_orbits(nn, mm)
     try:
-        part = oracle_partition(nn, mm, args.q, budget=args.budget)
+        check_budget(nn.n, mm, args.q, args.budget)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    cat = enumerate_orbits(nn, mm)
+    part = oracle_partition(nn, mm, args.q, budget=args.budget)
     report = cross_validate(part, cat)
     sys.stdout.write(report.to_text())
     return EXIT_OK if report.ok else EXIT_VALIDATION

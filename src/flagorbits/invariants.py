@@ -4,13 +4,16 @@
 prefix of a flag representative.  It is invariant under the left action
 of the block Borel exactly when J meets every row block in a suffix;
 ``invariant_family`` enumerates that family, and ``signature`` evaluates
-all of it at once.  The corner counts ``bruhat_rij`` are the classical
-baseline on permutation matrices.
+all of it at once.  ``rank_table`` computes the same values from integer
+rows without building a flag, for catalog builds that rank many
+candidates and keep few.  The corner counts ``bruhat_rij`` are the
+classical baseline on permutation matrices.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -91,6 +94,55 @@ def signature(f: Flag, fam: JFamily) -> Signature:
         raise ValueError("family does not match the flag")
     values = tuple(rank_js(f, J, s) for s, J in fam.entries)
     return Signature(fam, values)
+
+
+def rank_table(rows: Sequence[Sequence[int]], fam: JFamily) -> tuple[int, ...]:
+    """Signature values, in ``fam.entries`` order, of the flag spanned by
+    the columns of an integer matrix.
+
+    ``rows`` may be any integer matrix whose first ``m_1 + ... + m_s``
+    columns span the s-th subspace of the flag.  The result equals
+    ``signature(f, fam).values``: ``rank_{J,s}`` depends only on these
+    spans, so neither another basis nor a nonzero scaling of a column
+    changes it.
+
+    Row sets are handled in one exact pass without ``Fraction``s.  The
+    echelon basis of J is the memoized basis of J minus its first row,
+    extended by that row through integer cross-multiplication; J minus
+    its first row is again a union of per-block suffixes.  Each basis row
+    is divided by its content and has its pivot at its first nonzero
+    column, all pivots distinct, so the rank of the first c columns of
+    the J rows is the number of pivots left of c.
+    """
+    cuts = fam.mm.prefix_sums()
+    bases: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]] = {
+        (): ()}
+
+    def basis(J: tuple[int, ...]):
+        known = bases.get(J)
+        if known is None:
+            known = _echelon_extend(basis(J[1:]), rows[J[0] - 1])
+            bases[J] = known
+        return known
+
+    return tuple(sum(1 for pivot, _ in basis(J) if pivot < cuts[s])
+                 for s, J in fam.entries)
+
+
+def _echelon_extend(basis, row):
+    """Add one integer row to an echelon basis of (pivot, row) pairs sorted
+    by pivot; the basis comes back unchanged when the row depends on it."""
+    v = tuple(row)
+    for pivot, b in basis:
+        c = v[pivot]
+        if c:
+            a = b[pivot]
+            v = tuple(a * x - c * y for x, y in zip(v, b))
+    lead = next((j for j, x in enumerate(v) if x), None)
+    if lead is None:
+        return basis
+    g = math.gcd(*v)
+    return tuple(sorted(basis + ((lead, tuple(x // g for x in v)),)))
 
 
 def dominates(a: Signature, b: Signature) -> bool:

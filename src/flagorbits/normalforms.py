@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .flags import (Composition, Flag, act, dual, flags_equal,
-                    permutation_matrix, complete_to_invertible)
+                    permutation_matrix)
 from .invariants import Signature, invariant_family, signature
-from .linalg import Field, Matrix, QQ, gf
+from .linalg import Field, Matrix, QQ, gf, integer_rank
 
 
 class InfinitePairError(ValueError):
@@ -853,12 +853,10 @@ def pattern_candidates(tag: CaseTag, nn: Composition,
                     if not any(extra):
                         continue
                     allcols = base_cols + [extra]
-                    mat = Matrix.from_rows(
-                        QQ, [[c[i] for c in allcols] for i in range(n)])
-                    if mat.rank() != m1 + 1:
+                    rowsm = tuple(tuple(c[i] for c in allcols)
+                                  for i in range(n))
+                    if integer_rank(rowsm) != m1 + 1:
                         continue
-                    rowsm = tuple(tuple(int(x) for x in row)
-                                  for row in mat.data)
                     cands.append(NFPattern("I'", tag.subcase, nn, mm, mm,
                                            rowsm))
         return cands

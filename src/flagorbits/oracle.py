@@ -52,6 +52,15 @@ def flag_count(n: int, mm: Composition, q: int) -> int:
     return total
 
 
+def check_budget(n: int, mm: Composition, q: int, budget: int) -> int:
+    """Number of flags of the type, or ``BudgetExceededError`` above budget."""
+    total = flag_count(n, mm, q)
+    if total > budget:
+        raise BudgetExceededError(
+            f"{total} flags of type {mm} over GF({q}) exceed budget {budget}")
+    return total
+
+
 def borel_order(nn: Composition, q: int) -> int:
     order = 1
     for p in nn.parts:
@@ -247,10 +256,7 @@ def _echelon_blocks(comp_rows: list[int], pivots: tuple[int, ...],
 def enumerate_flag_array(n: int, mm: Composition, q: int,
                          budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """All flags of the type as one canonical array of shape (N, n, C)."""
-    total = flag_count(n, mm, q)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} flags of type {mm} over GF({q}) exceed budget {budget}")
+    total = check_budget(n, mm, q, budget)
     groups: list[tuple[tuple[int, ...], np.ndarray]] = [
         ((), np.zeros((1, n, 0), dtype=np.int64))]
     for m_t in mm.parts[:-1]:

@@ -16,15 +16,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .flags import (Composition, Flag, complete_to_invertible)
 from .invariants import (JFamily, Signature, dominates, invariant_family,
-                         signature, verify_family_invariance)
-from .linalg import QQ, integer_rank
-from .normalforms import (CaseTag, InfinitePairError, NonInjectiveError,
-                          NormalForm, UnsupportedCaseError, case0_normal_forms,
-                          case3prime_normal_forms, classify_pair, has_catalog,
-                          pattern_candidates, counterexample_pair)
+                         rank_table, verify_family_invariance)
+from .linalg import QQ, Matrix, integer_rank
+from .normalforms import (CaseTag, InfinitePairError, NFPattern,
+                          NonInjectiveError, NormalForm, UnsupportedCaseError,
+                          case0_normal_forms, case3prime_normal_forms,
+                          classify_pair, has_catalog, pattern_candidates,
+                          counterexample_pair)
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,12 @@ def enumerate_orbits(nn: Composition, mm: Composition) -> OrbitCatalog:
     else:
         forms = pattern_candidates(tag, nn, mm)
 
-    by_sig: dict[tuple[int, ...], tuple[str, NormalForm, Flag]] = {}
+    # Candidates are ranked on integer rows; only the one kept for each
+    # signature needs a rational flag.
+    by_sig: dict[tuple[int, ...], tuple[str, NormalForm, Flag | None]] = {}
     for nf in forms:
-        flag = nf.realize(QQ)
-        values = signature(flag, fam).values
+        rows, flag = _signature_rows(nf)
+        values = rank_table(rows, fam)
         key = nf.serialize()
         known = by_sig.get(values)
         if known is None or key < known[0]:
@@ -103,12 +107,37 @@ def enumerate_orbits(nn: Composition, mm: Composition) -> OrbitCatalog:
 
     entries = []
     for values, (key, nf, flag) in by_sig.items():
+        if flag is None:
+            flag = nf.realize(QQ)
         sig = Signature(fam, values)
         dim = orbit_dimension(flag, nn)
         entries.append(CatalogEntry(nf, flag, sig, dim, is_closed_flag(flag, nn)))
     entries.sort(key=lambda e: (e.dim, e.nf.serialize()))
 
     return OrbitCatalog(tag, nn, mm, fam, tuple(entries))
+
+
+def _signature_rows(nf: NormalForm) -> tuple[Sequence[Sequence[int]],
+                                              Flag | None]:
+    """Integer rows whose column prefixes span the flag of ``nf``, and the
+    rational flag when it had to be realized to get them.
+
+    A non-dual pattern's 0/1 matrix already spans the flag once its rows
+    are relabeled (realized row i is ``matrix01[row_perm[i] - 1]``);
+    any other form is realized and each column's denominators cleared.
+    """
+    if isinstance(nf, NFPattern) and not nf.dualize:
+        if nf.row_perm is None:
+            return nf.matrix01, None
+        return [nf.matrix01[p - 1] for p in nf.row_perm], None
+    flag = nf.realize(QQ)
+    return _integer_rows(flag.rep), flag
+
+
+def _integer_rows(rep: Matrix) -> list[list[int]]:
+    """Rows of ``rep`` after scaling each column by its denominators' lcm."""
+    scales = [math.lcm(*(x.denominator for x in col)) for col in rep.columns()]
+    return [[int(x * k) for x, k in zip(row, scales)] for row in rep.data]
 
 
 def enumeration_count(nn: Composition, mm: Composition) -> int:

@@ -95,6 +95,19 @@ def test_oracle_over_budget_is_usage_error():
     assert "Traceback" not in err
 
 
+def test_oracle_budget_checked_before_catalog(monkeypatch):
+    import flagorbits.cli as cli
+
+    def no_catalog(nn, mm):
+        raise AssertionError("catalog built before the budget check")
+
+    monkeypatch.setattr(cli, "enumerate_orbits", no_catalog)
+    code, out, err = run_cli(["oracle", "--nn", "2,2", "--mm", "1,3",
+                              "--q", "2", "--budget", "10"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("q", ["0", "1", "4", str(2**31)])
 def test_oracle_bad_q_rejected_up_front(q, recwarn):
     code, out, err = run_cli(["oracle", "--nn", "2,2", "--mm", "1,3",

@@ -6,10 +6,10 @@ import pytest
 from flagorbits.flags import (Composition, Flag, act, flag_from_permutation,
                               qfamily, random_borel_prime, random_flag)
 from flagorbits.invariants import (bruhat_rij, bruhat_vector, dominates,
-                                   invariant_family, rank_js, signature,
-                                   verify_family_invariance)
+                                   invariant_family, rank_js, rank_table,
+                                   signature, verify_family_invariance)
 from flagorbits.linalg import Matrix, QQ, gf
-from flagorbits.orbits import enumerate_orbits
+from flagorbits.orbits import _integer_rows, enumerate_orbits
 
 from conftest import bruhat_le_subword
 
@@ -120,6 +120,24 @@ def test_signature_on_borel_translates():
         f = random_flag(mm, QQ, rng)
         b = random_borel_prime(nn, QQ, rng)
         assert signature(f, fam).values == signature(act(b, f), fam).values
+
+
+@pytest.mark.parametrize("nn_parts,mm_parts", [
+    ((2, 2), (2, 2)), ((2, 1, 2), (3, 2)), ((3, 2), (1, 1, 3)),
+    ((1, 2, 2), (2, 1, 2))])
+def test_rank_table_matches_signature_on_non_integral_reps(nn_parts,
+                                                           mm_parts):
+    rng = random.Random(11)
+    nn, mm = Composition(nn_parts), Composition(mm_parts)
+    fam = invariant_family(nn, mm)
+    seen = 0
+    while seen < 15:
+        f = act(random_borel_prime(nn, QQ, rng), random_flag(mm, QQ, rng))
+        if all(x.denominator == 1 for row in f.rep.data for x in row):
+            continue
+        seen += 1
+        assert rank_table(_integer_rows(f.rep), fam) == \
+            signature(f, fam).values
 
 
 def test_figure_one_signatures_distinct():

@@ -1,17 +1,27 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import flagorbits
 from flagorbits.flags import Composition, Flag, standard_flag
+from flagorbits.invariants import invariant_family, rank_table, signature
 from flagorbits.linalg import Matrix, QQ
-from flagorbits.normalforms import (InfinitePairError, NonInjectiveError,
-                                    UnsupportedCaseError)
-from flagorbits.orbits import (DominanceDimensionError, catalog_to_text,
-                               count_multiplicity_free, emit_dot,
-                               enumerate_orbits, enumeration_count,
+from flagorbits.normalforms import (InfinitePairError, NFPattern,
+                                    NonInjectiveError, UnsupportedCaseError,
+                                    case0_normal_forms,
+                                    case3prime_normal_forms, classify_pair,
+                                    has_catalog, pattern_candidates)
+from flagorbits.orbits import (DominanceDimensionError, _signature_rows,
+                               catalog_to_text, count_multiplicity_free,
+                               emit_dot, enumerate_orbits, enumeration_count,
                                hasse_candidate, is_closed_flag,
                                orbit_dimension)
+
+from conftest import compositions
 
 
 def test_enumerate_small_grassmannian():
@@ -196,3 +206,64 @@ def test_dominance_dimension_guard():
         hasse_candidate(flat)
     with pytest.raises(DominanceDimensionError):
         catalog_to_text(flat)
+
+
+def _catalog_pairs(max_n):
+    for n in range(1, max_n + 1):
+        for nn in compositions(n):
+            for mm in compositions(n):
+                tag = classify_pair(nn, mm)
+                if tag is not None and tag.injective and has_catalog(tag):
+                    yield tag, nn, mm
+
+
+def test_rank_table_matches_signature_on_every_candidate():
+    pairs = 0
+    for tag, nn, mm in _catalog_pairs(5):
+        pairs += 1
+        fam = invariant_family(nn, mm)
+        if tag.label == "0":
+            forms = case0_normal_forms(nn, mm)
+        elif tag.label == "III'":
+            forms = case3prime_normal_forms(nn, mm)
+        else:
+            forms = pattern_candidates(tag, nn, mm)
+        for nf in forms:
+            rows, _ = _signature_rows(nf)
+            assert rank_table(rows, fam) == \
+                signature(nf.realize(QQ), fam).values, (nn, mm, nf)
+    assert pairs == 131
+
+
+def test_catalog_realizes_only_kept_patterns(monkeypatch):
+    calls = []
+    realize = NFPattern.realize
+
+    def counting_realize(self, fld=QQ):
+        calls.append(self)
+        return realize(self, fld)
+
+    monkeypatch.setattr(NFPattern, "realize", counting_realize)
+    enumerate_orbits.cache_clear()
+    try:
+        cat = enumerate_orbits(Composition.of(2, 2, 2), Composition.of(2, 4))
+    finally:
+        enumerate_orbits.cache_clear()
+    assert len(cat.entries) == 172
+    assert len(calls) == 172
+
+
+def test_catalog_build_imports_no_numpy():
+    src = os.path.dirname(os.path.dirname(flagorbits.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys\n"
+              "from flagorbits.cli import main\n"
+              "code = main(['enumerate', '--nn', '3,2', '--mm', '1,1,3'])\n"
+              "assert code == 0\n"
+              "assert 'numpy' not in sys.modules, 'numpy imported'\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("case=I' nn=3,2 mm=1,1,3 count=86\n")
