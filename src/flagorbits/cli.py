@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .flags import Composition, parse_flag_literal
+from .flags import Composition, Flag, parse_flag_literal
 from .invariants import invariant_family, signature
 from .linalg import gf
 from .normalforms import (InfinitePairError, NonInjectiveError,
@@ -29,9 +29,17 @@ def _comp(text: str) -> Composition:
     return Composition.parse(text)
 
 
-def _read_flag(path: str):
-    with open(path) as fh:
-        return parse_flag_literal(fh.read())
+def _read_flag(args) -> tuple[Composition, Flag]:
+    """``--nn`` and the flag of ``--flag``, checked against the pair."""
+    nn = _comp(args.nn)
+    with open(args.flag) as fh:
+        f = parse_flag_literal(fh.read())
+    if _comp(args.mm).parts != f.typ.parts:
+        raise ValueError(f"flag file type {f.typ} differs from --mm {args.mm}")
+    if nn.n != f.n:
+        raise ValueError(
+            f"--nn {args.nn} sums to {nn.n}, the flag has n={f.n}")
+    return nn, f
 
 
 def _case_name(tag) -> str:
@@ -50,19 +58,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    nn = _comp(args.nn)
-    f = _read_flag(args.flag)
-    if _comp(args.mm).parts != f.typ.parts:
-        print("flag file type differs from --mm", file=sys.stderr)
-        return EXIT_USAGE
+    nn, f = _read_flag(args)
     nf = reduce_flag(f, nn)
     print(nf.serialize())
     return EXIT_OK
 
 
 def cmd_signature(args) -> int:
-    nn = _comp(args.nn)
-    f = _read_flag(args.flag)
+    nn, f = _read_flag(args)
     fam = invariant_family(nn, f.typ)
     print(signature(f, fam).serialize())
     return EXIT_OK
@@ -96,8 +99,7 @@ def cmd_hasse(args) -> int:
 
 
 def cmd_dimension(args) -> int:
-    nn = _comp(args.nn)
-    f = _read_flag(args.flag)
+    nn, f = _read_flag(args)
     print(orbit_dimension(f, nn))
     return EXIT_OK
 

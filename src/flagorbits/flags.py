@@ -217,7 +217,13 @@ def flags_equal(a: Flag, b: Flag) -> bool:
 
 
 def parse_flag_literal(text: str) -> Flag:
+    """Parse ``m: <type> of n=<n>`` followed by a matrix literal.
+
+    Every malformed text raises ``ValueError`` with a one-line message.
+    """
     lines = text.strip().splitlines()
+    if not lines:
+        raise ValueError("empty flag literal")
     head = lines[0].strip()
     if not head.startswith("m:") or " of n=" not in head:
         raise ValueError("flag literal must start with 'm: ... of n=...'")

@@ -96,7 +96,8 @@ def signature(f: Flag, fam: JFamily) -> Signature:
     return Signature(fam, values)
 
 
-def rank_table(rows: Sequence[Sequence[int]], fam: JFamily) -> tuple[int, ...]:
+def rank_table(rows: Sequence[Sequence[int]], fam: JFamily,
+               steps: dict | None = None) -> tuple[int, ...]:
     """Signature values, in ``fam.entries`` order, of the flag spanned by
     the columns of an integer matrix.
 
@@ -113,15 +114,24 @@ def rank_table(rows: Sequence[Sequence[int]], fam: JFamily) -> tuple[int, ...]:
     is divided by its content and has its pivot at its first nonzero
     column, all pivots distinct, so the rank of the first c columns of
     the J rows is the number of pivots left of c.
+
+    ``steps`` memoizes ``_echelon_extend`` on its (basis, row) arguments.
+    The step is a pure function, so one dict may be shared by every call
+    of a catalog build, whose candidates repeat the same few steps.
     """
     cuts = fam.mm.prefix_sums()
+    rows = [tuple(r) for r in rows]
+    steps = {} if steps is None else steps
     bases: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]] = {
         (): ()}
 
     def basis(J: tuple[int, ...]):
         known = bases.get(J)
         if known is None:
-            known = _echelon_extend(basis(J[1:]), rows[J[0] - 1])
+            step = (basis(J[1:]), rows[J[0] - 1])
+            known = steps.get(step)
+            if known is None:
+                known = steps[step] = _echelon_extend(*step)
             bases[J] = known
         return known
 

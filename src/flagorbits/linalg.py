@@ -17,6 +17,7 @@ point is used anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -105,7 +106,10 @@ class _RationalField(Field):
         return a * b
 
     def parse(self, token):
-        return Fraction(token)
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {token!r}") from None
 
     def format(self, x):
         return str(Fraction(x))
@@ -448,6 +452,54 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def integer_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer basis of the right null space {y : A y = 0} of an integer
+    matrix, by fraction-free (Bareiss) Gauss-Jordan elimination.
+
+    After each pivot step every row, the pivot rows above included, is
+    updated by two-term cross-multiplication and divided exactly by the
+    previous pivot, so all entries stay integral minors and every pivot
+    equals the last one, d.  Each free column f then gives the kernel
+    vector with d at f and minus the f-th entry of each pivot row at that
+    row's pivot column, divided by its content.  ``rows`` must be
+    nonempty, since the width is read from them.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        raise ValueError("integer_kernel needs at least one row")
+    width = len(m[0])
+    pivots: list[int] = []
+    prev = 1
+    for col in range(width):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        mp = m[rank]
+        pv = mp[col]
+        for r, mr in enumerate(m):
+            if r == rank:
+                continue
+            f = mr[col]
+            m[r] = [(pv * x - f * y) // prev for x, y in zip(mr, mp)]
+        prev = pv
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        y = [0] * width
+        y[free] = prev
+        for r, pc in enumerate(pivots):
+            y[pc] = -m[r][free]
+        g = math.gcd(*y)
+        basis.append([x // g for x in y])
+    return basis
 
 
 def subspace_intersection(a: Matrix, b: Matrix) -> Matrix:

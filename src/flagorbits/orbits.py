@@ -2,8 +2,12 @@
 
 A catalog lists one entry per orbit of the block Borel on the flag
 variety of the pair: the normal form, a realized rational representative,
-its full rank signature, the orbit dimension (computed from Lie-algebra
-stabilizers, always over the rationals), and whether the orbit is closed.
+its full rank signature, the orbit dimension, and whether the orbit is
+closed.  The dimension is the codimension in b' of the Lie-algebra
+stabilizer, exact over the rationals.  Catalogs take it from integer rows
+spanning the flag: X stabilizes the flag when y^T X u = 0 for every
+column u of each block t and every y annihilating the t-th subspace, and
+the rank of these integer conditions is the dimension.
 The candidate partial order is entry-wise signature dominance, which rank
 semicontinuity makes a necessary condition for closure; its transitive
 reduction is emitted as a DOT digraph but never claimed to be the closure
@@ -21,7 +25,7 @@ from typing import Sequence
 from .flags import (Composition, Flag, complete_to_invertible)
 from .invariants import (JFamily, Signature, dominates, invariant_family,
                          rank_table, verify_family_invariance)
-from .linalg import QQ, Matrix, integer_rank
+from .linalg import QQ, Matrix, integer_kernel, integer_rank
 from .normalforms import (CaseTag, InfinitePairError, NFPattern,
                           NonInjectiveError, NormalForm, UnsupportedCaseError,
                           case0_normal_forms, case3prime_normal_forms,
@@ -90,15 +94,18 @@ def enumerate_orbits(nn: Composition, mm: Composition) -> OrbitCatalog:
         forms = pattern_candidates(tag, nn, mm)
 
     # Candidates are ranked on integer rows; only the one kept for each
-    # signature needs a rational flag.
-    by_sig: dict[tuple[int, ...], tuple[str, NormalForm, Flag | None]] = {}
+    # signature needs a rational flag.  Echelon steps repeat across
+    # candidates, so they are shared within this build.
+    steps: dict = {}
+    # values -> (serialized form, form, integer rows, flag or None)
+    by_sig: dict[tuple[int, ...], tuple] = {}
     for nf in forms:
         rows, flag = _signature_rows(nf)
-        values = rank_table(rows, fam)
+        values = rank_table(rows, fam, steps)
         key = nf.serialize()
         known = by_sig.get(values)
         if known is None or key < known[0]:
-            by_sig[values] = (key, nf, flag)
+            by_sig[values] = (key, nf, rows, flag)
 
     if tag.label in ("0", "III'") and len(by_sig) != len(forms):
         raise AssertionError(
@@ -106,11 +113,11 @@ def enumerate_orbits(nn: Composition, mm: Composition) -> OrbitCatalog:
             f"{len(forms)} forms, {len(by_sig)} signatures")
 
     entries = []
-    for values, (key, nf, flag) in by_sig.items():
+    for values, (key, nf, rows, flag) in by_sig.items():
         if flag is None:
             flag = nf.realize(QQ)
         sig = Signature(fam, values)
-        dim = orbit_dimension(flag, nn)
+        dim = _annihilator_dimension(rows, nn, mm)
         entries.append(CatalogEntry(nf, flag, sig, dim, is_closed_flag(flag, nn)))
     entries.sort(key=lambda e: (e.dim, e.nf.serialize()))
 
@@ -138,6 +145,32 @@ def _integer_rows(rep: Matrix) -> list[list[int]]:
     """Rows of ``rep`` after scaling each column by its denominators' lcm."""
     scales = [math.lcm(*(x.denominator for x in col)) for col in rep.columns()]
     return [[int(x * k) for x, k in zip(row, scales)] for row in rep.data]
+
+
+def _annihilator_dimension(rows: Sequence[Sequence[int]], nn: Composition,
+                           mm: Composition) -> int:
+    """Orbit dimension of the flag whose column prefixes ``rows`` span.
+
+    X in b' stabilizes the flag exactly when X u lies in U_t for every
+    column u of block t, U_t being the span of the columns of blocks
+    1..t (the last block's conditions are empty, since U_l is everything).
+    That holds when y^T X u = 0 for every y in an integer basis of the
+    annihilator of U_t, a condition linear in the coordinates X_ab of b'
+    with coefficient y_a * u[b].  The orbit dimension is the rank of these
+    conditions, all integers: no completion, no inverse, no ``Fraction``.
+    """
+    coords = [(a, b)
+              for blk in range(len(nn))
+              for a in nn.block_range(blk)
+              for b in nn.block_range(blk) if a <= b]
+    cols = list(zip(*rows))
+    cuts = mm.prefix_sums()
+    conditions = []
+    for t in range(len(mm) - 1):
+        for y in integer_kernel(cols[:cuts[t + 1]]):
+            for u in cols[cuts[t]:cuts[t + 1]]:
+                conditions.append([y[a] * u[b] for a, b in coords])
+    return integer_rank(conditions)
 
 
 def enumeration_count(nn: Composition, mm: Composition) -> int:
@@ -196,7 +229,11 @@ def orbit_dimension(f: Flag, nn: Composition) -> int:
     ``(g^{-1} X g)_{ij} = 0`` over the strictly-lower block positions of
     the column parabolic, where g is the deterministic invertible
     completion of the representative; the orbit dimension equals the rank
-    of that constraint matrix.
+    of that constraint matrix.  The rows of g^{-1} below block t span the
+    annihilator of the t-th subspace, so these are the conditions that
+    catalogs build from an integer annihilator basis instead
+    (``_annihilator_dimension``): the same count, the same rank, with no
+    completion and no inverse.  This per-flag form stays the reference.
     """
     if f.field is not QQ:
         raise ValueError("orbit dimensions are computed over Q")

@@ -80,6 +80,41 @@ def test_signature_normalize_dimension(tmp_path):
     assert code == 0 and out.strip() == "3"
 
 
+FLAG_VERBS = ["normalize", "signature", "dimension"]
+
+
+def _assert_one_line_error(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", FLAG_VERBS)
+@pytest.mark.parametrize("text", [
+    "", "\n  \n", "m: 1,1,1 of n=3\n3 2 Q\n1 0\n1/0 1\n1 0\n"])
+def test_bad_flag_file_is_usage_error(verb, text, tmp_path):
+    flag_file = tmp_path / "flag.txt"
+    flag_file.write_text(text)
+    _assert_one_line_error(*run_cli([verb, "--nn", "2,1", "--mm", "1,1,1",
+                                     "--flag", str(flag_file)]))
+
+
+@pytest.mark.parametrize("verb", FLAG_VERBS)
+@pytest.mark.parametrize("nn,mm", [("2,1", "2,1"), ("2,1", "1,1,1,1"),
+                                   ("2,2", "1,2"), ("1,1", "1,2")])
+def test_flag_verbs_check_the_pair(verb, nn, mm, tmp_path):
+    # the flag has type 1,2 in 3-space
+    flag_file = tmp_path / "flag.txt"
+    flag_file.write_text("m: 1,2 of n=3\n3 1 Q\n1\n1\n0\n")
+    code, out, err = run_cli([verb, "--nn", nn, "--mm", mm,
+                              "--flag", str(flag_file)])
+    _assert_one_line_error(code, out, err)
+    assert "--mm" in err or "--nn" in err
+    code, out, _ = run_cli([verb, "--nn", "2,1", "--mm", "1,2",
+                            "--flag", str(flag_file)])
+    assert code == 0 and out
+
+
 def test_oracle_verb_pass():
     code, out, _ = run_cli(["oracle", "--nn", "2,2", "--mm", "1,3", "--q", "2"])
     assert code == 0

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagorbits.flags import (Composition, Flag, act, complete_to_invertible,
                               dual, flag_from_permutation, flags_equal,
@@ -258,6 +260,40 @@ def test_flag_literal_round_trip():
     text = "m: 1,2 of n=3\n3 1 F2\n1\n0\n1"
     g = parse_flag_literal(text)
     assert g.field == gf(2)
+
+
+def test_flag_literal_errors_are_value_errors():
+    for text in ["", "  \n\n", "m: 1,2 of n=3\n3 1 Q\n1/0\n1\n0\n"]:
+        with pytest.raises(ValueError):
+            parse_flag_literal(text)
+
+
+_LITERAL_TOKENS = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.sampled_from(["1/0", "0/0", "-1/2", "x", "1.5", "1e3", "Q", "F2",
+                     "F4", "F0", "Fx", "|", "m:", "of", "n=3", "1,2", ""]))
+
+# header, size line and entries built from plausible tokens, so most
+# examples reach the matrix parser instead of failing on the header
+_FLAG_LIKE_TEXT = st.builds(
+    lambda comp, n, size, entries, sep:
+        f"m: {comp} of n={n}\n{size}\n" + sep.join(entries),
+    st.lists(st.integers(0, 4), max_size=4).map(
+        lambda parts: ",".join(map(str, parts))),
+    st.integers(-1, 6),
+    st.lists(_LITERAL_TOKENS, max_size=4).map(" ".join),
+    st.lists(_LITERAL_TOKENS, max_size=24),
+    st.sampled_from([" ", "\n", " | "]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(max_size=40), _FLAG_LIKE_TEXT))
+def test_flag_literal_parses_or_raises_value_error(text):
+    try:
+        f = parse_flag_literal(text)
+    except ValueError:
+        return
+    assert isinstance(f, Flag)
 
 
 def test_complete_to_invertible_deterministic():

@@ -9,7 +9,8 @@ from flagorbits.invariants import (bruhat_rij, bruhat_vector, dominates,
                                    invariant_family, rank_js, rank_table,
                                    signature, verify_family_invariance)
 from flagorbits.linalg import Matrix, QQ, gf
-from flagorbits.orbits import _integer_rows, enumerate_orbits
+from flagorbits.orbits import (_annihilator_dimension, _integer_rows,
+                               enumerate_orbits, orbit_dimension)
 
 from conftest import bruhat_le_subword
 
@@ -122,22 +123,38 @@ def test_signature_on_borel_translates():
         assert signature(f, fam).values == signature(act(b, f), fam).values
 
 
-@pytest.mark.parametrize("nn_parts,mm_parts", [
+NON_INTEGRAL_PAIRS = [
     ((2, 2), (2, 2)), ((2, 1, 2), (3, 2)), ((3, 2), (1, 1, 3)),
-    ((1, 2, 2), (2, 1, 2))])
-def test_rank_table_matches_signature_on_non_integral_reps(nn_parts,
-                                                           mm_parts):
+    ((1, 2, 2), (2, 1, 2))]
+
+
+def _non_integral_flags(nn, mm):
     rng = random.Random(11)
-    nn, mm = Composition(nn_parts), Composition(mm_parts)
-    fam = invariant_family(nn, mm)
     seen = 0
     while seen < 15:
         f = act(random_borel_prime(nn, QQ, rng), random_flag(mm, QQ, rng))
         if all(x.denominator == 1 for row in f.rep.data for x in row):
             continue
         seen += 1
+        yield f
+
+
+@pytest.mark.parametrize("nn_parts,mm_parts", NON_INTEGRAL_PAIRS)
+def test_rank_table_matches_signature_on_non_integral_reps(nn_parts,
+                                                           mm_parts):
+    nn, mm = Composition(nn_parts), Composition(mm_parts)
+    fam = invariant_family(nn, mm)
+    for f in _non_integral_flags(nn, mm):
         assert rank_table(_integer_rows(f.rep), fam) == \
             signature(f, fam).values
+
+
+@pytest.mark.parametrize("nn_parts,mm_parts", NON_INTEGRAL_PAIRS)
+def test_annihilator_dimension_on_non_integral_reps(nn_parts, mm_parts):
+    nn, mm = Composition(nn_parts), Composition(mm_parts)
+    for f in _non_integral_flags(nn, mm):
+        assert _annihilator_dimension(_integer_rows(f.rep), nn, mm) == \
+            orbit_dimension(f, nn)
 
 
 def test_figure_one_signatures_distinct():

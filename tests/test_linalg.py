@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from flagorbits.linalg import (GF, Matrix, QQ, gf, integer_rank,
-                               parse_matrix_literal, subspace_intersection)
+from flagorbits.linalg import (GF, Matrix, QQ, gf, integer_kernel,
+                               integer_rank, parse_matrix_literal,
+                               subspace_intersection)
 
 from conftest import bareiss_rank, gf2_minor_rank
 
@@ -159,6 +160,39 @@ def test_integer_rank_agrees():
     for _ in range(40):
         rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(5)]
         assert integer_rank(rows) == bareiss_rank(rows)
+
+
+def _low_rank_integer_matrix(rng, rows, cols):
+    k = rng.randint(0, min(rows, cols))
+    left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+    right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
+    return [[sum(left[i][t] * right[t][j] for t in range(k))
+             for j in range(cols)] for i in range(rows)]
+
+
+def test_integer_kernel_annihilates_with_full_dimension():
+    rng = random.Random(43)
+    for trial in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        if trial % 3:
+            a = _low_rank_integer_matrix(rng, rows, cols)
+        else:
+            a = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(cols)]
+                 for _ in range(rows)]
+        basis = integer_kernel(a)
+        assert len(basis) == cols - integer_rank(a)
+        for y in basis:
+            assert all(isinstance(x, int) for x in y)
+            assert all(sum(p * q for p, q in zip(row, y)) == 0 for row in a)
+        assert integer_rank(basis) == len(basis)
+
+
+def test_integer_kernel_edge_cases():
+    assert integer_kernel([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert integer_kernel([[2, 0], [0, 3]]) == []
+    assert integer_kernel([[2, 4]]) in ([[-2, 1]], [[2, -1]])
+    with pytest.raises(ValueError):
+        integer_kernel([])
 
 
 def test_matrix_literal_round_trip():

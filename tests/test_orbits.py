@@ -15,7 +15,8 @@ from flagorbits.normalforms import (InfinitePairError, NFPattern,
                                     case0_normal_forms,
                                     case3prime_normal_forms, classify_pair,
                                     has_catalog, pattern_candidates)
-from flagorbits.orbits import (DominanceDimensionError, _signature_rows,
+from flagorbits.orbits import (DominanceDimensionError,
+                               _annihilator_dimension, _signature_rows,
                                catalog_to_text, count_multiplicity_free,
                                emit_dot, enumerate_orbits, enumeration_count,
                                hasse_candidate, is_closed_flag,
@@ -251,6 +252,52 @@ def test_catalog_realizes_only_kept_patterns(monkeypatch):
         enumerate_orbits.cache_clear()
     assert len(cat.entries) == 172
     assert len(calls) == 172
+
+
+def test_catalog_dimensions_match_orbit_dimension():
+    pairs = entries = 0
+    for _, nn, mm in _catalog_pairs(5):
+        pairs += 1
+        for e in enumerate_orbits(nn, mm).entries:
+            entries += 1
+            assert e.dim == orbit_dimension(e.flag, nn), (nn, mm, e.nf)
+            rows, _ = _signature_rows(e.nf)
+            assert _annihilator_dimension(rows, nn, mm) == e.dim
+    assert pairs == 131 and entries == 6427
+
+
+def test_catalog_dimensions_need_no_completion_or_inverse(monkeypatch):
+    import flagorbits.flags as flags_mod
+    import flagorbits.orbits as orbits_mod
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod in (flags_mod, orbits_mod):
+        monkeypatch.setattr(mod, "complete_to_invertible", counting(
+            "complete_to_invertible", mod.complete_to_invertible))
+    monkeypatch.setattr(Matrix, "inverse",
+                        counting("inverse", Matrix.inverse))
+    nn, mm = Composition.of(2, 2, 2), Composition.of(2, 4)
+    enumerate_orbits.cache_clear()
+    try:
+        cat = enumerate_orbits(nn, mm)
+    finally:
+        enumerate_orbits.cache_clear()
+    assert len(cat.entries) == 172
+    assert calls == []
+
+    fam = invariant_family(nn, mm)
+    steps = {}
+    for nf in pattern_candidates(classify_pair(nn, mm), nn, mm):
+        rows, _ = _signature_rows(nf)
+        assert rank_table(rows, fam, steps) == rank_table(rows, fam)
+    assert steps
 
 
 def test_catalog_build_imports_no_numpy():
