@@ -1,23 +1,32 @@
 """Ground-truth brute force over GF(q).
 
 Enumerates every flag of a type as a canonical representative, partitions
-them into orbits of the block Borel by generator sweeps plus connected
-components, and cross-validates catalogs against the partition.  The
-heavy lifting is vectorized: all representatives live in one integer
-array and the canonical-form pass processes every matrix in lock step
-(same pivot convention as :mod:`flagorbits.flags`, verified by tests).
-Arithmetic is integer-only throughout.
+them into orbits of the block Borel, and cross-validates catalogs against
+the partition.  The heavy lifting is vectorized: all representatives
+live in one array of residues in ``np.min_scalar_type(q - 1)`` (one byte
+for q <= 256), and the canonical-form pass processes every matrix in
+lock step (same pivot convention as :mod:`flagorbits.flags`, verified by
+tests).  Each generator permutes the flags, so the orbits are the
+connected components of the union of those permutations.  Arithmetic is
+integer-only throughout, and numpy is the only dependency.
+
+Memory: partitioning N flags of n x C stored entries, s bytes each (the
+storage dtype), peaks below (2*n*C*s + 96)*N + 24*n*C*CHUNK + 2**20
+bytes of allocations: at most two copies of the flags while they are
+enumerated; then one copy, a sorted key index (16 bytes per flag), the
+component forest, one generator's image and the hooking temporaries
+(80 bytes per flag together); the rest is one chunk of working arrays
+and small objects.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .flags import Composition, Flag
 from .invariants import invariant_family, signature
@@ -136,96 +145,132 @@ def parabolic_generators(spec, q: int) -> list[Matrix]:
 # vectorized canonical representatives
 # ---------------------------------------------------------------------------
 
+# Flags per step of the batch kernels and of a generator sweep: the
+# working arrays of one step are O(CHUNK * n * C), whatever N is.
+CHUNK = 1 << 13
 
-def _inverse_table(p: int) -> np.ndarray:
-    inv = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        inv[x] = pow(x, p - 2, p)
-    return inv
+
+def _storage_dtype(p: int) -> np.dtype:
+    """The dtype that stores residues mod p: one byte for p <= 256."""
+    return np.min_scalar_type(p - 1)
+
+
+def _work_dtype(p: int) -> type:
+    """The dtype of the batch kernels' arithmetic.  Every value they form
+    is x*y, x - y*z or x + y*z with residues x, y, z in [0, p), so its
+    magnitude stays below (p-1)**2 + (p-1): int32 is exact while that
+    bound is below 2**31 (p <= 46337 among primes), int64 for every
+    p < 2**31."""
+    bound = (p - 1) ** 2 + (p - 1)
+    if bound < 2**31:
+        return np.int32
+    if bound < 2**63:
+        return np.int64
+    raise ValueError(f"GF({p}): residue products overflow int64")
+
+
+def _planes(A: np.ndarray, p: int) -> np.ndarray:
+    """``A mod p`` for a stack of shape (K, rows, cols) of any integer
+    dtype, in the working dtype and laid out (cols, rows, K): every column
+    of the stack is one contiguous (rows, K) plane."""
+    work = _work_dtype(p)
+    if not np.can_cast(A.dtype, work):
+        A = np.mod(A, p, dtype=np.int64)    # reduce before narrowing
+    W = np.ascontiguousarray(A.transpose(2, 1, 0), dtype=work)
+    W %= p
+    return W
+
+
+def _inverses(x: np.ndarray, p: int) -> np.ndarray:
+    """x**(p-2) mod p elementwise: the inverse of every nonzero residue
+    (Fermat), by square-and-multiply within the working-dtype bound."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
 
 
 def canonicalize_batch(A: np.ndarray, p: int,
                        boundaries: Sequence[int]) -> np.ndarray:
     """Canonical flag representatives for a stack of matrices.
 
-    ``A`` has shape (N, n, C); ``boundaries`` lists the starting column of
-    every stored block.  Same convention as the scalar implementation:
+    ``A`` has shape (N, n, C) and any integer dtype; ``boundaries`` lists
+    the starting column of every stored block.  The result holds residues
+    in the storage dtype.  Same convention as the scalar implementation:
     clear earlier pivot rows, pivot at the first unused nonzero row, scale
     to 1, clear backwards inside the block, then order each block's
     columns by pivot row.
     """
-    A = A.copy() % p
     N, n, C = A.shape
-    if C == 0 or N == 0:
-        return A
-    inv = _inverse_table(p)
-    ar = np.arange(N)
-    used = np.zeros((N, n), dtype=bool)
-    prow = np.zeros((N, C), dtype=np.int64)
-    block_start = {c: max(b for b in boundaries if b <= c) for c in range(C)}
-    for c in range(C):
-        col = A[:, :, c]
-        for pc in range(c):
-            factor = A[ar, prow[:, pc], c]
-            nz = factor != 0
-            if nz.any():
-                col -= factor[:, None] * A[:, :, pc]
-                col %= p
-        cand = (col != 0) & ~used
-        if not cand.any(axis=1).all():
-            raise ValueError("rank-deficient representative in batch")
-        piv = cand.argmax(axis=1)
-        val = A[ar, piv, c]
-        col *= inv[val][:, None]
-        col %= p
-        for pc in range(block_start[c], c):
-            factor = A[ar, piv, pc]
-            nz = factor != 0
-            if nz.any():
-                A[:, :, pc] -= factor[:, None] * col
-                A[:, :, pc] %= p
-        used[ar, piv] = True
-        prow[:, c] = piv
-    # order the columns of each block by pivot row
+    out = np.empty(A.shape, dtype=_storage_dtype(p))
+    if C == 0:
+        return out
     bounds = list(boundaries) + [C]
-    for bi in range(len(boundaries)):
-        lo, hi = bounds[bi], bounds[bi + 1]
-        if hi - lo <= 1:
-            continue
-        order = np.argsort(prow[:, lo:hi], axis=1, kind="stable")
-        A[:, :, lo:hi] = np.take_along_axis(
-            A[:, :, lo:hi], order[:, None, :], axis=2)
-        prow[:, lo:hi] = np.take_along_axis(prow[:, lo:hi], order, axis=1)
-    return A
+    starts = [max(b for b in boundaries if b <= c) for c in range(C)]
+    for lo in range(0, N, CHUNK):
+        W = _planes(A[lo:lo + CHUNK], p)
+        ar = np.arange(W.shape[2])
+        used = np.zeros(W.shape[1:], dtype=bool)
+        prow = np.zeros((C, W.shape[2]), dtype=np.intp)
+        for c in range(C):
+            col = W[c]
+            for pc in range(c):
+                factor = col[prow[pc], ar]
+                if factor.any():
+                    col -= factor * W[pc]
+                    col %= p
+            cand = (col != 0) & ~used
+            if not cand.any(axis=0).all():
+                raise ValueError("rank-deficient representative in batch")
+            piv = cand.argmax(axis=0)
+            col *= _inverses(col[piv, ar], p)
+            col %= p
+            for pc in range(starts[c], c):
+                factor = W[pc][piv, ar]
+                if factor.any():
+                    W[pc] -= factor * col
+                    W[pc] %= p
+            used[piv, ar] = True
+            prow[c] = piv
+        # order the columns of each block by pivot row
+        for b0, b1 in zip(bounds, bounds[1:]):
+            if b1 - b0 > 1:
+                order = np.argsort(prow[b0:b1], axis=0, kind="stable")
+                W[b0:b1] = np.take_along_axis(W[b0:b1], order[:, None, :],
+                                              axis=0)
+        out[lo:lo + CHUNK] = W.transpose(2, 1, 0)
+    return out
 
 
 def rank_batch(A: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a stack of matrices over GF(p)."""
-    A = A.copy() % p
+    """Ranks of a stack of matrices over GF(p); ``A`` may have any integer
+    dtype, and the ranks come back in the storage dtype."""
     N, r, c = A.shape
+    rank = np.zeros(N, dtype=_storage_dtype(p))
     if r == 0 or c == 0:
-        return np.zeros(N, dtype=np.int64)
-    inv = _inverse_table(p)
-    ar = np.arange(N)
-    used = np.zeros((N, r), dtype=bool)
-    rank = np.zeros(N, dtype=np.int64)
-    for col in range(c):
-        cand = (A[:, :, col] != 0) & ~used
-        has = cand.any(axis=1)
-        if not has.any():
-            continue
-        piv = cand.argmax(axis=1)
-        pivval = A[ar, piv, col]
-        scale = inv[pivval % p]
-        pivrow = A[ar, piv, :] * scale[:, None] % p
-        colvals = A[:, :, col].copy()
-        # clear the column everywhere except the pivot row itself
-        upd = colvals[:, :, None] * pivrow[:, None, :] % p
-        upd[~has] = 0
-        upd[ar, piv, :] = 0
-        A = (A - upd) % p
-        used[ar[has], piv[has]] = True
-        rank += has
+        return rank
+    for lo in range(0, N, CHUNK):
+        W = _planes(A[lo:lo + CHUNK], p)
+        ar = np.arange(W.shape[2])
+        free = np.ones(W.shape[1:], dtype=bool)   # rows not yet pivots
+        for col in range(c):
+            cand = (W[col] != 0) & free
+            has = cand.any(axis=0)
+            if not has.any():
+                continue
+            piv = cand.argmax(axis=0)
+            # clear the column in the other free rows, later columns only
+            factor = W[col] * free
+            factor[piv, ar] = 0
+            factor = factor * _inverses(W[col][piv, ar], p) % p
+            W[col + 1:] -= factor * W[col + 1:, piv, ar][:, None, :]
+            W[col + 1:] %= p
+            free[piv[has], ar[has]] = False
+            rank[lo:lo + CHUNK] += has
     return rank
 
 
@@ -244,7 +289,7 @@ def _echelon_blocks(comp_rows: list[int], pivots: tuple[int, ...],
             if rr > pk and rr not in pivset:
                 free_cells.append((rr, k))
     K = q ** len(free_cells)
-    block = np.zeros((K, n, width), dtype=np.int64)
+    block = np.zeros((K, n, width), dtype=_storage_dtype(q))
     for k, pk in enumerate(pivots):
         block[:, pk, k] = 1
     idx = np.arange(K)
@@ -255,10 +300,11 @@ def _echelon_blocks(comp_rows: list[int], pivots: tuple[int, ...],
 
 def enumerate_flag_array(n: int, mm: Composition, q: int,
                          budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """All flags of the type as one canonical array of shape (N, n, C)."""
+    """All flags of the type as one canonical array of shape (N, n, C),
+    residues in the storage dtype."""
     total = check_budget(n, mm, q, budget)
     groups: list[tuple[tuple[int, ...], np.ndarray]] = [
-        ((), np.zeros((1, n, 0), dtype=np.int64))]
+        ((), np.zeros((1, n, 0), dtype=_storage_dtype(q)))]
     for m_t in mm.parts[:-1]:
         nxt = []
         for pivots, mats in groups:
@@ -271,9 +317,7 @@ def enumerate_flag_array(n: int, mm: Composition, q: int,
                 nxt.append((tuple(sorted(pivots + newpiv)),
                             np.concatenate([left, right], axis=2)))
         groups = nxt
-    arrays = [g[1] for g in groups]
-    out = np.concatenate(arrays, axis=0) if arrays else np.zeros(
-        (1, n, 0), dtype=np.int64)
+    out = np.concatenate([g[1] for g in groups], axis=0)
     assert out.shape[0] == total, (out.shape, total)
     return out
 
@@ -293,16 +337,22 @@ def _decode_flag(mat: np.ndarray, mm: Composition, q: int) -> Flag:
 
 
 def _encode_keys(A: np.ndarray, p: int):
+    """One sort key per matrix of a stack of residues.  While p**digits
+    <= 2**63 the key is the int64 whose base-p digits are the entries,
+    built digit by digit (Horner); beyond, the entries themselves as one
+    structured record."""
     N, n, C = A.shape
     digits = n * C
-    if digits == 0:
-        return np.zeros(N, dtype=np.int64)
-    if digits * np.log2(p) < 62:
-        weights = p ** np.arange(digits, dtype=np.int64)
-        return A.reshape(N, -1) @ weights
-    dtype = np.min_scalar_type(p - 1)
-    flat = np.ascontiguousarray(A.astype(dtype).reshape(N, -1))
-    return flat.view([("", dtype)] * flat.shape[1]).reshape(N)
+    flat = A.reshape(N, digits)
+    if p ** digits <= 2**63:
+        keys = np.zeros(N, dtype=np.int64)
+        for d in range(digits - 1, -1, -1):
+            keys *= p
+            keys += flat[:, d]
+        return keys
+    dtype = _storage_dtype(p)
+    flat = np.ascontiguousarray(flat, dtype=dtype)
+    return flat.view([("", dtype)] * digits).reshape(N)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +366,7 @@ class OrbitPartition:
     nn: Composition
     mm: Composition
     reps: np.ndarray            # (N, n, C) canonical representatives
-    labels: np.ndarray          # (N,) class ids
+    labels: np.ndarray          # (N,) class ids, by first appearance
 
     def __post_init__(self):
         keys = _encode_keys(self.reps, self.q)
@@ -331,27 +381,37 @@ class OrbitPartition:
     def class_count(self) -> int:
         return int(self.labels.max()) + 1 if self.size else 0
 
+    @functools.cached_property
+    def first_index(self) -> np.ndarray:
+        """Index of the first flag of every class, in class order."""
+        return np.unique(self.labels, return_index=True)[1]
+
     def class_sizes(self) -> list[int]:
         return np.bincount(self.labels, minlength=self.class_count).tolist()
+
+    def locate(self, A: np.ndarray) -> np.ndarray:
+        """Indices of a stack of canonical matrices in the enumeration;
+        ``KeyError`` if one of them is not enumerated."""
+        keys = _encode_keys(A, self.q)
+        pos = np.minimum(np.searchsorted(self._sorted_keys, keys),
+                         self.size - 1)
+        if not (self._sorted_keys[pos] == keys).all():
+            raise KeyError("flag is not in the enumerated variety")
+        return self._sort_idx[pos]
 
     def index_of_flag(self, f: Flag) -> int:
         if f.typ != self.mm or f.n != self.reps.shape[1]:
             raise KeyError(f"flag of type {f.typ} does not belong to the "
                            f"enumerated variety of type {self.mm}")
         mat = np.array([[int(x) for x in row] for row in f.rep.data],
-                       dtype=np.int64).reshape(f.n, -1)
-        key = _encode_keys(mat[None, :, :], self.q)[0]
-        pos = np.searchsorted(self._sorted_keys, key)
-        if pos >= self.size or self._sorted_keys[pos] != key:
-            raise KeyError("flag is not in the enumerated variety")
-        return int(self._sort_idx[pos])
+                       dtype=np.int64).reshape(1, f.n, -1)
+        return int(self.locate(mat)[0])
 
     def class_of_flag(self, f: Flag) -> int:
         return int(self.labels[self.index_of_flag(f)])
 
     def representative(self, cid: int) -> Flag:
-        idx = int(np.nonzero(self.labels == cid)[0][0])
-        return _decode_flag(self.reps[idx], self.mm, self.q)
+        return _decode_flag(self.reps[self.first_index[cid]], self.mm, self.q)
 
     def classes(self) -> list[list[Flag]]:
         out: list[list[Flag]] = [[] for _ in range(self.class_count)]
@@ -360,41 +420,73 @@ class OrbitPartition:
         return out
 
 
+def _generator_image(part: OrbitPartition, G: np.ndarray,
+                     boundaries: Sequence[int]) -> np.ndarray:
+    """Index of G·F for every enumerated flag F: a permutation of the
+    flags.  Only the rows where G differs from the identity change, and
+    each is recomputed from the nonzero entries of its row of G."""
+    q, reps = part.q, part.reps
+    G = np.mod(G, q, dtype=np.int64)
+    moved_rows = np.flatnonzero((G != np.eye(G.shape[0], dtype=np.int64))
+                                .any(axis=1))
+    work = _work_dtype(q)
+    img = np.empty(part.size, dtype=np.intp)
+    for lo in range(0, part.size, CHUNK):
+        chunk = reps[lo:lo + CHUNK]
+        moved = chunk.copy()
+        for i in moved_rows:
+            row = np.zeros(chunk.shape[::2], dtype=work)
+            for j in np.flatnonzero(G[i]):
+                row += int(G[i, j]) * chunk[:, j, :].astype(work)
+                row %= q
+            moved[:, i, :] = row
+        img[lo:lo + CHUNK] = part.locate(
+            canonicalize_batch(moved, q, boundaries))
+    return img
+
+
+def _component_labels(N: int, images: Iterable[np.ndarray]) -> np.ndarray:
+    """Class ids, numbered by first appearance, of the components of the
+    graph on range(N) with an edge i -- img[i] for every permutation
+    ``img`` in ``images`` (read one at a time).
+
+    Hooking plus pointer jumping (Shiloach and Vishkin, J. Algorithms 3,
+    1982): ``root`` is a forest whose pointers only go to smaller
+    indices.  Each edge joining two trees hooks the larger root under the
+    smaller, then pointer jumping points every index at its root again;
+    a permutation's edges are swept until none joins two trees.  So each
+    component's root is its smallest index, and numbering the roots in
+    order numbers the classes by first appearance.
+    """
+    root = np.arange(N)
+    for img in images:
+        while True:
+            a = root[img]
+            split = a != root
+            if not split.any():
+                break
+            a, b = a[split], root[split]
+            hi = np.maximum(a, b)
+            np.minimum.at(root, hi, np.minimum(a, b, out=a))
+            while True:
+                jumped = root[root]
+                if np.array_equal(jumped, root):
+                    break
+                root = jumped
+    return (np.cumsum(root == np.arange(N)) - 1)[root]
+
+
 def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
                                 nn: Composition, mm: Composition,
                                 q: int) -> OrbitPartition:
-    N = reps.shape[0]
+    """Split canonical flags (shape (N, n, C), residues in any integer
+    dtype) into the orbits of the group the matrices ``gen_mats``
+    generate.  The generators are swept one at a time."""
     boundaries = mm.prefix_sums()[: max(len(mm) - 1, 0)]
-    keys = _encode_keys(reps, q)
-    sort_idx = np.argsort(keys, kind="stable")
-    sorted_keys = keys[sort_idx]
-    srcs = [np.arange(N)]
-    dsts = [np.arange(N)]
-    for G in gen_mats:
-        moved = np.einsum("ij,njk->nik", G, reps) % q
-        moved = canonicalize_batch(moved, q, boundaries)
-        mkeys = _encode_keys(moved, q)
-        pos = np.searchsorted(sorted_keys, mkeys)
-        if not (sorted_keys[pos] == mkeys).all():
-            raise AssertionError("generator image escaped the variety")
-        img = sort_idx[pos]
-        srcs.append(np.arange(N))
-        dsts.append(img)
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    graph = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)),
-                       shape=(N, N))
-    n_comp, raw = connected_components(graph, directed=False)
-    # relabel classes in order of first appearance for determinism
-    remap = {}
-    labels = np.zeros(N, dtype=np.int64)
-    for i in range(N):
-        r = int(raw[i])
-        if r not in remap:
-            remap[r] = len(remap)
-        labels[i] = remap[r]
-    assert len(remap) == n_comp
-    return OrbitPartition(q, nn, mm, reps, labels)
+    part = OrbitPartition(q, nn, mm, reps, np.zeros(0, dtype=np.int64))
+    part.labels = _component_labels(
+        part.size, (_generator_image(part, G, boundaries) for G in gen_mats))
+    return part
 
 
 def orbit_partition(flags: Iterable[Flag], gens: Iterable[Matrix],
@@ -407,10 +499,9 @@ def orbit_partition(flags: Iterable[Flag], gens: Iterable[Matrix],
     fld = flags[0].field
     q = fld.p  # type: ignore[attr-defined]
     reps = np.array([[[int(x) for x in row] for row in f.rep.data]
-                     for f in flags], dtype=np.int64)
+                     for f in flags], dtype=_storage_dtype(q))
     reps = reps.reshape(len(flags), flags[0].n, -1)
-    gen_mats = [np.array([[int(x) for x in row] for row in g.data],
-                         dtype=np.int64) for g in gens]
+    gen_mats = [np.array(g.data, dtype=np.int64) for g in gens]
     return orbit_partition_from_arrays(reps, gen_mats, nn, mm, q)
 
 
@@ -419,9 +510,8 @@ def oracle_partition(nn: Composition, mm: Composition, q: int,
     """Enumerate the variety and split it into block-Borel orbits."""
     arr = enumerate_flag_array(nn.n, mm, q, budget)
     arr = canonicalize_batch(arr, q, mm.prefix_sums()[: max(len(mm) - 1, 0)])
-    gens = group_generators(nn, q)
-    gen_mats = [np.array([[int(x) for x in row] for row in g.data],
-                         dtype=np.int64) for g in gens]
+    gen_mats = [np.array(g.data, dtype=np.int64)
+                for g in group_generators(nn, q)]
     return orbit_partition_from_arrays(arr, gen_mats, nn, mm, q)
 
 
@@ -506,23 +596,24 @@ def cross_validate(part: OrbitPartition, cat: OrbitCatalog,
         if entry.sig.values in sig_map:
             duplicate_sigs = True
         sig_map[entry.sig.values] = entry
+    if exhaustive is None:
+        exhaustive = part.size <= EXHAUSTIVE_LIMIT
+    vectors = _signature_vectors(part, fam) if exhaustive else None
     mismatches = []
     if ok_b:
-        for cid in range(n_classes):
-            rep = part.representative(cid)
-            vals = signature(rep, fam).values
-            expect = cat.entries[seen[cid]].sig.values
-            if vals != expect:
+        first = part.first_index
+        rep_vectors = (vectors[first] if exhaustive
+                       else _signature_vectors(part, fam, first))
+        for cid, vals in enumerate(rep_vectors.tolist()):
+            if tuple(vals) != cat.entries[seen[cid]].sig.values:
                 mismatches.append(cid)
     ok_c = not duplicate_sigs and not mismatches and ok_b
     checks.append(CheckResult(
         "signatures-separate", ok_c,
         f"duplicates={int(duplicate_sigs)} rep-mismatch={mismatches[:3]}"))
 
-    if exhaustive is None:
-        exhaustive = part.size <= EXHAUSTIVE_LIMIT
     if exhaustive:
-        level = _signature_labels(part, fam)
+        level = _signature_labels(part, fam, vectors)
         agree = _partitions_equal(level, part.labels)
         checks.append(CheckResult(
             "level-sets-are-orbits", agree,
@@ -549,21 +640,32 @@ def validate_witnesses(part: OrbitPartition,
     return ValidationReport(pair.nn, pair.mm, q, checks)
 
 
-def _signature_labels(part: OrbitPartition, fam) -> np.ndarray:
-    q = part.q
-    N = part.size
-    reps = part.reps
+def _signature_vectors(part: OrbitPartition, fam,
+                       idx: Optional[np.ndarray] = None) -> np.ndarray:
+    """Signature values, in ``fam.entries`` order, as one uint8 row per
+    flag: of the flags at ``idx``, or of all of them."""
+    reps = part.reps if idx is None else part.reps[idx]
     ps = part.mm.prefix_sums()
-    vectors = np.zeros((N, len(fam.entries)), dtype=np.int64)
+    out = np.empty((reps.shape[0], len(fam.entries)), dtype=np.uint8)
     for k, (s, J) in enumerate(fam.entries):
-        rows = [j - 1 for j in J]
-        sub = reps[:, rows, : ps[s]]
-        vectors[:, k] = rank_batch(sub, q)
-    _, labels = np.unique(vectors, axis=0, return_inverse=True)
-    return labels
+        out[:, k] = rank_batch(reps[:, [j - 1 for j in J], : ps[s]], part.q)
+    return out
+
+
+def _signature_labels(part: OrbitPartition, fam,
+                      vectors: Optional[np.ndarray] = None) -> np.ndarray:
+    """One id per signature level set: flags with equal rank vectors
+    share one.  Each vector is keyed as one record of its bytes."""
+    if vectors is None:
+        vectors = _signature_vectors(part, fam)
+    if vectors.shape[1] == 0:
+        return np.zeros(vectors.shape[0], dtype=np.int64)
+    rows = np.ascontiguousarray(vectors).view(
+        np.dtype((np.void, vectors.shape[1])))
+    return np.unique(rows.ravel(), return_inverse=True)[1]
 
 
 def _partitions_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    pair = np.stack([a, b], axis=1)
-    uniq = np.unique(pair, axis=0)
-    return len(uniq) == len(np.unique(a)) == len(np.unique(b))
+    # labels are below N < 2**31, so the pair key stays below 2**62
+    pairs = a.astype(np.int64) * (int(b.max()) + 1) + b
+    return len(np.unique(pairs)) == len(np.unique(a)) == len(np.unique(b))

@@ -1,14 +1,21 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import flagorbits
 from flagorbits.flags import Composition, Flag, act, flags_equal, random_flag
 from flagorbits.invariants import invariant_family, rank_js, signature
 from flagorbits.linalg import Matrix, gf
 from flagorbits.normalforms import counterexample_pair
-from flagorbits.oracle import (BudgetExceededError, borel_order,
+from flagorbits.oracle import (CHUNK, BudgetExceededError,
+                               _component_labels, _generator_image,
+                               _signature_vectors, _work_dtype, borel_order,
                                canonicalize_batch, cross_validate,
                                enumerate_flag_array, enumerate_flags,
                                flag_count, gaussian_binomial,
@@ -233,3 +240,216 @@ def test_encode_keys_exact_beyond_one_byte():
     A[0, 0, 0], A[1, 0, 0] = 1, 257
     keys = _encode_keys(A, 65537)
     assert keys[0] != keys[1]
+
+
+# the three (nn, mm, q) runs of the benchmark's oracle workload
+WORKLOAD_RUNS = [((4, 1), (1, 1, 2, 1), 3), ((2, 1, 2), (3, 2), 5),
+                 ((3, 3), (1, 5), 7)]
+
+
+def test_batched_representative_signatures_match_scalar():
+    for nn_parts, mm_parts, q in WORKLOAD_RUNS:
+        nn, mm = Composition(nn_parts), Composition(mm_parts)
+        part = oracle_partition(nn, mm, q)
+        fam = invariant_family(nn, mm)
+        assert part.first_index.tolist() == [
+            int(np.flatnonzero(part.labels == cid)[0])
+            for cid in range(part.class_count)]
+        batched = _signature_vectors(part, fam, part.first_index)
+        assert batched.dtype == np.uint8
+        assert batched.shape == (part.class_count, len(fam.entries))
+        for cid in range(part.class_count):
+            expect = signature(part.representative(cid), fam).values
+            assert tuple(batched[cid].tolist()) == expect, (nn, mm, q, cid)
+        # the exhaustive path reads the same rows off all flags' vectors
+        if part.size <= 25_000:
+            full = _signature_vectors(part, fam)
+            assert (full[part.first_index] == batched).all()
+
+
+def _union_find_labels(N, perms):
+    """Reference: scalar union-find, classes numbered by first appearance."""
+    parent = list(range(N))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in perms:
+        for i, j in enumerate(perm):
+            ri, rj = find(i), find(int(j))
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    ids = {}
+    return [ids.setdefault(find(i), len(ids)) for i in range(N)]
+
+
+def _component_cases():
+    rng = np.random.default_rng(5)
+    for N, k in [(2, 1), (7, 2), (50, 1), (200, 3), (1000, 2), (3000, 4)]:
+        yield f"random N={N} k={k}", N, [rng.permutation(N) for _ in range(k)]
+    # permutations with many fixed points leave many small classes
+    for N in (40, 500):
+        perms = []
+        for _ in range(3):
+            perm = np.arange(N)
+            moved = rng.choice(N, size=N // 10, replace=False)
+            perm[moved] = rng.permutation(moved)
+            perms.append(perm)
+        yield f"sparse N={N}", N, perms
+    for N in (2, 1000, 4096):
+        yield f"N-cycle forward N={N}", N, [np.roll(np.arange(N), -1)]
+        yield f"N-cycle backward N={N}", N, [np.roll(np.arange(N), 1)]
+    order = rng.permutation(1000)
+    cycle = np.empty(1000, dtype=np.intp)
+    cycle[order] = np.roll(order, -1)
+    yield "N-cycle shuffled", 1000, [cycle]
+    yield "identity only", 30, [np.arange(30), np.arange(30)]
+    yield "N=1", 1, [np.arange(1)]
+    yield "no generators", 5, []
+
+
+COMPONENT_CASES = list(_component_cases())
+
+
+@pytest.mark.parametrize("name,N,perms", COMPONENT_CASES,
+                         ids=[c[0] for c in COMPONENT_CASES])
+def test_component_labels_match_union_find(name, N, perms):
+    got = _component_labels(N, iter(perms))
+    expect = _union_find_labels(N, perms)
+    assert got.tolist() == expect
+    # first-appearance order: every new class id is one past the largest
+    seen_max = np.maximum.accumulate(got)
+    assert got[0] == 0 and (np.diff(seen_max) <= 1).all()
+
+
+def test_generator_image_matches_dense_product():
+    # dense invertible generators: rows with several nonzero entries,
+    # including a row that is not moved and rows that move together
+    rng = random.Random(8)
+    nn, mm, q = Composition.of(2, 2), Composition.of(1, 2, 1), 3
+    part = oracle_partition(nn, mm, q)
+    boundaries = mm.prefix_sums()[: len(mm) - 1]
+    fld = gf(q)
+    tried = 0
+    while tried < 6:
+        rows = [[rng.randrange(q) for _ in range(4)] for _ in range(4)]
+        rows[tried % 4] = [int(a == tried % 4) for a in range(4)]
+        if Matrix.from_rows(fld, rows).rank() < 4:
+            continue
+        tried += 1
+        G = np.array(rows, dtype=np.int64)
+        dense = np.einsum("ij,njk->nik", G, part.reps.astype(np.int64)) % q
+        expect = part.locate(canonicalize_batch(dense, q, boundaries))
+        img = _generator_image(part, G, boundaries)
+        assert (img == expect).all()
+        assert sorted(img.tolist()) == list(range(part.size))
+
+
+def test_work_dtype_bound():
+    assert _work_dtype(2) is np.int32
+    assert _work_dtype(46337) is np.int32    # 46336**2 + 46336 < 2**31
+    assert _work_dtype(46349) is np.int64
+    assert _work_dtype(2**31 - 1) is np.int64
+
+
+def _edge_matrix(rng, q, rows, cols):
+    # residues near 0 and near q - 1, where products are largest
+    pool = [0, 1, 2, q - 2, q - 1]
+    return [[rng.choice(pool) if rng.random() < 0.6 else rng.randrange(q)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("q", [251, 257, 46349])
+def test_batch_kernels_exact_at_dtype_edges(q):
+    # 251: largest one-byte prime, products overflow int16; 257: two-byte
+    # residues; 46349: first prime whose products need int64
+    rng = random.Random(q)
+    fld = gf(q)
+    storage = np.min_scalar_type(q - 1)
+    for parts in [(1, 1, 1), (2, 1), (1, 2, 1), (2, 2, 1), (1, 1, 1, 2)]:
+        mm = Composition(parts)
+        n, stored = mm.n, mm.n - parts[-1]
+        boundaries = mm.prefix_sums()[: len(mm) - 1]
+        raws, expects = [], []
+        while len(raws) < 30:
+            raw = _edge_matrix(rng, q, n, stored)
+            mat = Matrix.from_rows(fld, raw)
+            if mat.rank() != stored:
+                continue
+            raws.append(raw)
+            expects.append([[int(x) for x in row]
+                            for row in Flag.from_matrix(mm, mat).rep.data])
+        out = canonicalize_batch(np.array(raws, dtype=np.int64), q,
+                                 boundaries)
+        assert out.dtype == storage
+        assert out.astype(np.int64).tolist() == expects
+    mats = [_edge_matrix(rng, q, 4, 5) for _ in range(60)]
+    ranks = rank_batch(np.array(mats, dtype=np.int64), q)
+    assert ranks.dtype == storage
+    assert ranks.tolist() == [Matrix.from_rows(fld, m).rank() for m in mats]
+
+
+def test_batch_kernels_accept_uint8_input():
+    rng = random.Random(3)
+    mm = Composition.of(1, 2, 1)
+    boundaries = mm.prefix_sums()[: len(mm) - 1]
+    for q in (3, 257):
+        fld = gf(q)
+        raws = []
+        while len(raws) < 40:
+            raw = [[rng.randrange(min(q, 256)) for _ in range(3)]
+                   for _ in range(4)]
+            if Matrix.from_rows(fld, raw).rank() == 3:
+                raws.append(raw)
+        wide = np.array(raws, dtype=np.int64)
+        narrow = wide.astype(np.uint8)
+        out = canonicalize_batch(narrow, q, boundaries)
+        assert out.dtype == np.min_scalar_type(q - 1)
+        assert (out == canonicalize_batch(wide, q, boundaries)).all()
+        ranks = rank_batch(narrow[:, :2, :], q)
+        assert ranks.dtype == np.min_scalar_type(q - 1)
+        assert (ranks == rank_batch(wide[:, :2, :], q)).all()
+    # entries of a wide dtype outside [0, q) are reduced before narrowing
+    # (2**40 + 1 = 2 and -2 = 1 mod 3; the pivot 2 scales by its inverse 2)
+    A = np.array([[[2**40 + 1], [-2]]], dtype=np.int64)
+    assert canonicalize_batch(A, 3, [0]).tolist() == [[[1], [2]]]
+
+
+@pytest.mark.parametrize("nn_parts,mm_parts,q", [
+    ((4, 1), (1, 1, 2, 1), 3),   # 62,920 flags of 5 x 4 entries
+    ((2, 3), (2, 3), 7),         # 140,050 flags of 5 x 2 entries
+])
+def test_partition_peak_within_stated_bound(nn_parts, mm_parts, q):
+    # the bound in the flagorbits.oracle docstring, with one-byte residues
+    nn, mm = Composition(nn_parts), Composition(mm_parts)
+    tracemalloc.start()
+    try:
+        part = oracle_partition(nn, mm, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    N, n, C = part.reps.shape
+    assert part.reps.dtype == np.uint8
+    bound = (2 * n * C + 96) * N + 24 * n * C * CHUNK + 2**20
+    assert peak <= bound, (peak, bound)
+
+
+def test_oracle_run_imports_no_scipy():
+    src = os.path.dirname(os.path.dirname(flagorbits.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys\n"
+              "from flagorbits.cli import main\n"
+              "code = main(['oracle', '--nn', '2,1,2', '--mm', '3,2',"
+              " '--q', '5'])\n"
+              "assert code == 0\n"
+              "assert 'numpy' in sys.modules\n"
+              "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("oracle-report nn=2,1,2 mm=3,2 q=5 ok=1\n")
