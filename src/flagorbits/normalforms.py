@@ -16,6 +16,19 @@ reducer:
   signature separates orbits in these cases), reduced by signature
   lookup.
 
+The three elimination reducers (``triangular_reduce``, ``reduce_case0``,
+``reduce_case3prime``) hold their matrix as a list of columns, each a
+mutable list of field elements, and change it only through four
+elementary operations: ``_col_axpy`` and ``_col_scale`` act on whole
+columns, ``_row_axpy`` and ``_row_scale`` on one entry of every column.
+Row operations only ever add a row to one above it (a smaller index),
+so the row transformations they compose stay upper triangular.  Their
+common step is ``_sweep_up``: for each row of a range, from the bottom
+up, the first still-unused column of a pool that is nonzero there
+becomes its pivot column, scaled to 1 at the row; column operations
+clear the row from every other column, and row operations clear the
+pivot column on the swept rows above it.
+
 Non-injective shapes (I' with an outer block of size 1 and n >= 5, and
 all of II') refuse reduction and instead expose an explicit witness pair:
 two flags with identical signatures in different orbits.
@@ -25,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .flags import (Composition, Flag, act, dual, flags_equal,
                     permutation_matrix)
@@ -107,6 +120,67 @@ def has_catalog(tag: CaseTag) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# elementary operations on a matrix held as a list of columns
+# ---------------------------------------------------------------------------
+
+
+def _from_columns(F: Field, cols: Sequence[Sequence], rows: int) -> Matrix:
+    """The ``rows`` x ``len(cols)`` matrix with these columns (either may be 0)."""
+    return Matrix(F, rows, len(cols),
+                  tuple(tuple(c[i] for c in cols) for i in range(rows)))
+
+
+def _col_axpy(F: Field, cols: list[list], dst: int, src: int, c) -> None:
+    """Column ``dst`` += c * column ``src``."""
+    cols[dst] = [F.add(x, F.mul(c, y)) for x, y in zip(cols[dst], cols[src])]
+
+
+def _col_scale(F: Field, cols: list[list], j: int, c) -> None:
+    cols[j] = [F.mul(c, x) for x in cols[j]]
+
+
+def _row_axpy(F: Field, cols: Sequence[list], dst: int, src: int, c) -> None:
+    """Row ``dst`` += c * row ``src``."""
+    for col in cols:
+        col[dst] = F.add(col[dst], F.mul(c, col[src]))
+
+
+def _row_scale(F: Field, cols: Sequence[list], i: int, c) -> None:
+    for col in cols:
+        col[i] = F.mul(c, col[i])
+
+
+def _sweep_up(F: Field, cols: list[list], rows: range, pool: Iterable[int],
+              track: Sequence[list] = ()) -> dict[int, int]:
+    """Bottom-up pivots on ``rows``; returns {pivot column: pivot row}.
+
+    For each row r of ``rows``, in descending order, the first column of
+    ``pool`` that is nonzero at r is scaled to 1 there and leaves the pool;
+    r is cleared from every other column, and rows ``rows.start..r-1`` of
+    the pivot column by row operations, which the columns of ``track``
+    receive too.
+    """
+    pool = list(pool)
+    pivots: dict[int, int] = {}
+    for r in reversed(rows):
+        c0 = next((c for c in pool if cols[c][r] != F.zero), None)
+        if c0 is None:
+            continue
+        _col_scale(F, cols, c0, F.inv(cols[c0][r]))
+        for c in range(len(cols)):
+            if c != c0 and cols[c][r] != F.zero:
+                _col_axpy(F, cols, c, c0, F.sub(F.zero, cols[c][r]))
+        for i in range(r - 1, rows.start - 1, -1):
+            if cols[c0][i] != F.zero:
+                y = F.sub(F.zero, cols[c0][i])
+                _row_axpy(F, cols, i, r, y)
+                _row_axpy(F, track, i, r, y)
+        pivots[c0] = r
+        pool.remove(c0)
+    return pivots
+
+
+# ---------------------------------------------------------------------------
 # triangular reduction (upper-triangular x general linear orbits)
 # ---------------------------------------------------------------------------
 
@@ -128,63 +202,20 @@ def triangular_reduce(a: Matrix) -> TriangularReduction:
     """
     F = a.field
     p, q = a.rows, a.cols
-    cols = [list(a.column(j)) for j in range(q)]
+    # rows p.. of each column carry that column of the right factor; the
+    # identity columns of ``left`` see the row operations only
+    right = Matrix.identity(F, q).data
+    cols = [list(a.column(j)) + list(right[j]) for j in range(q)]
     left = [list(r) for r in Matrix.identity(F, p).data]
-    right = [list(r) for r in Matrix.identity(F, q).data]
-
-    def col_axpy(dst, src, c):
-        # col_dst += c * col_src, mirrored on the right certificate
-        for i in range(p):
-            cols[dst][i] = F.add(cols[dst][i], F.mul(c, cols[src][i]))
-        for i in range(q):
-            right[i][dst] = F.add(right[i][dst], F.mul(c, right[i][src]))
-
-    def col_scale(j, c):
-        for i in range(p):
-            cols[j][i] = F.mul(c, cols[j][i])
-        for i in range(q):
-            right[i][j] = F.mul(c, right[i][j])
-
-    def row_axpy(dst, src, c):
-        # row_dst += c * row_src (dst < src keeps the left factor triangular)
-        for j in range(q):
-            cols[j][dst] = F.add(cols[j][dst], F.mul(c, cols[j][src]))
-        for j in range(p):
-            left[dst][j] = F.add(left[dst][j], F.mul(c, left[src][j]))
-
-    remaining = list(range(q))
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    while True:
-        r = -1
-        for i in range(p - 1, -1, -1):
-            if any(cols[c][i] != F.zero for c in remaining):
-                r = i
-                break
-        if r < 0:
-            break
-        c0 = next(c for c in remaining if cols[c][r] != F.zero)
-        col_scale(c0, F.inv(cols[c0][r]))
-        for c in range(q):
-            if c != c0 and cols[c][r] != F.zero:
-                col_axpy(c, c0, F.sub(F.zero, cols[c][r]))
-        for i in range(r - 1, -1, -1):
-            if cols[c0][i] != F.zero:
-                row_axpy(i, r, F.sub(F.zero, cols[c0][i]))
-        pivots.append((r, c0))
-        remaining.remove(c0)
-
+    pivots = _sweep_up(F, cols, range(p), range(q), track=left)
     # order pivot columns by pivot row, zero columns last
-    pivots.sort()
-    order = [c for _, c in pivots] + remaining
-    perm = Matrix.from_columns(
-        F, [[F.one if i == order[j] else F.zero for i in range(q)]
-            for j in range(q)])
-    canonical = Matrix.from_columns(F, [cols[c] for c in order]) \
-        if q else Matrix.zero(F, p, 0)
-    right_m = Matrix.from_rows(F, right) * perm
-    left_m = Matrix.from_rows(F, left)
+    order = sorted(pivots, key=pivots.get) + \
+        [c for c in range(q) if c not in pivots]
     return TriangularReduction(
-        tuple(r + 1 for r, _ in pivots), canonical, left_m, right_m)
+        tuple(r + 1 for r in sorted(pivots.values())),
+        _from_columns(F, [cols[c][:p] for c in order], p),
+        _from_columns(F, left, p),
+        _from_columns(F, [cols[c][p:] for c in order], q))
 
 
 # ---------------------------------------------------------------------------
@@ -373,72 +404,27 @@ def _case1_row_perm(nn: Composition) -> tuple[tuple[int, ...], Composition]:
 # ---------------------------------------------------------------------------
 
 
-def reduce_case0(f: Flag, nn: Composition, check: bool = True) -> NFCase0:
+def reduce_case0(f: Flag, nn: Composition) -> NFCase0:
     """Unique two-block normal form by triangular elimination.
 
     Stages: canonicalize the lower (f-)rows bottom-up, reduce the f-free
     columns' upper parts, then peel paired columns off largest upper row
-    first.  With ``check`` the result is verified against the flag's
-    signature.
+    first.  The result is verified against the flag's signature.
     """
     if len(nn) != 2 or len(f.typ) != 2:
         raise ValueError(f"pair ({nn}, {f.typ}) is not a two-block pair")
     F = f.field
-    n1, n2 = nn.parts
+    n1 = nn.parts[0]
     n = nn.n
     m1 = f.typ.parts[0]
     cols = [list(f.rep.column(j)) for j in range(m1)]
 
-    def col_axpy(dst, src, c):
-        for i in range(n):
-            cols[dst][i] = F.add(cols[dst][i], F.mul(c, cols[src][i]))
-
-    def col_scale(j, c):
-        for i in range(n):
-            cols[j][i] = F.mul(c, cols[j][i])
-
-    def row_axpy(dst, src, c):
-        for j in range(m1):
-            cols[j][dst] = F.add(cols[j][dst], F.mul(c, cols[j][src]))
-
-    def row_scale(i, c):
-        for j in range(m1):
-            cols[j][i] = F.mul(c, cols[j][i])
-
     # stage 1: bottom-up pivots on the f-rows
-    remaining = list(range(m1))
-    f_pivot: dict[int, int] = {}
-    for r in range(n - 1, n1 - 1, -1):
-        c0 = next((c for c in remaining if cols[c][r] != F.zero), None)
-        if c0 is None:
-            continue
-        col_scale(c0, F.inv(cols[c0][r]))
-        for c in range(m1):
-            if c != c0 and cols[c][r] != F.zero:
-                col_axpy(c, c0, F.sub(F.zero, cols[c][r]))
-        for i in range(r - 1, n1 - 1, -1):
-            if cols[c0][i] != F.zero:
-                row_axpy(i, r, F.sub(F.zero, cols[c0][i]))
-        f_pivot[c0] = r
-        remaining.remove(c0)
-
+    f_pivot = _sweep_up(F, cols, range(n1, n), range(m1))
     # stage 2: bottom-up pivots on the e-rows of the f-free columns
-    tail_pivot: dict[int, int] = {}
-    tail_remaining = list(remaining)
-    for r in range(n1 - 1, -1, -1):
-        c0 = next((c for c in tail_remaining if cols[c][r] != F.zero), None)
-        if c0 is None:
-            continue
-        col_scale(c0, F.inv(cols[c0][r]))
-        for c in range(m1):
-            if c != c0 and cols[c][r] != F.zero:
-                col_axpy(c, c0, F.sub(F.zero, cols[c][r]))
-        for i in range(r - 1, -1, -1):
-            if cols[c0][i] != F.zero:
-                row_axpy(i, r, F.sub(F.zero, cols[c0][i]))
-        tail_pivot[c0] = r
-        tail_remaining.remove(c0)
-    if tail_remaining:
+    free = [c for c in range(m1) if c not in f_pivot]
+    tail_pivot = _sweep_up(F, cols, range(n1), free)
+    if len(tail_pivot) < len(free):
         raise ValueError("flag representative is rank deficient")
 
     # stage 3: peel paired columns, largest e-row first
@@ -453,18 +439,18 @@ def reduce_case0(f: Flag, nn: Composition, check: bool = True) -> NFCase0:
         if m_row < 0:
             break
         j0 = next(c for c in active if cols[c][m_row] != F.zero)
-        row_scale(m_row, F.inv(cols[j0][m_row]))
+        _row_scale(F, cols, m_row, F.inv(cols[j0][m_row]))
         # clear the marked row from the other carriers first, repairing
         # their f-rows; only then clean up above the mark inside j0
         for c in list(active):
             if c == j0 or cols[c][m_row] == F.zero:
                 continue
             y = cols[c][m_row]
-            col_axpy(c, j0, F.sub(F.zero, y))
-            row_axpy(f_pivot[j0], f_pivot[c], y)
+            _col_axpy(F, cols, c, j0, F.sub(F.zero, y))
+            _row_axpy(F, cols, f_pivot[j0], f_pivot[c], y)
         for i in range(m_row - 1, -1, -1):
             if cols[j0][i] != F.zero:
-                row_axpy(i, m_row, F.sub(F.zero, cols[j0][i]))
+                _row_axpy(F, cols, i, m_row, F.sub(F.zero, cols[j0][i]))
         pair_e[j0] = m_row
         active.remove(j0)
 
@@ -477,11 +463,16 @@ def reduce_case0(f: Flag, nn: Composition, check: bool = True) -> NFCase0:
     for c in sorted(tail_pivot, key=lambda c: tail_pivot[c]):
         out_cols.append((tail_pivot[c] + 1, None))
     nf = NFCase0(nn, f.typ, tuple(out_cols))
-    if check:
-        fam = invariant_family(nn, f.typ)
-        if signature(nf.realize(F), fam).values != signature(f, fam).values:
-            raise AssertionError("case 0 reduction does not preserve the signature")
+    _check_signature(nf, f, nn, "case 0 reduction")
     return nf
+
+
+def _check_signature(nf: NormalForm, f: Flag, nn: Composition,
+                     reducer: str) -> None:
+    """Raise unless the realized normal form has the signature of ``f``."""
+    fam = invariant_family(nn, f.typ)
+    if signature(nf.realize(f.field), fam).values != signature(f, fam).values:
+        raise AssertionError(f"{reducer} does not preserve the signature")
 
 
 def decode_signature_case0(sig: Signature) -> NFCase0:
@@ -542,7 +533,7 @@ def decode_signature_case0(sig: Signature) -> NFCase0:
 # ---------------------------------------------------------------------------
 
 
-def reduce_case3prime(f: Flag, nn: Composition, check: bool = True) -> NFChain:
+def reduce_case3prime(f: Flag, nn: Composition) -> NFChain:
     # row predicate, not first-match: pairs matching several table rows
     # must stay reducible by each matching row's reducer
     if len(nn) != 2 or min(nn.parts) != 1:
@@ -559,35 +550,12 @@ def reduce_case3prime(f: Flag, nn: Composition, check: bool = True) -> NFChain:
     l = len(mm)
     stored = n - mm.parts[-1]
     cols = [list(work.rep.column(j)) for j in range(stored)]
-    ps = mm.prefix_sums()
     block_of_col = [mm.block_of(c) for c in range(stored)]
 
-    def col_axpy(dst, src, c):
-        for i in range(n):
-            cols[dst][i] = F.add(cols[dst][i], F.mul(c, cols[src][i]))
-
-    def col_scale(j, c):
-        for i in range(n):
-            cols[j][i] = F.mul(c, cols[j][i])
-
-    def row_axpy(dst, src, c):
-        for j in range(stored):
-            cols[j][dst] = F.add(cols[j][dst], F.mul(c, cols[j][src]))
-
     # locate the pivot block and its distinguished column
-    special = None
-    for c in range(stored):
-        if cols[c][n - 1] != F.zero:
-            special = c
-            break
-    if special is None:
-        j0 = l
-    else:
-        j0 = block_of_col[special] + 1
-        col_scale(special, F.inv(cols[special][n - 1]))
-        for c in range(stored):
-            if c != special and cols[c][n - 1] != F.zero:
-                col_axpy(c, special, F.sub(F.zero, cols[c][n - 1]))
+    special = next(iter(_sweep_up(F, cols, range(n - 1, n), range(stored))),
+                   None)
+    j0 = l if special is None else block_of_col[special] + 1
 
     # reduce every non-special column to a distinct basis vector
     finished: dict[int, int] = {}        # column -> pivot row (0-based)
@@ -597,15 +565,15 @@ def reduce_case3prime(f: Flag, nn: Composition, check: bool = True) -> NFChain:
             continue
         for pc, pr in finished.items():
             if cols[c][pr] != F.zero:
-                col_axpy(c, pc, F.sub(F.zero, cols[c][pr]))
+                _col_axpy(F, cols, c, pc, F.sub(F.zero, cols[c][pr]))
         pivot = next((i for i in range(n - 2, -1, -1)
                       if cols[c][i] != F.zero), None)
         if pivot is None:
             raise ValueError("flag representative is rank deficient")
-        col_scale(c, F.inv(cols[c][pivot]))
+        _col_scale(F, cols, c, F.inv(cols[c][pivot]))
         for i in range(pivot - 1, -1, -1):
             if cols[c][i] != F.zero:
-                row_axpy(i, pivot, F.sub(F.zero, cols[c][i]))
+                _row_axpy(F, cols, i, pivot, F.sub(F.zero, cols[c][i]))
         finished[c] = pivot
         row_block[pivot] = block_of_col[c] + 1
 
@@ -614,7 +582,8 @@ def reduce_case3prime(f: Flag, nn: Composition, check: bool = True) -> NFChain:
         # clear the marked rows of blocks up to j0 from the special column
         for pc, pr in finished.items():
             if block_of_col[pc] + 1 <= j0 and cols[special][pr] != F.zero:
-                col_axpy(special, pc, F.sub(F.zero, cols[special][pr]))
+                _col_axpy(F, cols, special, pc,
+                          F.sub(F.zero, cols[special][pr]))
         support = [i for i in range(n - 1) if cols[special][i] != F.zero]
         # rows unused by stored blocks belong to the dropped block l
         blk = {i: row_block.get(i, l) for i in support}
@@ -631,11 +600,7 @@ def reduce_case3prime(f: Flag, nn: Composition, check: bool = True) -> NFChain:
                       if c != special and block_of_col[c] == b)
         blocks.append(tuple(rows))
     nf = NFChain(nn, mm, j0, tuple(blocks), tuple(chain))
-    if check:
-        fam = invariant_family(nn, mm)
-        if signature(nf.realize(F), fam).values != signature(f, fam).values:
-            raise AssertionError(
-                "pivot-block reduction does not preserve the signature")
+    _check_signature(nf, f, nn, "pivot-block reduction")
     return nf
 
 
@@ -664,15 +629,15 @@ def reduce_by_catalog(f: Flag, nn: Composition) -> NormalForm:
         "this indicates a catalog or invariance bug")
 
 
-def reduce_flag(f: Flag, nn: Composition, check: bool = True) -> NormalForm:
+def reduce_flag(f: Flag, nn: Composition) -> NormalForm:
     """Dispatch to the case's reducer; raises on infinite or witness cases."""
     tag = classify_pair(nn, f.typ)
     if tag is None:
         raise InfinitePairError(f"pair ({nn}, {f.typ}) is infinite")
     if tag.label == "0":
-        return reduce_case0(f, nn, check=check)
+        return reduce_case0(f, nn)
     if tag.label == "III'":
-        return reduce_case3prime(f, nn, check=check)
+        return reduce_case3prime(f, nn)
     if not tag.injective:
         raise NonInjectiveError(
             f"case {tag} does not separate orbits by signature",
@@ -878,24 +843,41 @@ class WitnessPair:
     mm: Composition
 
 
-_W_I_PRIME_M1 = (
-    ((0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 0, 1), (1, 1, 0)),
-    ((0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0)),
-)
-_W_I_PRIME_M3 = (
-    ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
-    ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0), (0, 1, 1)),
-)
-_W_II_PRIME = (
-    ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-     (0, 1, 0, 0), (0, 0, 0, 1), (0, 1, 1, 0)),
-    ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-     (0, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0)),
-)
+# (nn, mm) -> (type the rows are read in, whether the flags are dualized,
+# the rows of the two flags)
+_WITNESSES = {
+    ((3, 2), (1, 2, 2)): ((1, 2, 2), False, (
+        ((0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 0, 1), (1, 1, 0)),
+        ((0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0)),
+    )),
+    ((3, 2), (2, 2, 1)): ((1, 2, 2), True, (
+        ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0), (0, 1, 1)),
+    )),
+    ((4, 2), (2, 2, 2)): ((2, 2, 2), False, (
+        ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+         (0, 1, 0, 0), (0, 0, 0, 1), (0, 1, 1, 0)),
+        ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+         (0, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0)),
+    )),
+}
 
 
-def counterexample_pair(nn: Composition, mm: Composition,
-                        verify: bool = True) -> WitnessPair:
+def _witness_flags(nn: Composition, mm: Composition,
+                   fld: Field) -> tuple[Flag, Flag]:
+    """The two witness flags of a supported shape, built over ``fld``."""
+    try:
+        typ, dualize, pair = _WITNESSES[nn.parts, mm.parts]
+    except KeyError:
+        raise UnsupportedCaseError(
+            f"no witness construction implemented for ({nn}, {mm})") from None
+    flags = tuple(Flag.from_matrix(Composition(typ),
+                                   Matrix.from_rows(fld, rows))
+                  for rows in pair)
+    return tuple(map(dual, flags)) if dualize else flags
+
+
+def counterexample_pair(nn: Composition, mm: Composition) -> WitnessPair:
     """Two flags with identical signatures lying in different orbits.
 
     Supported shapes: the minimal non-injective configurations
@@ -908,50 +890,19 @@ def counterexample_pair(nn: Composition, mm: Composition,
         raise InfinitePairError(f"pair ({nn}, {mm}) is infinite")
     if tag.injective:
         raise ValueError(f"case {tag} separates orbits; no witnesses exist")
-
-    if tag.label == "I'" and tag.subcase == "m1=1" \
-            and nn.parts == (3, 2) and mm.parts == (1, 2, 2):
-        flags = [Flag.from_matrix(mm, Matrix.from_rows(QQ, rows))
-                 for rows in _W_I_PRIME_M1]
-    elif tag.label == "I'" and tag.subcase == "m3=1" \
-            and nn.parts == (3, 2) and mm.parts == (2, 2, 1):
-        src = Composition.of(1, 2, 2)
-        flags = [dual(Flag.from_matrix(src, Matrix.from_rows(QQ, rows)))
-                 for rows in _W_I_PRIME_M3]
-    elif tag.label == "II'" and nn.parts == (4, 2) and mm.parts == (2, 2, 2):
-        flags = [Flag.from_matrix(mm, Matrix.from_rows(QQ, rows))
-                 for rows in _W_II_PRIME]
-    else:
-        raise UnsupportedCaseError(
-            f"no witness construction implemented for ({nn}, {mm})")
-
-    pair = WitnessPair(flags[0], flags[1], tag, nn, mm)
-    if verify:
-        fam = invariant_family(nn, mm)
-        s1 = signature(pair.d1, fam)
-        s2 = signature(pair.d2, fam)
-        if s1.values != s2.values:
-            raise AssertionError("witness flags have different signatures")
-        if not transporter_empty(pair, 2):
-            raise AssertionError("witness flags lie in the same GF(2) orbit")
+    pair = WitnessPair(*_witness_flags(nn, mm, QQ), tag, nn, mm)
+    fam = invariant_family(nn, mm)
+    if signature(pair.d1, fam).values != signature(pair.d2, fam).values:
+        raise AssertionError("witness flags have different signatures")
+    if not transporter_empty(pair, 2):
+        raise AssertionError("witness flags lie in the same GF(2) orbit")
     return pair
 
 
 def witness_pair_over(nn: Composition, mm: Composition,
                       q: int) -> tuple[Flag, Flag]:
     """The witness flags rebuilt intrinsically over GF(q)."""
-    fld = gf(q)
-    if nn.parts == (3, 2) and mm.parts == (1, 2, 2):
-        return tuple(Flag.from_matrix(mm, Matrix.from_rows(fld, rows))
-                     for rows in _W_I_PRIME_M1)
-    if nn.parts == (3, 2) and mm.parts == (2, 2, 1):
-        src = Composition.of(1, 2, 2)
-        return tuple(dual(Flag.from_matrix(src, Matrix.from_rows(fld, rows)))
-                     for rows in _W_I_PRIME_M3)
-    if nn.parts == (4, 2) and mm.parts == (2, 2, 2):
-        return tuple(Flag.from_matrix(mm, Matrix.from_rows(fld, rows))
-                     for rows in _W_II_PRIME)
-    raise UnsupportedCaseError(f"no witnesses for ({nn}, {mm})")
+    return _witness_flags(nn, mm, gf(q))
 
 
 def transporter_empty(pair: WitnessPair, q: int) -> bool:
@@ -963,7 +914,11 @@ def transporter_empty(pair: WitnessPair, q: int) -> bool:
     return True
 
 
-def borel_elements(nn: Composition, q: int, limit: int = 2_000_000):
+# the most elements ``borel_elements`` walks before refusing
+_BOREL_LIMIT = 2_000_000
+
+
+def borel_elements(nn: Composition, q: int):
     """Iterate every element of the block Borel over GF(q)."""
     fld = gf(q)
     n = nn.n
@@ -973,7 +928,7 @@ def borel_elements(nn: Composition, q: int, limit: int = 2_000_000):
     diag_slots = list(range(n))
     nonzero = list(range(1, q))
     count = (q - 1) ** n * q ** len(positions)
-    if count > limit:
+    if count > _BOREL_LIMIT:
         raise ValueError(f"group order {count} exceeds the iteration limit")
     for diag in itertools.product(nonzero, repeat=n):
         for vals in itertools.product(range(q), repeat=len(positions)):

@@ -54,6 +54,14 @@ def test_triangular_reduce_zero_and_identity():
     red = triangular_reduce(ident)
     assert red.indices == (1, 2, 3)
     assert red.canonical == ident
+    for p, q in [(3, 0), (0, 2), (0, 0)]:
+        z = Matrix.zero(QQ, p, q)
+        red = triangular_reduce(z)
+        assert red.indices == ()
+        assert red.canonical == z
+        assert red.left == Matrix.identity(QQ, p)
+        assert red.right == Matrix.identity(QQ, q)
+        assert red.left * z * red.right == red.canonical
 
 
 def test_triangular_reduce_multiply_back():
