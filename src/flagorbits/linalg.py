@@ -228,8 +228,9 @@ class Matrix:
         if not cols:
             raise ValueError("need at least one column; use Matrix.zero for empty")
         nrows = len(cols[0])
-        rows = [[field.coerce(c[i]) for c in cols] for i in range(nrows)]
-        return Matrix.from_rows(field, rows)
+        return Matrix(field, nrows, len(cols),
+                      tuple(tuple(field.coerce(c[i]) for c in cols)
+                            for i in range(nrows)))
 
     # -- basic shape ops ----------------------------------------------
 

@@ -16,6 +16,11 @@ reducer:
   signature separates orbits in these cases), reduced by signature
   lookup.
 
+Every normal form has its 0/1 ``rows`` in the pair's own row order, and
+one shared ``realize`` makes them a flag over any field: the canonical
+flag they span (its dual, for a dual pattern).  Catalog builds rank the
+same rows as integers.
+
 The three elimination reducers (``triangular_reduce``, ``reduce_case0``,
 ``reduce_case3prime``) hold their matrix as a list of columns, each a
 mutable list of field elements, and change it only through four
@@ -40,8 +45,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .flags import (Composition, Flag, act, dual, flags_equal,
-                    permutation_matrix)
+from .flags import Composition, Flag, dual, flags_equal
 from .invariants import Signature, invariant_family, signature
 from .linalg import Field, Matrix, QQ, gf, integer_rank
 
@@ -223,6 +227,29 @@ def triangular_reduce(a: Matrix) -> TriangularReduction:
 # ---------------------------------------------------------------------------
 
 
+def _realize(nf: "NormalForm", fld: Field = QQ) -> Flag:
+    """The flag of ``nf`` over ``fld``: the canonical flag of its 0/1
+    ``rows``, or for a dual pattern the dual of the primal flag they span.
+    """
+    if isinstance(nf, NFPattern) and nf.dualize:
+        return dual(Flag.from_matrix(nf.primal_mm,
+                                     Matrix.from_rows(fld, nf.rows)))
+    return Flag.from_matrix(nf.mm, Matrix.from_rows(fld, nf.rows))
+
+
+def _rows_of(n: int, supports: Sequence[Sequence[int]]
+             ) -> tuple[tuple[int, ...], ...]:
+    """The n 0/1 rows of the matrix whose column j has its ones at the
+    1-based rows ``supports[j]``."""
+    return tuple(tuple(int(i in s) for s in supports)
+                 for i in range(1, n + 1))
+
+
+def _relabel(rows: Sequence[tuple], perm: Sequence[int]) -> tuple[tuple, ...]:
+    """Row i of the result is row ``perm[i]`` (1-based) of ``rows``."""
+    return tuple(rows[p - 1] for p in perm)
+
+
 @dataclass(frozen=True)
 class NFCase0:
     """Two-block normal form: columns carrying f-rows (sorted by the f index,
@@ -250,18 +277,16 @@ class NFCase0:
         return (f"case=0 r={self.r} s={self.s} "
                 f"i=[{i_txt}] j=[{j_txt};{t_txt}]")
 
-    def realize(self, fld: Field = QQ) -> Flag:
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """0/1 rows, columns ordered by their first nonzero row: the
+        canonical representative itself, since no two columns share a row."""
         n1 = self.nn.parts[0]
-        n = self.nn.n
-        columns = []
-        for e, f in self.cols:
-            v = [fld.zero] * n
-            if e is not None:
-                v[e - 1] = fld.one
-            if f is not None:
-                v[n1 + f - 1] = fld.one
-            columns.append(v)
-        return Flag.from_matrix(self.mm, Matrix.from_columns(fld, columns))
+        supports = sorted(((e,) if e else ()) + ((n1 + f,) if f else ())
+                          for e, f in self.cols)
+        return _rows_of(self.nn.n, supports)
+
+    realize = _realize
 
 
 @dataclass(frozen=True)
@@ -287,27 +312,22 @@ class NFChain:
         ctxt = ",".join(f"({j}:{i})" for j, i in self.chain)
         return f"case=III' j0={self.j0} blocks=[{btxt}] chain=[{ctxt}]"
 
-    def realize(self, fld: Field = QQ) -> Flag:
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """0/1 rows of the (n-1, 1) orientation: per stored block, the pivot
+        column (last row plus the chain rows) when it is ``j0``, then one
+        column per marked row; when swapped, the last row moves to the top,
+        which conjugates the (n-1, 1) block Borel onto the (1, n-1) one."""
         n = self.nn.n
-        columns = []
+        supports = []
         for bi, rows in enumerate(self.blocks, start=1):
             if bi == self.j0:
-                v = [fld.zero] * n
-                v[n - 1] = fld.one
-                for _, i in self.chain:
-                    v[i - 1] = fld.one
-                columns.append(v)
-            for p in rows:
-                v = [fld.zero] * n
-                v[p - 1] = fld.one
-                columns.append(v)
-        mat = Matrix.from_columns(fld, columns) if columns \
-            else Matrix.zero(fld, n, 0)
-        f = Flag.from_matrix(self.mm, mat)
-        if self.swapped:
-            rho = _rotation_perm(n)
-            f = act(permutation_matrix(fld, _inverse_perm(rho)), f)
-        return f
+                supports.append((n,) + tuple(i for _, i in self.chain))
+            supports.extend((p,) for p in rows)
+        out = _rows_of(n, supports)
+        return out[-1:] + out[:-1] if self.swapped else out
+
+    realize = _realize
 
 
 @dataclass(frozen=True)
@@ -341,34 +361,24 @@ class NFPattern:
         sub = f" [{self.subcase}]" if self.subcase else ""
         return f"case={self.case}{sub} cols=[{';'.join(cols)}]{extra}"
 
-    def realize(self, fld: Field = QQ) -> Flag:
-        mat = Matrix.from_rows(fld, self.matrix01)
-        f = Flag.from_matrix(self.primal_mm, mat)
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """``matrix01`` relabeled by ``row_perm``; for a dual pattern,
+        block-reversed: the rows whose flag's dual is this form's."""
+        rows = self.matrix01
         if self.dualize:
-            w = _block_reversal_perm(self.nn)
-            f = dual(act(permutation_matrix(fld, w), f))
+            rows = _relabel(rows, _block_reversal_perm(self.nn))
         if self.row_perm:
-            f = act(permutation_matrix(fld, _inverse_perm(self.row_perm)), f)
-        return f
+            rows = _relabel(rows, self.row_perm)
+        return rows
+
+    realize = _realize
 
 
 NormalForm = NFCase0 | NFChain | NFPattern
 
 
 # -- permutation helpers -----------------------------------------------------
-
-
-def _inverse_perm(perm: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for j, pj in enumerate(perm):
-        inv[pj - 1] = j + 1
-    return tuple(inv)
-
-
-def _rotation_perm(n: int) -> tuple[int, ...]:
-    """sigma with sigma(1) = n, sigma(i) = i-1: conjugates the (1, n-1)
-    block Borel onto the standard (n-1, 1) one."""
-    return (n,) + tuple(range(1, n))
 
 
 def _block_reversal_perm(nn: Composition) -> tuple[int, ...]:
@@ -440,14 +450,12 @@ def reduce_case0(f: Flag, nn: Composition) -> NFCase0:
             break
         j0 = next(c for c in active if cols[c][m_row] != F.zero)
         _row_scale(F, cols, m_row, F.inv(cols[j0][m_row]))
-        # clear the marked row from the other carriers first, repairing
-        # their f-rows; only then clean up above the mark inside j0
-        for c in list(active):
-            if c == j0 or cols[c][m_row] == F.zero:
-                continue
-            y = cols[c][m_row]
-            _col_axpy(F, cols, c, j0, F.sub(F.zero, y))
-            _row_axpy(F, cols, f_pivot[j0], f_pivot[c], y)
+        # clear the marked row from the other carriers (this changes their
+        # f-rows, which stage 3 never reads), then clean up above the mark
+        # inside j0
+        for c in active:
+            if c != j0 and cols[c][m_row] != F.zero:
+                _col_axpy(F, cols, c, j0, F.sub(F.zero, cols[c][m_row]))
         for i in range(m_row - 1, -1, -1):
             if cols[j0][i] != F.zero:
                 _row_axpy(F, cols, i, m_row, F.sub(F.zero, cols[j0][i]))
@@ -542,10 +550,10 @@ def reduce_case3prime(f: Flag, nn: Composition) -> NFChain:
     n = nn.n
     mm = f.typ
     work = f
-    swapped = nn.parts[0] == 1 and n > 2
-    if swapped:
-        rho = _rotation_perm(n)
-        work = act(permutation_matrix(F, rho), f)
+    if nn.parts[0] == 1 and n > 2:
+        # row 1 moves to the bottom: the (n-1, 1) orientation
+        work = Flag.from_matrix(
+            mm, Matrix.from_rows(F, f.rep.data[1:] + f.rep.data[:1]))
 
     l = len(mm)
     stored = n - mm.parts[-1]
@@ -781,9 +789,7 @@ def pattern_candidates(tag: CaseTag, nn: Composition,
         if m1 <= n - 1:
             for nf in case0_normal_forms(sub_nn,
                                          Composition.of(m1, n - 1 - m1)):
-                sub = nf.realize(QQ).rep
-                rowsm = ((0,) * m1,) + tuple(
-                    tuple(int(x) for x in row) for row in sub.data)
+                rowsm = ((0,) * m1,) + nf.rows
                 cands.append(NFPattern("I", tag.subcase, nn, mm, mm,
                                        rowsm, row_perm=rho))
         # orbits meeting the scalar row: a distinguished first column
@@ -791,17 +797,13 @@ def pattern_candidates(tag: CaseTag, nn: Composition,
         base_forms = [None] if tail_mm is None else \
             case0_normal_forms(sub_nn, tail_mm)
         for base in base_forms:
-            base_cols = [] if base is None else \
-                [list(c) for c in zip(*(base.realize(QQ).rep.data))]
+            base_rows = ((),) * (n - 1) if base is None else base.rows
             for u in _bit_vectors(n2):
                 for v in _bit_vectors(n3):
-                    col1 = [1] + list(u) + list(v)
-                    allcols = [col1] + [[0] + [int(x) for x in col]
-                                        for col in base_cols]
-                    rowsm = tuple(zip(*allcols))
+                    rowsm = ((1,) + (0,) * (m1 - 1),) + tuple(
+                        (x,) + r for x, r in zip(u + v, base_rows))
                     cands.append(NFPattern("I", tag.subcase, nn, mm, mm,
-                                           tuple(tuple(r) for r in rowsm),
-                                           row_perm=rho))
+                                           rowsm, row_perm=rho))
         return cands
 
     if tag.label == "I'" and tag.subcase == "m2=1":
@@ -809,17 +811,13 @@ def pattern_candidates(tag: CaseTag, nn: Composition,
         m1 = mm.parts[0]
         cands = []
         for base in case0_normal_forms(nn, Composition.of(m1, n - m1)):
-            base_mat = base.realize(QQ).rep
-            base_cols = [[int(x) for x in base_mat.column(j)]
-                         for j in range(m1)]
+            base_rows = base.rows
             for u in _bit_vectors(n1):
                 for v in _bit_vectors(n2):
-                    extra = list(u) + list(v)
+                    extra = u + v
                     if not any(extra):
                         continue
-                    allcols = base_cols + [extra]
-                    rowsm = tuple(tuple(c[i] for c in allcols)
-                                  for i in range(n))
+                    rowsm = tuple(r + (x,) for r, x in zip(base_rows, extra))
                     if integer_rank(rowsm) != m1 + 1:
                         continue
                     cands.append(NFPattern("I'", tag.subcase, nn, mm, mm,
@@ -909,7 +907,7 @@ def transporter_empty(pair: WitnessPair, q: int) -> bool:
     """Brute-force check that no GF(q) block-Borel element moves d1 to d2."""
     d1, d2 = witness_pair_over(pair.nn, pair.mm, q)
     for b in borel_elements(pair.nn, q):
-        if flags_equal(act(b, d1), d2):
+        if flags_equal(Flag.from_matrix(d1.typ, b * d1.rep), d2):
             return False
     return True
 

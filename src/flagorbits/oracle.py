@@ -326,7 +326,6 @@ def enumerate_flags(n: int, mm: Composition, q: int,
                     budget: int = DEFAULT_BUDGET) -> list[Flag]:
     """Materialized flag list (small inputs); one canonical flag per point."""
     arr = enumerate_flag_array(n, mm, q, budget)
-    arr = canonicalize_batch(arr, q, mm.prefix_sums()[: max(len(mm) - 1, 0)])
     return [_decode_flag(arr[i], mm, q) for i in range(arr.shape[0])]
 
 
@@ -507,9 +506,9 @@ def orbit_partition(flags: Iterable[Flag], gens: Iterable[Matrix],
 
 def oracle_partition(nn: Composition, mm: Composition, q: int,
                      budget: int = DEFAULT_BUDGET) -> OrbitPartition:
-    """Enumerate the variety and split it into block-Borel orbits."""
+    """Enumerate the variety and split it into block-Borel orbits; the
+    enumeration is already canonical, so it is partitioned as it is."""
     arr = enumerate_flag_array(nn.n, mm, q, budget)
-    arr = canonicalize_batch(arr, q, mm.prefix_sums()[: max(len(mm) - 1, 0)])
     gen_mats = [np.array(g.data, dtype=np.int64)
                 for g in group_generators(nn, q)]
     return orbit_partition_from_arrays(arr, gen_mats, nn, mm, q)

@@ -129,16 +129,14 @@ def _signature_rows(nf: NormalForm) -> tuple[Sequence[Sequence[int]],
     """Integer rows whose column prefixes span the flag of ``nf``, and the
     rational flag when it had to be realized to get them.
 
-    A non-dual pattern's 0/1 matrix already spans the flag once its rows
-    are relabeled (realized row i is ``matrix01[row_perm[i] - 1]``);
-    any other form is realized and each column's denominators cleared.
+    Every form but a dual pattern spans its flag with its own 0/1
+    ``rows``; a dual pattern is realized and each column's denominators
+    cleared.
     """
-    if isinstance(nf, NFPattern) and not nf.dualize:
-        if nf.row_perm is None:
-            return nf.matrix01, None
-        return [nf.matrix01[p - 1] for p in nf.row_perm], None
-    flag = nf.realize(QQ)
-    return _integer_rows(flag.rep), flag
+    if isinstance(nf, NFPattern) and nf.dualize:
+        flag = nf.realize(QQ)
+        return _integer_rows(flag.rep), flag
+    return nf.rows, None
 
 
 def _integer_rows(rep: Matrix) -> list[list[int]]:

@@ -207,3 +207,11 @@ def test_matrix_literal_round_trip():
 def test_mixed_field_rejected():
     with pytest.raises(ValueError):
         Matrix.identity(QQ, 2) * Matrix.identity(gf(2), 2)
+
+
+def test_from_columns_of_length_zero_keeps_the_column_count():
+    m = Matrix.from_columns(QQ, [[], []])
+    assert (m.rows, m.cols) == (0, 2)
+    assert m == Matrix.zero(QQ, 0, 2)
+    m = Matrix.from_columns(gf(3), [[1, 2], [0, 4]])
+    assert m.data == ((1, 0), (2, 1))

@@ -24,6 +24,8 @@ from flagorbits.oracle import (CHUNK, BudgetExceededError,
                                validate_witnesses)
 from flagorbits.orbits import enumerate_orbits
 
+from conftest import compositions
+
 
 def test_gaussian_binomial_and_flag_counts():
     assert gaussian_binomial(4, 1, 2) == 15
@@ -43,6 +45,26 @@ def test_enumerate_flags_counts_and_uniqueness():
         # enumerated representatives are already canonical
         for f in flags[:40]:
             assert flags_equal(Flag.from_matrix(mm, f.rep), f)
+
+
+def test_enumeration_is_a_canonical_fixed_point():
+    """``oracle_partition`` and ``locate`` take the enumeration as it is, so
+    every enumerated matrix must be its own canonical form, and each flag
+    must appear once."""
+    cases = 0
+    for n in range(1, 6):
+        for mm in compositions(n):
+            for q in (2, 3, 5):
+                if flag_count(n, mm, q) > 200_000:
+                    continue
+                arr = enumerate_flag_array(n, mm, q)
+                bounds = mm.prefix_sums()[: len(mm) - 1]
+                assert np.array_equal(canonicalize_batch(arr, q, bounds),
+                                      arr), (mm, q)
+                flat = arr.reshape(arr.shape[0], -1)
+                assert len(np.unique(flat, axis=0)) == flag_count(n, mm, q)
+                cases += 1
+    assert cases == 84
 
 
 def test_enumerate_budget():
@@ -199,7 +221,6 @@ def test_level_sets_equal_orbits_exhaustively_n4():
     # every classified pair with n <= 4, the common refinement of all
     # invariant rank level sets is exactly the orbit partition
     from flagorbits.normalforms import classify_pair, has_catalog
-    from conftest import compositions
     for n in range(2, 5):
         for nn in compositions(n):
             for mm in compositions(n):

@@ -7,12 +7,13 @@ import sys
 import pytest
 
 import flagorbits
-from flagorbits.flags import Composition, Flag, standard_flag
+from flagorbits.flags import (Composition, Flag, act, dual,
+                              permutation_matrix, standard_flag)
 from flagorbits.invariants import invariant_family, rank_table, signature
-from flagorbits.linalg import Matrix, QQ
-from flagorbits.normalforms import (InfinitePairError, NFPattern,
+from flagorbits.linalg import Matrix, QQ, gf
+from flagorbits.normalforms import (InfinitePairError, NFCase0, NFPattern,
                                     NonInjectiveError, UnsupportedCaseError,
-                                    case0_normal_forms,
+                                    _block_reversal_perm, case0_normal_forms,
                                     case3prime_normal_forms, classify_pair,
                                     has_catalog, pattern_candidates)
 from flagorbits.orbits import (DominanceDimensionError,
@@ -218,22 +219,133 @@ def _catalog_pairs(max_n):
                     yield tag, nn, mm
 
 
+def _forms(tag, nn, mm):
+    """Every normal form or pattern candidate a catalog build ranks."""
+    if tag.label == "0":
+        return case0_normal_forms(nn, mm)
+    if tag.label == "III'":
+        return case3prime_normal_forms(nn, mm)
+    return pattern_candidates(tag, nn, mm)
+
+
 def test_rank_table_matches_signature_on_every_candidate():
     pairs = 0
     for tag, nn, mm in _catalog_pairs(5):
         pairs += 1
         fam = invariant_family(nn, mm)
-        if tag.label == "0":
-            forms = case0_normal_forms(nn, mm)
-        elif tag.label == "III'":
-            forms = case3prime_normal_forms(nn, mm)
-        else:
-            forms = pattern_candidates(tag, nn, mm)
-        for nf in forms:
+        for nf in _forms(tag, nn, mm):
             rows, _ = _signature_rows(nf)
             assert rank_table(rows, fam) == \
                 signature(nf.realize(QQ), fam).values, (nn, mm, nf)
     assert pairs == 131
+
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for j, pj in enumerate(perm):
+        inv[pj - 1] = j + 1
+    return tuple(inv)
+
+
+def _reference_realize(nf, fld):
+    """The flag of a normal form built the long way: columns in the stored
+    orientation, then permutation-matrix products (and ``dual``)."""
+    if isinstance(nf, NFPattern):
+        f = Flag.from_matrix(nf.primal_mm, Matrix.from_rows(fld, nf.matrix01))
+        if nf.dualize:
+            w = _block_reversal_perm(nf.nn)
+            f = dual(act(permutation_matrix(fld, w), f))
+        if nf.row_perm:
+            f = act(permutation_matrix(fld, _inverse(nf.row_perm)), f)
+        return f
+    n = nf.nn.n
+    columns = []
+    if isinstance(nf, NFCase0):
+        n1 = nf.nn.parts[0]
+        for e, fi in nf.cols:
+            v = [fld.zero] * n
+            if e is not None:
+                v[e - 1] = fld.one
+            if fi is not None:
+                v[n1 + fi - 1] = fld.one
+            columns.append(v)
+        return Flag.from_matrix(nf.mm, Matrix.from_columns(fld, columns))
+    for bi, rows in enumerate(nf.blocks, start=1):
+        if bi == nf.j0:
+            v = [fld.zero] * n
+            v[n - 1] = fld.one
+            for _, i in nf.chain:
+                v[i - 1] = fld.one
+            columns.append(v)
+        for p in rows:
+            v = [fld.zero] * n
+            v[p - 1] = fld.one
+            columns.append(v)
+    mat = Matrix.from_columns(fld, columns) if columns \
+        else Matrix.zero(fld, n, 0)
+    f = Flag.from_matrix(nf.mm, mat)
+    if nf.swapped:
+        rotation = (n,) + tuple(range(1, n))    # n, 1, 2, ..., n-1
+        f = act(permutation_matrix(fld, _inverse(rotation)), f)
+    return f
+
+
+def test_realize_matches_permutation_matrix_reference():
+    forms = 0
+    for tag, nn, mm in _catalog_pairs(5):
+        for nf in _forms(tag, nn, mm):
+            forms += 1
+            for fld in (QQ, gf(3)):
+                assert nf.realize(fld) == _reference_realize(nf, fld), \
+                    (nn, mm, nf, fld)
+            if isinstance(nf, NFCase0):
+                # case-0 rows are the canonical representative itself
+                assert nf.realize(QQ).rep == Matrix.from_rows(QQ, nf.rows)
+    assert forms == 12101
+
+
+@pytest.mark.parametrize("nn_parts, mm_parts", [
+    ((1, 5), (2, 2, 2)),    # III', swapped orientation
+    ((2, 1, 2), (3, 2)),    # case I, row relabeling
+    ((3, 2), (1, 1, 3)),    # I' with m2 = 1
+])
+def test_catalog_build_applies_no_group_element(monkeypatch, nn_parts,
+                                                mm_parts):
+    """Normal forms become flags through their own rows: a build calls
+    neither ``act`` nor ``Matrix.__mul__``, except inside the randomized
+    family-invariance probe, which moves random flags by B' on purpose."""
+    import flagorbits.flags as flags_mod
+    import flagorbits.orbits as orbits_mod
+
+    calls, probing = [], []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, bool(probing)))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    act_fn = flags_mod.act
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("flagorbits") and \
+                getattr(mod, "act", None) is act_fn:
+            monkeypatch.setattr(mod, "act", counting("act", act_fn))
+    monkeypatch.setattr(Matrix, "__mul__", counting("mul", Matrix.__mul__))
+    verify = orbits_mod.verify_family_invariance
+
+    def probe(*args, **kwargs):
+        probing.append(True)
+        try:
+            return verify(*args, **kwargs)
+        finally:
+            probing.pop()
+
+    monkeypatch.setattr(orbits_mod, "verify_family_invariance", probe)
+    cat = enumerate_orbits.__wrapped__(Composition(nn_parts),
+                                       Composition(mm_parts))
+    assert cat.entries
+    assert [name for name, in_probe in calls if not in_probe] == []
+    assert ("act", True) in calls and ("mul", True) in calls
 
 
 def test_catalog_realizes_only_kept_patterns(monkeypatch):
