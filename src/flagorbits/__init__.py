@@ -1,7 +1,6 @@
 """Exact computation of block-Borel double coset orbits on flag varieties."""
 
-from .linalg import (GF, Matrix, QQ, gf, parse_matrix_literal,
-                     subspace_intersection)
+from .linalg import GF, Matrix, QQ, gf, parse_matrix_literal
 from .flags import (Composition, Flag, ParabolicSpec, act, dual,
                     flag_from_permutation, flags_equal, parse_flag_literal,
                     project, qfamily, subcomposition_witness)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Field, Matrix, QQ, parse_matrix_literal
+from .linalg import Field, Matrix, QQ, gf, parse_matrix_literal
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def _canonical_rep(mat: Matrix, boundaries: Sequence[int]) -> Matrix:
         lo = boundaries[j]
         hi = boundaries[j + 1] if j + 1 < len(boundaries) else C
         order.extend(sorted(range(lo, hi), key=lambda c: pivots[c]))
-    return Matrix.from_columns(F, [cols[c] for c in order])
+    return Matrix.from_columns(F, [cols[c] for c in order], n)
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ def permutation_matrix(field: Field, perm: Sequence[int]) -> Matrix:
         v = [field.zero] * n
         v[perm[j] - 1] = field.one
         cols.append(v)
-    return Matrix.from_columns(field, cols)
+    return Matrix.from_columns(field, cols, n)
 
 
 def flag_from_permutation(perm: Sequence[int], typ: Composition,
@@ -257,9 +257,7 @@ def flag_from_permutation(perm: Sequence[int], typ: Composition,
         v = [field.zero] * typ.n
         v[perm[j] - 1] = field.one
         cols.append(v)
-    if not cols:
-        return Flag.from_matrix(typ, Matrix.zero(field, typ.n, 0))
-    return Flag.from_matrix(typ, Matrix.from_columns(field, cols))
+    return Flag.from_matrix(typ, Matrix.from_columns(field, cols, typ.n))
 
 
 def standard_flag(typ: Composition, field: Field = QQ) -> Flag:
@@ -278,6 +276,44 @@ def is_borel_prime(mat: Matrix, nn: Composition) -> bool:
                 if nn.block_of(i) != nn.block_of(j) or i > j:
                     return False
     return all(mat[i, i] != F.zero for i in range(mat.rows))
+
+
+def _primitive_root(q: int) -> int:
+    if q == 2:
+        return 1
+    for g in range(2, q):
+        seen = set()
+        x = 1
+        for _ in range(q - 1):
+            x = x * g % q
+            seen.add(x)
+        if len(seen) == q - 1:
+            return g
+    raise ValueError(f"no primitive root mod {q}")
+
+
+def group_generators(nn: Composition, q: int) -> list[Matrix]:
+    """Generators of the block Borel over GF(q): one torus scaling per row
+    (omitted for q = 2) and one superdiagonal unipotent per adjacent pair
+    inside each block."""
+    fld = gf(q)
+    n = nn.n
+    gens = []
+    gamma = _primitive_root(q)
+    for b in range(len(nn)):
+        rows = list(nn.block_range(b))
+        if q > 2:
+            for i in rows:
+                m = [[1 if a == c else 0 for c in range(n)] for a in range(n)]
+                m[i][i] = gamma
+                gens.append(Matrix.from_rows(fld, m))
+        for i in rows[:-1]:
+            m = [[1 if a == c else 0 for c in range(n)] for a in range(n)]
+            m[i][i + 1] = 1
+            gens.append(Matrix.from_rows(fld, m))
+    if not gens:  # trivial group over GF(2) with all blocks of size 1
+        gens.append(Matrix.identity(fld, n))
+    return gens
 
 
 def act(g: Matrix, f: Flag) -> Flag:
@@ -307,9 +343,8 @@ def complete_to_invertible(mat: Matrix) -> Matrix:
     F = mat.field
     n = mat.rows
     cols = [list(mat.column(j)) for j in range(mat.cols)]
-    work = Matrix.from_columns(F, cols) if cols else Matrix.zero(F, n, 0)
     current_rank = len(cols)
-    if work.cols and work.rank() != current_rank:
+    if mat.rank() != current_rank:
         raise ValueError("columns are not independent")
     for i in range(n):
         if current_rank == n:
@@ -317,11 +352,11 @@ def complete_to_invertible(mat: Matrix) -> Matrix:
         v = [F.zero] * n
         v[i] = F.one
         candidate_cols = cols + [v]
-        cand = Matrix.from_columns(F, candidate_cols)
+        cand = Matrix.from_columns(F, candidate_cols, n)
         if cand.rank() == current_rank + 1:
             cols = candidate_cols
             current_rank += 1
-    out = Matrix.from_columns(F, cols)
+    out = Matrix.from_columns(F, cols, n)
     if out.rank() != n:
         raise ValueError("completion failed")
     return out
@@ -350,12 +385,11 @@ def dual(f: Flag) -> Flag:
             if len(cols) == tgt_ps[j]:
                 break
             v = list(orth.column(c))
-            if Matrix.from_columns(F, cols + [v]).rank() == len(cols) + 1:
+            if Matrix.from_columns(F, cols + [v], n).rank() == len(cols) + 1:
                 cols.append(v)
         if len(cols) != tgt_ps[j]:
             raise ValueError("dual flag construction failed")
-    mat = Matrix.from_columns(F, cols) if cols else Matrix.zero(F, n, 0)
-    return Flag.from_matrix(target, mat)
+    return Flag.from_matrix(target, Matrix.from_columns(F, cols, n))
 
 
 # -- maximal parabolics over B' and P ---------------------------------------

@@ -8,11 +8,8 @@ offers two scalar domains and nothing else:
 * ``GF(p)`` -- canonical residues ``0..p-1`` for a prime ``p < 2**31``,
   with inverses by Fermat's little theorem.
 
-Matrices are immutable row-major tuples.  The reduced column echelon
-form uses one fixed convention (pivot = first nonzero row scanning top
-to bottom, pivots scaled to 1, pivot rows cleared in the other columns)
-so canonical representatives are bit-stable across runs.  No floating
-point is used anywhere.
+Matrices are immutable row-major tuples.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -224,13 +221,13 @@ class Matrix:
         )
 
     @staticmethod
-    def from_columns(field: Field, cols: Sequence[Sequence]) -> "Matrix":
-        if not cols:
-            raise ValueError("need at least one column; use Matrix.zero for empty")
-        nrows = len(cols[0])
-        return Matrix(field, nrows, len(cols),
+    def from_columns(field: Field, cols: Sequence[Sequence],
+                     rows: int) -> "Matrix":
+        """The ``rows`` x ``len(cols)`` matrix with these columns; either
+        count may be 0."""
+        return Matrix(field, rows, len(cols),
                       tuple(tuple(field.coerce(c[i]) for c in cols)
-                            for i in range(nrows)))
+                            for i in range(rows)))
 
     # -- basic shape ops ----------------------------------------------
 
@@ -261,12 +258,6 @@ class Matrix:
         return Matrix(self.field, self.rows, len(cols),
                       tuple(tuple(row[j] for j in cols) for row in self.data))
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if other.rows != self.rows or other.field != self.field:
-            raise ValueError("hstack: incompatible shapes or fields")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      tuple(a + b for a, b in zip(self.data, other.data)))
-
     # -- arithmetic ----------------------------------------------------
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -282,50 +273,10 @@ class Matrix:
         )
         return Matrix(F, self.rows, other.cols, out)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.field, self.rows, self.cols) != (other.field, other.rows, other.cols):
-            raise ValueError("shape or field mismatch")
-        F = self.field
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(F.add(a, b) for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.data, other.data)))
-
-    def __neg__(self) -> "Matrix":
-        F = self.field
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(F.sub(F.zero, a) for a in row)
-                            for row in self.data))
-
-    def scale(self, c) -> "Matrix":
-        F = self.field
-        c = F.coerce(c)
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(F.mul(c, a) for a in row) for row in self.data))
-
-    def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(a == z for row in self.data for a in row)
-
-    # -- rank / echelon / kernel ----------------------------------------
+    # -- rank / inverse / kernel ---------------------------------------
 
     def rank(self) -> int:
         return _row_reduce([list(r) for r in self.data], self.field)[1]
-
-    def reduced_column_echelon(self) -> "Matrix":
-        """Unique reduced column echelon form; column span is preserved.
-
-        Convention: columns are produced in increasing order of pivot row,
-        each pivot (the first nonzero row of its column, scanning top to
-        bottom) is scaled to 1 and cleared from every other column.
-        Dependent columns collapse to zero columns, which are kept at the
-        right so the shape is unchanged.
-        """
-        reduced, rank = _row_reduce(
-            [list(r) for r in self.transpose().data], self.field)
-        z = self.field.zero
-        pad = [[z] * self.rows for _ in range(self.cols - rank)]
-        cols = reduced[:rank] + pad
-        return Matrix(self.field, self.cols, self.rows, tuple(tuple(r) for r in cols)).transpose()
 
     def kernel_basis(self) -> "Matrix":
         """Columns form a basis of the right null space."""
@@ -343,9 +294,7 @@ class Matrix:
             for r, pj in enumerate(pivots):
                 v[pj] = F.sub(F.zero, reduced[r][j])
             basis.append(v)
-        if not basis:
-            return Matrix.zero(F, self.cols, 0)
-        return Matrix.from_columns(F, basis)
+        return Matrix.from_columns(F, basis, self.cols)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -501,28 +450,6 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
         g = math.gcd(*y)
         basis.append([x // g for x in y])
     return basis
-
-
-def subspace_intersection(a: Matrix, b: Matrix) -> Matrix:
-    """Basis of the intersection of the two column spans.
-
-    Requires equal row counts and independent columns in each argument.
-    """
-    if a.rows != b.rows or a.field != b.field:
-        raise ValueError("subspace_intersection: dimension or field mismatch")
-    if a.cols == 0 or b.cols == 0:
-        return Matrix.zero(a.field, a.rows, 0)
-    joint = a.hstack(-b)
-    ker = joint.kernel_basis()
-    if ker.cols == 0:
-        return Matrix.zero(a.field, a.rows, 0)
-    u_part = ker.row_submatrix(range(a.cols))
-    inter = a * u_part
-    reduced = inter.reduced_column_echelon()
-    # drop the zero columns introduced by dependent kernel vectors
-    keep = [j for j in range(reduced.cols)
-            if any(reduced[i, j] != a.field.zero for i in range(reduced.rows))]
-    return reduced.col_submatrix(keep)
 
 
 def parse_matrix_literal(text: str) -> Matrix:

@@ -36,7 +36,10 @@ pivot column on the swept rows above it.
 
 Non-injective shapes (I' with an outer block of size 1 and n >= 5, and
 all of II') refuse reduction and instead expose an explicit witness pair:
-two flags with identical signatures in different orbits.
+two flags with identical signatures in different orbits.  Each pair is
+certified exactly: equal signatures over Q, and over GF(2) the second
+flag lies outside the orbit of the first, which ``transporter_empty``
+grows by breadth-first search from the generators of B'.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .flags import Composition, Flag, dual, flags_equal
+from .flags import Composition, Flag, dual, flags_equal, group_generators
 from .invariants import Signature, invariant_family, signature
-from .linalg import Field, Matrix, QQ, gf, integer_rank
+from .linalg import GF, Field, Matrix, QQ, gf, integer_rank
 
 
 class InfinitePairError(ValueError):
@@ -126,12 +129,6 @@ def has_catalog(tag: CaseTag) -> bool:
 # ---------------------------------------------------------------------------
 # elementary operations on a matrix held as a list of columns
 # ---------------------------------------------------------------------------
-
-
-def _from_columns(F: Field, cols: Sequence[Sequence], rows: int) -> Matrix:
-    """The ``rows`` x ``len(cols)`` matrix with these columns (either may be 0)."""
-    return Matrix(F, rows, len(cols),
-                  tuple(tuple(c[i] for c in cols) for i in range(rows)))
 
 
 def _col_axpy(F: Field, cols: list[list], dst: int, src: int, c) -> None:
@@ -217,9 +214,9 @@ def triangular_reduce(a: Matrix) -> TriangularReduction:
         [c for c in range(q) if c not in pivots]
     return TriangularReduction(
         tuple(r + 1 for r in sorted(pivots.values())),
-        _from_columns(F, [cols[c][:p] for c in order], p),
-        _from_columns(F, left, p),
-        _from_columns(F, [cols[c][p:] for c in order], q))
+        Matrix.from_columns(F, [cols[c][:p] for c in order], p),
+        Matrix.from_columns(F, left, p),
+        Matrix.from_columns(F, [cols[c][p:] for c in order], q))
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +878,7 @@ def counterexample_pair(nn: Composition, mm: Composition) -> WitnessPair:
     Supported shapes: the minimal non-injective configurations
     ((3,2)/(1,2,2), (3,2)/(2,2,1) through the orthogonal swap, and
     (4,2)/(2,2,2)).  The pair is checked on construction: exact signature
-    equality and emptiness of the GF(2) transporter.
+    equality, and emptiness of the GF(2) transporter by an orbit search.
     """
     tag = classify_pair(nn, mm)
     if tag is None:
@@ -892,7 +889,7 @@ def counterexample_pair(nn: Composition, mm: Composition) -> WitnessPair:
     fam = invariant_family(nn, mm)
     if signature(pair.d1, fam).values != signature(pair.d2, fam).values:
         raise AssertionError("witness flags have different signatures")
-    if not transporter_empty(pair, 2):
+    if not transporter_empty(*witness_pair_over(nn, mm, 2), nn):
         raise AssertionError("witness flags lie in the same GF(2) orbit")
     return pair
 
@@ -903,36 +900,32 @@ def witness_pair_over(nn: Composition, mm: Composition,
     return _witness_flags(nn, mm, gf(q))
 
 
-def transporter_empty(pair: WitnessPair, q: int) -> bool:
-    """Brute-force check that no GF(q) block-Borel element moves d1 to d2."""
-    d1, d2 = witness_pair_over(pair.nn, pair.mm, q)
-    for b in borel_elements(pair.nn, q):
-        if flags_equal(Flag.from_matrix(d1.typ, b * d1.rep), d2):
-            return False
+def transporter_empty(d1: Flag, d2: Flag, nn: Composition) -> bool:
+    """Whether no element of B'(GF(q)) moves ``d1`` to ``d2``, two flags
+    of one type over GF(q): a breadth-first search of the orbit of ``d1``
+    under ``group_generators(nn, q)``.
+
+    B'(GF(q)) is finite and generated by these matrices, so closing {d1}
+    under them alone, with no inverses, gives the whole orbit; ``d2`` lies
+    outside it exactly when the transporter is empty.  The search keeps
+    one entry per orbit flag, at most the number of flags of the type.
+    """
+    if not isinstance(d1.field, GF):
+        raise ValueError("transporters are searched over GF(q)")
+    if flags_equal(d1, d2):
+        return False
+    gens = group_generators(nn, d1.field.p)
+    seen = {d1.rep.data}
+    layer = [d1.rep]
+    while layer:
+        next_layer = []
+        for rep in layer:
+            for g in gens:
+                image = Flag.from_matrix(d1.typ, g * rep).rep
+                if image.data == d2.rep.data:
+                    return False
+                if image.data not in seen:
+                    seen.add(image.data)
+                    next_layer.append(image)
+        layer = next_layer
     return True
-
-
-# the most elements ``borel_elements`` walks before refusing
-_BOREL_LIMIT = 2_000_000
-
-
-def borel_elements(nn: Composition, q: int):
-    """Iterate every element of the block Borel over GF(q)."""
-    fld = gf(q)
-    n = nn.n
-    positions = [(i, j) for b in range(len(nn))
-                 for i in nn.block_range(b) for j in nn.block_range(b)
-                 if i < j]
-    diag_slots = list(range(n))
-    nonzero = list(range(1, q))
-    count = (q - 1) ** n * q ** len(positions)
-    if count > _BOREL_LIMIT:
-        raise ValueError(f"group order {count} exceeds the iteration limit")
-    for diag in itertools.product(nonzero, repeat=n):
-        for vals in itertools.product(range(q), repeat=len(positions)):
-            rows = [[0] * n for _ in range(n)]
-            for i, d in zip(diag_slots, diag):
-                rows[i][i] = d
-            for (i, j), v in zip(positions, vals):
-                rows[i][j] = v
-            yield Matrix.from_rows(fld, rows)

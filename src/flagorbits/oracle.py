@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .flags import Composition, Flag
+from .flags import Composition, Flag, _primitive_root, group_generators
 from .invariants import invariant_family, signature
 from .linalg import Matrix, gf
 from .normalforms import WitnessPair
@@ -75,44 +75,6 @@ def borel_order(nn: Composition, q: int) -> int:
     for p in nn.parts:
         order *= (q - 1) ** p * q ** (p * (p - 1) // 2)
     return order
-
-
-def _primitive_root(q: int) -> int:
-    if q == 2:
-        return 1
-    for g in range(2, q):
-        seen = set()
-        x = 1
-        for _ in range(q - 1):
-            x = x * g % q
-            seen.add(x)
-        if len(seen) == q - 1:
-            return g
-    raise ValueError(f"no primitive root mod {q}")
-
-
-def group_generators(nn: Composition, q: int) -> list[Matrix]:
-    """Generators of the block Borel over GF(q): one torus scaling per row
-    (omitted for q = 2) and one superdiagonal unipotent per adjacent pair
-    inside each block."""
-    fld = gf(q)
-    n = nn.n
-    gens = []
-    gamma = _primitive_root(q)
-    for b in range(len(nn)):
-        rows = list(nn.block_range(b))
-        if q > 2:
-            for i in rows:
-                m = [[1 if a == c else 0 for c in range(n)] for a in range(n)]
-                m[i][i] = gamma
-                gens.append(Matrix.from_rows(fld, m))
-        for i in rows[:-1]:
-            m = [[1 if a == c else 0 for c in range(n)] for a in range(n)]
-            m[i][i + 1] = 1
-            gens.append(Matrix.from_rows(fld, m))
-    if not gens:  # trivial group over GF(2) with all blocks of size 1
-        gens.append(Matrix.identity(fld, n))
-    return gens
 
 
 def parabolic_generators(spec, q: int) -> list[Matrix]:

@@ -145,6 +145,14 @@ def _integer_rows(rep: Matrix) -> list[list[int]]:
     return [[int(x * k) for x, k in zip(row, scales)] for row in rep.data]
 
 
+def _bprime_coords(nn: Composition) -> list[tuple[int, int]]:
+    """The coordinates X_ab of b': a <= b inside one row block, in order."""
+    return [(a, b)
+            for blk in range(len(nn))
+            for a in nn.block_range(blk)
+            for b in nn.block_range(blk) if a <= b]
+
+
 def _annihilator_dimension(rows: Sequence[Sequence[int]], nn: Composition,
                            mm: Composition) -> int:
     """Orbit dimension of the flag whose column prefixes ``rows`` span.
@@ -157,10 +165,7 @@ def _annihilator_dimension(rows: Sequence[Sequence[int]], nn: Composition,
     with coefficient y_a * u[b].  The orbit dimension is the rank of these
     conditions, all integers: no completion, no inverse, no ``Fraction``.
     """
-    coords = [(a, b)
-              for blk in range(len(nn))
-              for a in nn.block_range(blk)
-              for b in nn.block_range(blk) if a <= b]
+    coords = _bprime_coords(nn)
     cols = list(zip(*rows))
     cuts = mm.prefix_sums()
     conditions = []
@@ -240,10 +245,7 @@ def orbit_dimension(f: Flag, nn: Composition) -> int:
     ginv = g.inverse()
     mm = f.typ
 
-    coords = [(a, b)
-              for blk in range(len(nn))
-              for a in nn.block_range(blk)
-              for b in nn.block_range(blk) if a <= b]
+    coords = _bprime_coords(nn)
     rows: list[list[int]] = []
     for i in range(n):
         for j in range(n):

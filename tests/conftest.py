@@ -6,9 +6,12 @@ library against itself.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 from flagorbits import Composition
+from flagorbits.flags import act, random_borel_prime
+from flagorbits.linalg import gf
 
 
 def compositions(n):
@@ -169,3 +172,10 @@ def bruhat_le_subword(u, v):
         if prod == tuple(u):
             return True
     return inv_u == 0 and tuple(u) == identity
+
+
+def borel_translates(d1, nn, q, count=10):
+    """Flags g.d1 for ``count`` seeded random g in B'(GF(q)): all lie in
+    the orbit of d1, so every transporter to them is nonempty."""
+    rng = random.Random(q)
+    return [act(random_borel_prime(nn, gf(q), rng), d1) for _ in range(count)]

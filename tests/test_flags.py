@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from flagorbits.flags import (Composition, Flag, act, complete_to_invertible,
                               dual, flag_from_permutation, flags_equal,
-                              invariant_row_sets, parse_flag_literal,
-                              permutation_matrix, project, qfamily,
+                              group_generators, invariant_row_sets,
+                              parse_flag_literal, permutation_matrix,
+                              project, qfamily,
                               random_borel_prime, random_flag,
                               random_parabolic, standard_flag,
                               subcomposition_witness)
@@ -200,7 +201,7 @@ def test_act_identity_and_permutations():
 
 def test_dual_basics():
     typ = Composition.of(1, 1)
-    e1 = Flag.from_matrix(typ, Matrix.from_columns(QQ, [[1, 0]]))
+    e1 = Flag.from_matrix(typ, Matrix.from_columns(QQ, [[1, 0]], 2))
     d = dual(e1)
     assert d.rep.column(0) == (0, 1)
     rng = random.Random(19)
@@ -244,11 +245,13 @@ def test_qfamily_counts():
 
 
 def test_qfamily_members_contain_borel():
-    nn = Composition.of(2, 1)
-    from flagorbits.normalforms import borel_elements
-    elements = list(borel_elements(nn, 2))
-    for spec in qfamily("Bprime", nn):
-        assert all(spec.contains(b) for b in elements)
+    # each spec is a group, so containing B''s generators is containing B'
+    for parts in [(2, 1), (2, 2), (3, 1), (1, 2, 1), (4,)]:
+        nn = Composition(parts)
+        for q in (2, 3):
+            gens = group_generators(nn, q)
+            for spec in qfamily("Bprime", nn):
+                assert all(spec.contains(g) for g in gens), (nn, q, spec)
 
 
 def test_flag_literal_round_trip():
@@ -297,7 +300,7 @@ def test_flag_literal_parses_or_raises_value_error(text):
 
 
 def test_complete_to_invertible_deterministic():
-    m = Matrix.from_columns(QQ, [[1, 1, 0]])
+    m = Matrix.from_columns(QQ, [[1, 1, 0]], 3)
     g = complete_to_invertible(m)
     assert g.is_invertible()
     assert g.column(0) == (1, 1, 0)

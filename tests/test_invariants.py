@@ -4,7 +4,8 @@ import random
 import pytest
 
 from flagorbits.flags import (Composition, Flag, act, flag_from_permutation,
-                              qfamily, random_borel_prime, random_flag)
+                              group_generators, qfamily, random_borel_prime,
+                              random_flag)
 from flagorbits.invariants import (bruhat_rij, bruhat_vector, dominates,
                                    invariant_family, rank_js, rank_table,
                                    signature, verify_family_invariance)
@@ -75,7 +76,7 @@ def test_family_is_complete_for_small_sizes():
         fam_js = {J for _, J in invariant_family(nn, mm).entries}
         fld = gf(2)
         all_flags = _all_lines(n, 2)
-        gens = _borel_gens(nn, 2)
+        gens = group_generators(nn, 2)
         for size in range(1, n):
             for J in itertools.combinations(range(1, n + 1), size):
                 if J in fam_js:
@@ -90,13 +91,8 @@ def _all_lines(n, q):
     for bits in itertools.product(range(q), repeat=n):
         if any(bits):
             out.append(Flag.from_matrix(
-                mm, Matrix.from_columns(fld, [list(bits)])))
+                mm, Matrix.from_columns(fld, [list(bits)], mm.n)))
     return {f.rep.data: f for f in out}.values()
-
-
-def _borel_gens(nn, q):
-    from flagorbits.oracle import group_generators
-    return group_generators(nn, q)
 
 
 def _violates(J, flags, gens, mm):

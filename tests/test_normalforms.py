@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import flagorbits
 from flagorbits.flags import (Composition, Flag, act, flags_equal,
                               random_borel_prime, random_flag,
                               random_parabolic, standard_flag)
@@ -10,7 +14,7 @@ from flagorbits.linalg import Matrix, QQ, gf
 from flagorbits.normalforms import (CaseTag, InconsistentSignatureError,
                                     InfinitePairError, NFCase0, NFChain,
                                     NonInjectiveError, UnsupportedCaseError,
-                                    borel_elements, case0_normal_forms,
+                                    case0_normal_forms,
                                     classify_pair, counterexample_pair,
                                     decode_signature_case0, has_catalog,
                                     reduce_by_catalog, reduce_case0,
@@ -18,6 +22,8 @@ from flagorbits.normalforms import (CaseTag, InconsistentSignatureError,
                                     transporter_empty, triangular_reduce,
                                     witness_pair_over)
 from flagorbits.orbits import enumerate_orbits
+
+from conftest import borel_translates
 
 
 def test_classify_table_rows():
@@ -109,7 +115,7 @@ def test_reduce_case0_on_figure_two_nodes():
         (0, 1, 0, 1): ((2, 2),),
     }
     for vec, expected in cols.items():
-        f = Flag.from_matrix(mm, Matrix.from_columns(QQ, [list(vec)]))
+        f = Flag.from_matrix(mm, Matrix.from_columns(QQ, [list(vec)], mm.n))
         assert reduce_case0(f, nn).cols == expected
 
 
@@ -248,12 +254,13 @@ def test_reduce_case3prime_swapped_orientation():
 def test_reduce_by_catalog_examples():
     # a line through the third axis: nonzero only in the second row block
     nn, mm = Composition.of(2, 2), Composition.of(1, 3)
-    f = Flag.from_matrix(mm, Matrix.from_columns(QQ, [[0, 0, 1, 0]]))
+    f = Flag.from_matrix(mm, Matrix.from_columns(QQ, [[0, 0, 1, 0]], 4))
     nf = reduce_by_catalog(f, nn)
     assert flags_equal(nf.realize(), f)
 
     nn2, mm2 = Composition.of(2, 2, 2), Composition.of(2, 4)
-    rep = Matrix.from_columns(QQ, [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]])
+    rep = Matrix.from_columns(
+        QQ, [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], 6)
     f2 = Flag.from_matrix(mm2, rep)
     nf2 = reduce_by_catalog(f2, nn2)
     assert flags_equal(nf2.realize(), f2)
@@ -322,8 +329,46 @@ def test_counterexample_pairs_verified():
         pair = counterexample_pair(nn, mm)  # construction re-verifies
         fam = invariant_family(nn, mm)
         assert signature(pair.d1, fam).values == signature(pair.d2, fam).values
-        assert transporter_empty(pair, 2)
-        assert transporter_empty(pair, 3)
+        assert transporter_empty(*witness_pair_over(nn, mm, 2), nn)
+        assert transporter_empty(*witness_pair_over(nn, mm, 3), nn)
+
+
+def test_transporter_to_a_translate_is_not_empty():
+    for nn_parts, mm_parts in [((3, 2), (1, 2, 2)), ((3, 2), (2, 2, 1)),
+                               ((4, 2), (2, 2, 2))]:
+        nn, mm = Composition(nn_parts), Composition(mm_parts)
+        for q in (2, 3):
+            d1 = witness_pair_over(nn, mm, q)[0]
+            assert not transporter_empty(d1, d1, nn)
+            for d2 in borel_translates(d1, nn, q):
+                assert not transporter_empty(d1, d2, nn), (nn, mm, q, d2)
+
+
+def test_transporter_rejects_flags_over_q():
+    nn, mm = Composition.of(3, 2), Composition.of(1, 2, 2)
+    pair = counterexample_pair(nn, mm)
+    with pytest.raises(ValueError):
+        transporter_empty(pair.d1, pair.d2, nn)
+
+
+def test_witness_certification_imports_no_numpy():
+    # the transporter search takes B''s generators from flagorbits.flags,
+    # so certifying all three shapes loads neither the oracle nor numpy
+    src = os.path.dirname(os.path.dirname(flagorbits.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys\n"
+              "from flagorbits.cli import main\n"
+              "for case in (['Iprime'], ['Iprime', '--variant', 'm3'],\n"
+              "             ['IIprime']):\n"
+              "    assert main(['counterexample', '--case'] + case) == 0\n"
+              "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+              "assert 'flagorbits.oracle' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("orbits distinct over GF(2): 1") == 3
 
 
 def test_counterexample_rejects_injective_case():
@@ -342,10 +387,3 @@ def test_normal_form_serializations_stable():
               for e in enumerate_orbits(nn2, mm2).entries]
     assert all(t.startswith("case=III' ") for t in texts2)
 
-
-def test_borel_elements_enumeration_order():
-    nn = Composition.of(2, 1)
-    elems = list(borel_elements(nn, 2))
-    assert len(elems) == 2  # (q-1)^3 * q = 2 at q = 2
-    nn2 = Composition.of(1,)
-    assert len(list(borel_elements(nn2, 3))) == 2  # order q-1

@@ -12,7 +12,8 @@ import flagorbits
 from flagorbits.flags import Composition, Flag, act, flags_equal, random_flag
 from flagorbits.invariants import invariant_family, rank_js, signature
 from flagorbits.linalg import Matrix, gf
-from flagorbits.normalforms import counterexample_pair
+from flagorbits.normalforms import (counterexample_pair, transporter_empty,
+                                    witness_pair_over)
 from flagorbits.oracle import (CHUNK, BudgetExceededError,
                                _component_labels, _generator_image,
                                _signature_vectors, _work_dtype, borel_order,
@@ -24,7 +25,7 @@ from flagorbits.oracle import (CHUNK, BudgetExceededError,
                                validate_witnesses)
 from flagorbits.orbits import enumerate_orbits
 
-from conftest import compositions
+from conftest import borel_translates, compositions
 
 
 def test_gaussian_binomial_and_flag_counts():
@@ -214,6 +215,24 @@ def test_witness_reports():
             part = oracle_partition(nn, mm, q)
             rep = validate_witnesses(part, pair)
             assert rep.ok, rep.to_text()
+
+
+def test_transporter_search_agrees_with_oracle_classes():
+    # an empty transporter means distinct oracle classes: on the witness
+    # pair, on translates of its first flag and on random flags
+    rng = random.Random(12)
+    for nn_parts, mm_parts, q in [((3, 2), (1, 2, 2), 2),
+                                  ((3, 2), (1, 2, 2), 3),
+                                  ((4, 2), (2, 2, 2), 2)]:
+        nn, mm = Composition(nn_parts), Composition(mm_parts)
+        part = oracle_partition(nn, mm, q)
+        d1, d2 = witness_pair_over(nn, mm, q)
+        others = [d2] + borel_translates(d1, nn, q) + \
+            [random_flag(mm, gf(q), rng) for _ in range(3)]
+        for other in others:
+            distinct = part.class_of_flag(d1) != part.class_of_flag(other)
+            assert transporter_empty(d1, other, nn) == distinct, \
+                (nn, mm, q, other)
 
 
 def test_level_sets_equal_orbits_exhaustively_n4():

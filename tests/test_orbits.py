@@ -81,7 +81,7 @@ def test_orbit_dimension_figure_two():
         (0, 1, 0, 1): 3,
     }
     for vec, dim in expected.items():
-        f = Flag.from_matrix(mm, Matrix.from_columns(QQ, [list(vec)]))
+        f = Flag.from_matrix(mm, Matrix.from_columns(QQ, [list(vec)], mm.n))
         assert orbit_dimension(f, nn) == dim, vec
 
 
@@ -91,10 +91,10 @@ def test_is_closed_prefix_criterion():
     closed = [(1, 0, 0, 0), (0, 0, 1, 0)]
     open_ = [(0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 1, 0)]
     for vec in closed:
-        f = Flag.from_matrix(mm, Matrix.from_columns(QQ, [list(vec)]))
+        f = Flag.from_matrix(mm, Matrix.from_columns(QQ, [list(vec)], mm.n))
         assert is_closed_flag(f, nn)
     for vec in open_:
-        f = Flag.from_matrix(mm, Matrix.from_columns(QQ, [list(vec)]))
+        f = Flag.from_matrix(mm, Matrix.from_columns(QQ, [list(vec)], mm.n))
         assert not is_closed_flag(f, nn)
 
 
@@ -269,7 +269,7 @@ def _reference_realize(nf, fld):
             if fi is not None:
                 v[n1 + fi - 1] = fld.one
             columns.append(v)
-        return Flag.from_matrix(nf.mm, Matrix.from_columns(fld, columns))
+        return Flag.from_matrix(nf.mm, Matrix.from_columns(fld, columns, n))
     for bi, rows in enumerate(nf.blocks, start=1):
         if bi == nf.j0:
             v = [fld.zero] * n
@@ -281,9 +281,7 @@ def _reference_realize(nf, fld):
             v = [fld.zero] * n
             v[p - 1] = fld.one
             columns.append(v)
-    mat = Matrix.from_columns(fld, columns) if columns \
-        else Matrix.zero(fld, n, 0)
-    f = Flag.from_matrix(nf.mm, mat)
+    f = Flag.from_matrix(nf.mm, Matrix.from_columns(fld, columns, n))
     if nf.swapped:
         rotation = (n,) + tuple(range(1, n))    # n, 1, 2, ..., n-1
         f = act(permutation_matrix(fld, _inverse(rotation)), f)
