@@ -193,10 +193,6 @@ class Flag:
     def n(self) -> int:
         return self.typ.n
 
-    def block_columns(self, j: int) -> Matrix:
-        """Columns of stored block j (zero-based, j < l-1)."""
-        return self.rep.col_submatrix(self.typ.block_range(j))
-
     def prefix_columns(self, s: int) -> Matrix:
         """Columns spanning the s-th subspace (first m_1+...+m_s columns)."""
         return self.rep.col_submatrix(range(self.typ.prefix_sums()[s]))

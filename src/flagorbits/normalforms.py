@@ -18,8 +18,9 @@ reducer:
 
 Every normal form has its 0/1 ``rows`` in the pair's own row order, and
 one shared ``realize`` makes them a flag over any field: the canonical
-flag they span (its dual, for a dual pattern).  Catalog builds rank the
-same rows as integers.
+flag they span (its dual, for a dual pattern).  Catalog builds rank and
+dimension the same rows as integers and realize none of them; a dual
+pattern is ranked on the complementary row sets instead of dualized.
 
 The three elimination reducers (``triangular_reduce``, ``reduce_case0``,
 ``reduce_case3prime``) hold their matrix as a list of columns, each a
@@ -624,14 +625,12 @@ def reduce_by_catalog(f: Flag, nn: Composition) -> NormalForm:
     if not has_catalog(tag):
         raise UnsupportedCaseError(f"case {tag} has no catalog")
     cat = enumerate_orbits(nn, f.typ)
-    fam = invariant_family(nn, f.typ)
-    values = signature(f, fam).values
-    for entry in cat.entries:
-        if entry.sig.values == values:
-            return entry.nf
-    raise CatalogLookupError(
-        f"signature of the flag matches no catalog entry of ({nn}, {f.typ}); "
-        "this indicates a catalog or invariance bug")
+    entry = cat.by_values.get(signature(f, cat.family).values)
+    if entry is None:
+        raise CatalogLookupError(
+            f"signature of the flag matches no catalog entry of ({nn}, {f.typ}); "
+            "this indicates a catalog or invariance bug")
+    return entry.nf
 
 
 def reduce_flag(f: Flag, nn: Composition) -> NormalForm:

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .flags import Composition, Flag, _primitive_root, group_generators
+from .flags import Composition, Flag, group_generators
 from .invariants import invariant_family, signature
 from .linalg import Matrix, gf
 from .normalforms import WitnessPair
@@ -75,32 +75,6 @@ def borel_order(nn: Composition, q: int) -> int:
     for p in nn.parts:
         order *= (q - 1) ** p * q ** (p * (p - 1) // 2)
     return order
-
-
-def parabolic_generators(spec, q: int) -> list[Matrix]:
-    """Generators of a (possibly non-standard) parabolic from its spec:
-    every admissible elementary matrix plus the torus scalings."""
-    fld = gf(q)
-    n = spec.shape.n
-    inv = [0] * n
-    for j, pj in enumerate(spec.perm):
-        inv[pj - 1] = j
-    gens = []
-    gamma = _primitive_root(q)
-    if q > 2:
-        for i in range(n):
-            m = [[1 if a == c else 0 for c in range(n)] for a in range(n)]
-            m[i][i] = gamma
-            gens.append(Matrix.from_rows(fld, m))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if spec.shape.block_of(inv[i]) <= spec.shape.block_of(inv[j]):
-                m = [[1 if a == c else 0 for c in range(n)] for a in range(n)]
-                m[i][j] = 1
-                gens.append(Matrix.from_rows(fld, m))
-    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +525,7 @@ def cross_validate(part: OrbitPartition, cat: OrbitCatalog,
     checks.append(CheckResult("one-form-per-class", ok_b, detail_b))
 
     fam = cat.family
-    sig_map = {}
-    duplicate_sigs = False
-    for entry in cat.entries:
-        if entry.sig.values in sig_map:
-            duplicate_sigs = True
-        sig_map[entry.sig.values] = entry
+    duplicate_sigs = len(cat.by_values) != n_entries
     if exhaustive is None:
         exhaustive = part.size <= EXHAUSTIVE_LIMIT
     vectors = _signature_vectors(part, fam) if exhaustive else None

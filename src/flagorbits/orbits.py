@@ -1,13 +1,13 @@
 """Orbit catalogs: enumeration, counting, dimensions, closures, Hasse data.
 
 A catalog lists one entry per orbit of the block Borel on the flag
-variety of the pair: the normal form, a realized rational representative,
-its full rank signature, the orbit dimension, and whether the orbit is
-closed.  The dimension is the codimension in b' of the Lie-algebra
-stabilizer, exact over the rationals.  Catalogs take it from integer rows
-spanning the flag: X stabilizes the flag when y^T X u = 0 for every
-column u of each block t and every y annihilating the t-th subspace, and
-the rank of these integer conditions is the dimension.
+variety of the pair: the normal form, its full rank signature and the
+orbit dimension, all taken from the form's own 0/1 rows as integers; its
+rational flag is realized only when read.  The dimension is the
+codimension in b' of the Lie-algebra stabilizer: X stabilizes the flag
+when y^T X u = 0 for every column u of each block t and every y
+annihilating the t-th subspace, and the rank of these integer conditions
+is the dimension.  Closed orbits are the fixed points: dimension 0.
 The candidate partial order is entry-wise signature dominance, which rank
 semicontinuity makes a necessary condition for closure; its transitive
 reduction is emitted as a DOT digraph but never claimed to be the closure
@@ -19,13 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .flags import (Composition, Flag, complete_to_invertible)
 from .invariants import (JFamily, Signature, dominates, invariant_family,
                          rank_table, verify_family_invariance)
-from .linalg import QQ, Matrix, integer_kernel, integer_rank
+from .linalg import QQ, integer_kernel, integer_rank
 from .normalforms import (CaseTag, InfinitePairError, NFPattern,
                           NonInjectiveError, NormalForm, UnsupportedCaseError,
                           case0_normal_forms, case3prime_normal_forms,
@@ -36,10 +36,18 @@ from .normalforms import (CaseTag, InfinitePairError, NFPattern,
 @dataclass(frozen=True)
 class CatalogEntry:
     nf: NormalForm
-    flag: Flag              # rational representative
     sig: Signature
     dim: int
-    closed: bool
+
+    @property
+    def closed(self) -> bool:
+        """Closed orbits are the fixed points of B': dimension 0."""
+        return self.dim == 0
+
+    @cached_property
+    def flag(self) -> Flag:
+        """The rational representative, realized on first read."""
+        return self.nf.realize(QQ)
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,12 @@ class OrbitCatalog:
     mm: Composition
     family: JFamily
     entries: tuple[CatalogEntry, ...]
+
+    @cached_property
+    def by_values(self) -> dict[tuple[int, ...], CatalogEntry]:
+        """Entries keyed by signature values; it holds fewer than
+        ``entries`` only when two entries share a signature."""
+        return {e.sig.values: e for e in self.entries}
 
 
 @dataclass(frozen=True)
@@ -93,56 +107,67 @@ def enumerate_orbits(nn: Composition, mm: Composition) -> OrbitCatalog:
     else:
         forms = pattern_candidates(tag, nn, mm)
 
-    # Candidates are ranked on integer rows; only the one kept for each
-    # signature needs a rational flag.  Echelon steps repeat across
-    # candidates, so they are shared within this build.
+    # Echelon steps repeat across candidates, so they are shared within
+    # this build.
     steps: dict = {}
-    # values -> (serialized form, form, integer rows, flag or None)
-    by_sig: dict[tuple[int, ...], tuple] = {}
+    by_sig: dict[tuple[int, ...], tuple[str, NormalForm]] = {}
     for nf in forms:
-        rows, flag = _signature_rows(nf)
-        values = rank_table(rows, fam, steps)
+        values = _signature_values(nf, fam, steps)
         key = nf.serialize()
         known = by_sig.get(values)
         if known is None or key < known[0]:
-            by_sig[values] = (key, nf, rows, flag)
+            by_sig[values] = (key, nf)
 
     if tag.label in ("0", "III'") and len(by_sig) != len(forms):
         raise AssertionError(
             f"normal forms of case {tag} are not signature-separated: "
             f"{len(forms)} forms, {len(by_sig)} signatures")
 
-    entries = []
-    for values, (key, nf, rows, flag) in by_sig.items():
-        if flag is None:
-            flag = nf.realize(QQ)
-        sig = Signature(fam, values)
-        dim = _annihilator_dimension(rows, nn, mm)
-        entries.append(CatalogEntry(nf, flag, sig, dim, is_closed_flag(flag, nn)))
-    entries.sort(key=lambda e: (e.dim, e.nf.serialize()))
-
-    return OrbitCatalog(tag, nn, mm, fam, tuple(entries))
+    ranked = sorted((_form_dimension(nf), key, values, nf)
+                    for values, (key, nf) in by_sig.items())
+    entries = tuple(CatalogEntry(nf, Signature(fam, values), dim)
+                    for dim, _, values, nf in ranked)
+    return OrbitCatalog(tag, nn, mm, fam, entries)
 
 
-def _signature_rows(nf: NormalForm) -> tuple[Sequence[Sequence[int]],
-                                              Flag | None]:
-    """Integer rows whose column prefixes span the flag of ``nf``, and the
-    rational flag when it had to be realized to get them.
+@lru_cache(maxsize=8)
+def _complement_family(fam: JFamily, primal_mm: Composition) -> JFamily:
+    """The pairs (l - s, J^c) of ``fam``'s entries, in their order, over the
+    primal type of a dual pattern; cached, as every candidate of a dual
+    build ranks against it."""
+    l, everything = len(fam.mm), range(1, fam.nn.n + 1)
+    return JFamily(fam.nn, primal_mm, tuple(
+        (l - s, tuple(i for i in everything if i not in J))
+        for s, J in fam.entries))
 
-    Every form but a dual pattern spans its flag with its own 0/1
-    ``rows``; a dual pattern is realized and each column's denominators
-    cleared.
+
+def _signature_values(nf: NormalForm, fam: JFamily,
+                      steps: dict | None = None) -> tuple[int, ...]:
+    """Signature values of the flag of ``nf``, ranked on its 0/1 ``rows``.
+
+    A dual pattern's flag has s-th subspace V^perp, V the span of the
+    first k = m'_1 + ... + m'_{l-s} columns of its rows (m' the primal
+    type; the columns are independent), and rank pi_J(V^perp) = |J| - k +
+    rank pi_{J^c}(V): ranks of the same rows on the complementary sets.
+    """
+    if not (isinstance(nf, NFPattern) and nf.dualize):
+        return rank_table(nf.rows, fam, steps)
+    cuts, l = nf.primal_mm.prefix_sums(), len(fam.mm)
+    cofam = _complement_family(fam, nf.primal_mm)
+    return tuple(len(J) - cuts[l - s] + r for (s, J), r in
+                 zip(fam.entries, rank_table(nf.rows, cofam, steps)))
+
+
+def _form_dimension(nf: NormalForm) -> int:
+    """Orbit dimension of the flag of ``nf``, from its 0/1 rows.
+
+    For a dual pattern, g -> w0 g^{-T} w0 (w0 the block reversal) maps B'
+    onto itself and the stabilizer of its flag onto that of the flag its
+    unreversed rows ``matrix01`` span in the primal type.
     """
     if isinstance(nf, NFPattern) and nf.dualize:
-        flag = nf.realize(QQ)
-        return _integer_rows(flag.rep), flag
-    return nf.rows, None
-
-
-def _integer_rows(rep: Matrix) -> list[list[int]]:
-    """Rows of ``rep`` after scaling each column by its denominators' lcm."""
-    scales = [math.lcm(*(x.denominator for x in col)) for col in rep.columns()]
-    return [[int(x * k) for x, k in zip(row, scales)] for row in rep.data]
+        return _annihilator_dimension(nf.matrix01, nf.nn, nf.primal_mm)
+    return _annihilator_dimension(nf.rows, nf.nn, nf.mm)
 
 
 def _bprime_coords(nn: Composition) -> list[tuple[int, int]]:
@@ -264,9 +289,11 @@ def orbit_dimension(f: Flag, nn: Composition) -> int:
 def is_closed_flag(f: Flag, nn: Composition) -> bool:
     """Closedness = being a fixed point of the block Borel.
 
-    A flag is fixed exactly when each of its subspaces is spanned by
-    standard basis vectors whose indices form a prefix of every row
-    block (torus-invariance forces coordinate spans, triangularity forces
+    Catalogs take closedness from the orbit dimension; this per-flag test
+    is the reference the tests check them against.  A flag is fixed
+    exactly when each of its subspaces is spanned by standard basis
+    vectors whose indices form a prefix of every row block
+    (torus-invariance forces coordinate spans, triangularity forces
     prefixes).
     """
     F = f.field

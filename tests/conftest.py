@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from flagorbits import Composition
 from flagorbits.flags import act, random_borel_prime
-from flagorbits.linalg import gf
+from flagorbits.linalg import Matrix, gf
 
 
 def compositions(n):
@@ -179,3 +179,27 @@ def borel_translates(d1, nn, q, count=10):
     the orbit of d1, so every transporter to them is nonempty."""
     rng = random.Random(q)
     return [act(random_borel_prime(nn, gf(q), rng), d1) for _ in range(count)]
+
+
+def parabolic_generators(spec, q):
+    """Generators over GF(q) of the parabolic ``M_perm P_shape M_perm^{-1}``
+    of a ``ParabolicSpec``: every admissible elementary matrix, after one
+    scaling of each coordinate by a primitive root when q > 2."""
+    fld = gf(q)
+    n = spec.shape.n
+    inv = [0] * n
+    for j, pj in enumerate(spec.perm):
+        inv[pj - 1] = j
+    gamma = next(g for g in range(1, q)
+                 if len({pow(g, k, q) for k in range(1, q)}) == q - 1)
+
+    def elementary(i, j, x):
+        m = [[int(a == c) for c in range(n)] for a in range(n)]
+        m[i][j] = x
+        return Matrix.from_rows(fld, m)
+
+    gens = [elementary(i, i, gamma) for i in range(n)] if q > 2 else []
+    gens += [elementary(i, j, 1) for i in range(n) for j in range(n)
+             if i != j and
+             spec.shape.block_of(inv[i]) <= spec.shape.block_of(inv[j])]
+    return gens

@@ -184,8 +184,8 @@ def test_criterion_7_parabolic_level_sets():
     import numpy as np
     from flagorbits.flags import ParabolicSpec
     from flagorbits.oracle import (canonicalize_batch, enumerate_flag_array,
-                                   orbit_partition_from_arrays,
-                                   parabolic_generators, _decode_flag)
+                                   orbit_partition_from_arrays, _decode_flag)
+    from conftest import parabolic_generators
     q = 2
     checked = 0
     for n in range(2, 5):

@@ -11,19 +11,21 @@ from flagorbits.flags import (Composition, Flag, act, dual,
                               permutation_matrix, standard_flag)
 from flagorbits.invariants import invariant_family, rank_table, signature
 from flagorbits.linalg import Matrix, QQ, gf
-from flagorbits.normalforms import (InfinitePairError, NFCase0, NFPattern,
-                                    NonInjectiveError, UnsupportedCaseError,
+from flagorbits.normalforms import (InfinitePairError, NFCase0, NFChain,
+                                    NFPattern, NonInjectiveError,
+                                    UnsupportedCaseError,
                                     _block_reversal_perm, case0_normal_forms,
                                     case3prime_normal_forms, classify_pair,
                                     has_catalog, pattern_candidates)
 from flagorbits.orbits import (DominanceDimensionError,
-                               _annihilator_dimension, _signature_rows,
+                               _annihilator_dimension, _signature_values,
                                catalog_to_text, count_multiplicity_free,
                                emit_dot, enumerate_orbits, enumeration_count,
                                hasse_candidate, is_closed_flag,
                                orbit_dimension)
 
 from conftest import compositions
+from test_invariants import _integer_rows
 
 
 def test_enumerate_small_grassmannian():
@@ -96,16 +98,6 @@ def test_is_closed_prefix_criterion():
     for vec in open_:
         f = Flag.from_matrix(mm, Matrix.from_columns(QQ, [list(vec)], mm.n))
         assert not is_closed_flag(f, nn)
-
-
-def test_closed_iff_dimension_zero_on_catalogs():
-    for nn_parts, mm_parts in [((2, 1), (1, 1, 1)), ((2, 2), (1, 3)),
-                               ((2, 2), (2, 2)), ((1, 1, 2), (2, 2)),
-                               ((2, 2), (1, 1, 2)), ((1, 3), (2, 1, 1))]:
-        cat = enumerate_orbits(Composition(nn_parts), Composition(mm_parts))
-        for e in cat.entries:
-            assert e.closed == (e.dim == 0), (nn_parts, mm_parts,
-                                              e.nf.serialize())
 
 
 def test_chain_forms_with_marks_are_not_closed():
@@ -229,15 +221,17 @@ def _forms(tag, nn, mm):
 
 
 def test_rank_table_matches_signature_on_every_candidate():
-    pairs = 0
+    pairs = duals = 0
     for tag, nn, mm in _catalog_pairs(5):
         pairs += 1
         fam = invariant_family(nn, mm)
+        steps = {}
         for nf in _forms(tag, nn, mm):
-            rows, _ = _signature_rows(nf)
-            assert rank_table(rows, fam) == \
+            if isinstance(nf, NFPattern) and nf.dualize:
+                duals += 1
+            assert _signature_values(nf, fam, steps) == \
                 signature(nf.realize(QQ), fam).values, (nn, mm, nf)
-    assert pairs == 131
+    assert pairs == 131 and duals > 0
 
 
 def _inverse(perm):
@@ -306,12 +300,17 @@ def test_realize_matches_permutation_matrix_reference():
     ((1, 5), (2, 2, 2)),    # III', swapped orientation
     ((2, 1, 2), (3, 2)),    # case I, row relabeling
     ((3, 2), (1, 1, 3)),    # I' with m2 = 1
+    ((2, 2, 2), (4, 2)),    # II, dual subcase (n-2, 2)
+    ((1, 1, 2), (3, 1)),    # III, dual subcase (n-1, 1)
+    ((2, 2, 2), (2, 4)),    # II, primal subcase
 ])
 def test_catalog_build_applies_no_group_element(monkeypatch, nn_parts,
                                                 mm_parts):
-    """Normal forms become flags through their own rows: a build calls
-    neither ``act`` nor ``Matrix.__mul__``, except inside the randomized
-    family-invariance probe, which moves random flags by B' on purpose."""
+    """A build ranks and dimensions every normal form on its own integer
+    rows: it calls neither ``act`` nor ``Matrix.__mul__``, and realizes,
+    dualizes and canonicalizes no flag, nor tests one for closedness,
+    except inside the randomized family-invariance probe, which moves
+    random flags by B' on purpose."""
     import flagorbits.flags as flags_mod
     import flagorbits.orbits as orbits_mod
 
@@ -323,12 +322,19 @@ def test_catalog_build_applies_no_group_element(monkeypatch, nn_parts,
             return fn(*args, **kwargs)
         return wrapped
 
-    act_fn = flags_mod.act
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("flagorbits") and \
-                getattr(mod, "act", None) is act_fn:
-            monkeypatch.setattr(mod, "act", counting("act", act_fn))
+    for attr in ("act", "dual"):
+        fn = getattr(flags_mod, attr)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("flagorbits") and \
+                    getattr(mod, attr, None) is fn:
+                monkeypatch.setattr(mod, attr, counting(attr, fn))
     monkeypatch.setattr(Matrix, "__mul__", counting("mul", Matrix.__mul__))
+    monkeypatch.setattr(Flag, "from_matrix", staticmethod(
+        counting("from_matrix", Flag.from_matrix)))
+    for cls in (NFCase0, NFChain, NFPattern):
+        monkeypatch.setattr(cls, "realize", counting("realize", cls.realize))
+    monkeypatch.setattr(orbits_mod, "is_closed_flag", counting(
+        "is_closed_flag", orbits_mod.is_closed_flag))
     verify = orbits_mod.verify_family_invariance
 
     def probe(*args, **kwargs):
@@ -346,24 +352,6 @@ def test_catalog_build_applies_no_group_element(monkeypatch, nn_parts,
     assert ("act", True) in calls and ("mul", True) in calls
 
 
-def test_catalog_realizes_only_kept_patterns(monkeypatch):
-    calls = []
-    realize = NFPattern.realize
-
-    def counting_realize(self, fld=QQ):
-        calls.append(self)
-        return realize(self, fld)
-
-    monkeypatch.setattr(NFPattern, "realize", counting_realize)
-    enumerate_orbits.cache_clear()
-    try:
-        cat = enumerate_orbits(Composition.of(2, 2, 2), Composition.of(2, 4))
-    finally:
-        enumerate_orbits.cache_clear()
-    assert len(cat.entries) == 172
-    assert len(calls) == 172
-
-
 def test_catalog_dimensions_match_orbit_dimension():
     pairs = entries = 0
     for _, nn, mm in _catalog_pairs(5):
@@ -371,8 +359,9 @@ def test_catalog_dimensions_match_orbit_dimension():
         for e in enumerate_orbits(nn, mm).entries:
             entries += 1
             assert e.dim == orbit_dimension(e.flag, nn), (nn, mm, e.nf)
-            rows, _ = _signature_rows(e.nf)
-            assert _annihilator_dimension(rows, nn, mm) == e.dim
+            assert _annihilator_dimension(_integer_rows(e.flag.rep), nn,
+                                          mm) == e.dim
+            assert is_closed_flag(e.flag, nn) == (e.dim == 0), (nn, mm, e.nf)
     assert pairs == 131 and entries == 6427
 
 
@@ -405,8 +394,7 @@ def test_catalog_dimensions_need_no_completion_or_inverse(monkeypatch):
     fam = invariant_family(nn, mm)
     steps = {}
     for nf in pattern_candidates(classify_pair(nn, mm), nn, mm):
-        rows, _ = _signature_rows(nf)
-        assert rank_table(rows, fam, steps) == rank_table(rows, fam)
+        assert rank_table(nf.rows, fam, steps) == rank_table(nf.rows, fam)
     assert steps
 
 
