@@ -100,6 +100,19 @@ def test_is_closed_prefix_criterion():
         assert not is_closed_flag(f, nn)
 
 
+def test_closed_iff_dimension_zero_on_catalogs():
+    for nn_parts, mm_parts in [((2, 1), (1, 1, 1)), ((2, 2), (1, 3)),
+                               ((2, 2), (2, 2)), ((1, 1, 2), (2, 2)),
+                               ((2, 2), (1, 1, 2)), ((1, 3), (2, 1, 1))]:
+        nn = Composition(nn_parts)
+        cat = enumerate_orbits(nn, Composition(mm_parts))
+        for e in cat.entries:
+            closed = is_closed_flag(e.flag, nn)
+            assert closed == (e.dim == 0), (nn_parts, mm_parts,
+                                            e.nf.serialize())
+            assert e.closed == closed
+
+
 def test_chain_forms_with_marks_are_not_closed():
     cat = enumerate_orbits(Composition.of(2, 1), Composition.of(1, 1, 1))
     for e in cat.entries:
