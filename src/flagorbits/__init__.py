@@ -5,16 +5,16 @@ from .flags import (Composition, Flag, ParabolicSpec, act, dual,
                     flag_from_permutation, flags_equal, parse_flag_literal,
                     project, qfamily, subcomposition_witness)
 from .invariants import (JFamily, Signature, bruhat_rij, bruhat_vector,
-                         dominates, invariant_family, rank_js, signature)
+                         invariant_family, rank_js, signature)
 from .normalforms import (CaseTag, CatalogLookupError, InfinitePairError,
                           NonInjectiveError, UnsupportedCaseError,
                           WitnessPair, classify_pair, counterexample_pair,
                           decode_signature_case0, reduce_by_catalog,
                           reduce_case0, reduce_case3prime, reduce_flag,
                           triangular_reduce)
-from .orbits import (HasseDiagram, OrbitCatalog, catalog_to_text,
-                     count_multiplicity_free, emit_dot, enumerate_orbits,
-                     hasse_candidate, orbit_dimension)
+from .orbits import (OrbitCatalog, catalog_to_text, count_multiplicity_free,
+                     emit_dot, enumerate_orbits, hasse_candidate,
+                     orbit_dimension)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

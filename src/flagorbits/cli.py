@@ -89,11 +89,11 @@ def cmd_count(args) -> int:
 
 def cmd_hasse(args) -> int:
     cat = enumerate_orbits(_comp(args.nn), _comp(args.mm))
-    h = hasse_candidate(cat)
+    covers = hasse_candidate(cat)
     if args.dot:
-        sys.stdout.write(emit_dot(h, cat))
+        sys.stdout.write(emit_dot(covers, cat))
     else:
-        for a, b in h.edges:
+        for a, b in covers:
             print(f"{a} < {b}")
     return EXIT_OK
 

@@ -155,31 +155,22 @@ def _echelon_extend(basis, row):
     return tuple(sorted(basis + ((lead, tuple(x // g for x in v)),)))
 
 
-def dominates(a: Signature, b: Signature) -> bool:
-    """True when every entry of ``a`` is at most the matching entry of ``b``.
-
-    By lower semicontinuity of rank this is necessary for the orbit of
-    ``a`` to lie in the closure of the orbit of ``b``.
-    """
-    if a.family.entries != b.family.entries:
-        raise ValueError("signatures over different families")
-    return all(x <= y for x, y in zip(a.values, b.values))
+INVARIANCE_TRIALS = 4
 
 
-def verify_family_invariance(fam: JFamily, trials: int = 8,
-                             seed: int | None = None) -> None:
+def verify_family_invariance(fam: JFamily) -> None:
     """Randomized guard: every family entry must be constant on B'-orbits.
 
-    Probes random flags and random B' elements over GF(3); raises
-    ``AssertionError`` on any violation.  Cheap enough to run at the start
-    of every catalog enumeration.
+    Probes ``INVARIANCE_TRIALS`` random flags and random B' elements over
+    GF(3), seeded by the pair, so a pair always gets the same probes;
+    raises ``AssertionError`` on any violation.  Cheap enough to run at
+    the start of every catalog enumeration.
     """
     from .flags import random_flag  # local import to avoid cycle noise
 
-    rng = random.Random(seed if seed is not None
-                        else hash((fam.nn.parts, fam.mm.parts)) & 0xFFFF)
+    rng = random.Random(hash((fam.nn.parts, fam.mm.parts)) & 0xFFFF)
     F = gf(3)
-    for _ in range(trials):
+    for _ in range(INVARIANCE_TRIALS):
         f = random_flag(fam.mm, F, rng)
         g = random_borel_prime(fam.nn, F, rng)
         moved = act(g, f)

@@ -258,13 +258,6 @@ def enumerate_flag_array(n: int, mm: Composition, q: int,
     return out
 
 
-def enumerate_flags(n: int, mm: Composition, q: int,
-                    budget: int = DEFAULT_BUDGET) -> list[Flag]:
-    """Materialized flag list (small inputs); one canonical flag per point."""
-    arr = enumerate_flag_array(n, mm, q, budget)
-    return [_decode_flag(arr[i], mm, q) for i in range(arr.shape[0])]
-
-
 def _decode_flag(mat: np.ndarray, mm: Composition, q: int) -> Flag:
     fld = gf(q)
     rows = [[int(x) for x in row] for row in mat]
@@ -348,12 +341,6 @@ class OrbitPartition:
     def representative(self, cid: int) -> Flag:
         return _decode_flag(self.reps[self.first_index[cid]], self.mm, self.q)
 
-    def classes(self) -> list[list[Flag]]:
-        out: list[list[Flag]] = [[] for _ in range(self.class_count)]
-        for i in range(self.size):
-            out[self.labels[i]].append(_decode_flag(self.reps[i], self.mm, self.q))
-        return out
-
 
 def _generator_image(part: OrbitPartition, G: np.ndarray,
                      boundaries: Sequence[int]) -> np.ndarray:
@@ -422,22 +409,6 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
     part.labels = _component_labels(
         part.size, (_generator_image(part, G, boundaries) for G in gen_mats))
     return part
-
-
-def orbit_partition(flags: Iterable[Flag], gens: Iterable[Matrix],
-                    nn: Composition) -> OrbitPartition:
-    """Partition a list of canonical flags under the generated left action."""
-    flags = list(flags)
-    if not flags:
-        raise ValueError("empty flag list")
-    mm = flags[0].typ
-    fld = flags[0].field
-    q = fld.p  # type: ignore[attr-defined]
-    reps = np.array([[[int(x) for x in row] for row in f.rep.data]
-                     for f in flags], dtype=_storage_dtype(q))
-    reps = reps.reshape(len(flags), flags[0].n, -1)
-    gen_mats = [np.array(g.data, dtype=np.int64) for g in gens]
-    return orbit_partition_from_arrays(reps, gen_mats, nn, mm, q)
 
 
 def oracle_partition(nn: Composition, mm: Composition, q: int,

@@ -11,7 +11,10 @@ is the dimension.  Closed orbits are the fixed points: dimension 0.
 The candidate partial order is entry-wise signature dominance, which rank
 semicontinuity makes a necessary condition for closure; its transitive
 reduction is emitted as a DOT digraph but never claimed to be the closure
-order itself.
+order itself.  Its covers come from bitsets over the entries: ANDing, over
+the signature coordinates, the set of entries whose value there is at
+least an entry's own gives the entries that dominate it, and its covers
+are the minimal ones among those.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .flags import (Composition, Flag, complete_to_invertible)
-from .invariants import (JFamily, Signature, dominates, invariant_family,
-                         rank_table, verify_family_invariance)
+from .invariants import (JFamily, Signature, invariant_family, rank_table,
+                         verify_family_invariance)
 from .linalg import QQ, integer_kernel, integer_rank
 from .normalforms import (CaseTag, InfinitePairError, NFPattern,
                           NonInjectiveError, NormalForm, UnsupportedCaseError,
@@ -65,12 +68,6 @@ class OrbitCatalog:
         return {e.sig.values: e for e in self.entries}
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
-    nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]   # (lower, upper) cover pairs
-
-
 @lru_cache(maxsize=None)
 def enumerate_orbits(nn: Composition, mm: Composition) -> OrbitCatalog:
     """Orbit catalog of the pair, sorted by (dimension, normal form).
@@ -98,7 +95,7 @@ def enumerate_orbits(nn: Composition, mm: Composition) -> OrbitCatalog:
             "classification; enumeration unavailable")
 
     fam = invariant_family(nn, mm)
-    verify_family_invariance(fam, trials=4)
+    verify_family_invariance(fam)
 
     if tag.label == "0":
         forms = case0_normal_forms(nn, mm)
@@ -326,39 +323,54 @@ class DominanceDimensionError(RuntimeError):
     """A dominance cover fails to increase the orbit dimension."""
 
 
-def hasse_candidate(cat: OrbitCatalog) -> HasseDiagram:
-    """Transitive reduction of signature dominance over the catalog.
+def hasse_candidate(cat: OrbitCatalog) -> tuple[tuple[int, int], ...]:
+    """Sorted (lower, upper) covers of signature dominance over the catalog.
+
+    ``up[a]`` is the bitset of entries whose every signature value is at
+    least a's, a included: the AND over coordinates k of the bitset of
+    entries whose k-th value is at least a's.  The covers of a are the
+    minimal entries of ``up[a]`` minus a (Aho, Garey and Ullman, SIAM J.
+    Comput. 1(2), 1972).  Bits are numbered by signature sum, which
+    strictly increases along dominance, so the lowest bit left is always
+    minimal: take it as a cover, clear its ``up``, repeat.  Index order
+    and ``dim`` play no part.  This needs catalog signatures to be
+    pairwise distinct, so that dominance is a partial order;
+    ``enumerate_orbits`` keeps one entry per signature.
 
     Guard: every cover must strictly increase the orbit dimension (a
     consequence of closures being unions of smaller orbits); violations
     are reported, never repaired.
     """
-    n = len(cat.entries)
-    sigs = [e.sig for e in cat.entries]
-    less: list[set[int]] = [set() for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a != b and sigs[a].values != sigs[b].values \
-                    and dominates(sigs[a], sigs[b]):
-                less[a].add(b)
+    sigs = [e.sig.values for e in cat.entries]
+    order = sorted(range(len(sigs)), key=lambda i: sum(sigs[i]))
+    up = [(1 << len(sigs)) - 1] * len(sigs)
+    for column in zip(*sigs):
+        at_least = {v: int("".join("01"[column[i] >= v]
+                                   for i in reversed(order)), 2)
+                    for v in set(column)}
+        for a, v in enumerate(column):
+            up[a] &= at_least[v]
     edges = []
-    for a in range(n):
-        for b in less[a]:
-            if not any(b in less[c] for c in less[a] if c != b):
-                edges.append((a, b))
+    for pos, a in enumerate(order):
+        rest = up[a] & ~(1 << pos)
+        while rest:
+            b = order[(rest & -rest).bit_length() - 1]
+            edges.append((a, b))
+            rest &= ~up[b]
+    edges.sort()
     offenders = [(a, b) for a, b in edges
                  if cat.entries[a].dim >= cat.entries[b].dim]
     if offenders:
         raise DominanceDimensionError(
             f"covers without dimension increase: {offenders}")
-    return HasseDiagram(tuple(range(n)), tuple(sorted(edges)))
+    return tuple(edges)
 
 
-def emit_dot(h: HasseDiagram, cat: OrbitCatalog) -> str:
-    """Deterministic DOT digraph, ranked by orbit dimension.
+def emit_dot(covers: Sequence[tuple[int, int]], cat: OrbitCatalog) -> str:
+    """Deterministic DOT digraph of the catalog, ranked by orbit dimension.
 
-    The edge set is the dominance transitive reduction; whether it equals
-    the true closure order is not certified here.
+    ``covers`` is the dominance transitive reduction ``hasse_candidate``
+    returns; whether it equals the true closure order is not certified.
     """
     lines = [
         "// orbit poset candidate: signature-dominance transitive reduction",
@@ -368,15 +380,15 @@ def emit_dot(h: HasseDiagram, cat: OrbitCatalog) -> str:
         "  node [shape=box];",
     ]
     by_dim: dict[int, list[int]] = {}
-    for i in h.nodes:
-        by_dim.setdefault(cat.entries[i].dim, []).append(i)
+    for i, e in enumerate(cat.entries):
+        by_dim.setdefault(e.dim, []).append(i)
     for d in sorted(by_dim):
         ids = " ".join(f"n{i};" for i in sorted(by_dim[d]))
         lines.append(f"  {{ rank=same; {ids} }}")
-    for i in h.nodes:
-        label = cat.entries[i].nf.serialize().replace('"', r'\"')
-        lines.append(f'  n{i} [label="dim={cat.entries[i].dim} {label}"];')
-    for a, b in h.edges:
+    for i, e in enumerate(cat.entries):
+        label = e.nf.serialize().replace('"', r'\"')
+        lines.append(f'  n{i} [label="dim={e.dim} {label}"];')
+    for a, b in covers:
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -393,6 +405,6 @@ def catalog_to_text(cat: OrbitCatalog) -> str:
     for i, e in enumerate(cat.entries):
         lines.append(f"entry {i} dim={e.dim} closed={int(e.closed)} "
                      f"sig={e.sig.hash()} nf={e.nf.serialize()}")
-    for a, b in hasse_candidate(cat).edges:
+    for a, b in hasse_candidate(cat):
         lines.append(f"cover {a} {b}")
     return "\n".join(lines) + "\n"

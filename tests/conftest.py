@@ -63,6 +63,27 @@ def _gcd(a, b):
     return a
 
 
+def dominates(a, b):
+    """True when every value of signature ``a`` is at most the matching
+    value of ``b``: by lower semicontinuity of rank, necessary for the orbit
+    of ``a`` to lie in the closure of the orbit of ``b``."""
+    if a.family.entries != b.family.entries:
+        raise ValueError("signatures over different families")
+    return all(x <= y for x, y in zip(a.values, b.values))
+
+
+def pairwise_covers(cat):
+    """Sorted (lower, upper) covers of signature dominance over a catalog,
+    by comparing every ordered pair of entries with ``dominates``."""
+    n = len(cat.entries)
+    sigs = [e.sig for e in cat.entries]
+    above = [{b for b in range(n)
+              if b != a and sigs[a].values != sigs[b].values
+              and dominates(sigs[a], sigs[b])} for a in range(n)]
+    return tuple(sorted((a, b) for a in range(n) for b in above[a]
+                        if not any(b in above[c] for c in above[a] if c != b)))
+
+
 def gf2_minor_rank(rows):
     """Rank over GF(2) by exhaustive minor expansion (tiny matrices only)."""
     nrows, ncols = len(rows), len(rows[0]) if rows else 0

@@ -58,7 +58,7 @@ def test_criterion_1_figure_one_reproduction():
     mapping = _match_figure(cat, FIGURE1_NODES)
     expected = {tuple(sorted((mapping[a], mapping[b])))
                 for a, b in FIGURE1_EDGES}
-    got = {tuple(sorted(e)) for e in hasse_candidate(cat).edges}
+    got = {tuple(sorted(e)) for e in hasse_candidate(cat)}
     assert got == expected and len(got) == 23
     elapsed = time.time() - t0
     assert elapsed < 1.0
@@ -77,7 +77,7 @@ def test_criterion_2_figure_two_reproduction():
     mapping = _match_figure(cat, nodes)
     expected = {tuple(sorted((mapping[a], mapping[b])))
                 for a, b in FIGURE2_EDGES}
-    got = {tuple(sorted(e)) for e in hasse_candidate(cat).edges}
+    got = {tuple(sorted(e)) for e in hasse_candidate(cat)}
     assert got == expected and len(got) == 10
     elapsed = time.time() - t0
     assert elapsed < 1.0

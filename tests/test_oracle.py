@@ -15,14 +15,13 @@ from flagorbits.linalg import Matrix, gf
 from flagorbits.normalforms import (counterexample_pair, transporter_empty,
                                     witness_pair_over)
 from flagorbits.oracle import (CHUNK, BudgetExceededError,
-                               _component_labels, _generator_image,
-                               _signature_vectors, _work_dtype, borel_order,
-                               canonicalize_batch, cross_validate,
-                               enumerate_flag_array, enumerate_flags,
+                               _component_labels, _decode_flag,
+                               _generator_image, _signature_vectors,
+                               _work_dtype, borel_order, canonicalize_batch,
+                               cross_validate, enumerate_flag_array,
                                flag_count, gaussian_binomial,
                                group_generators, oracle_partition,
-                               orbit_partition, rank_batch,
-                               validate_witnesses)
+                               rank_batch, validate_witnesses)
 from flagorbits.orbits import enumerate_orbits
 
 from conftest import borel_translates, compositions
@@ -40,7 +39,8 @@ def test_enumerate_flags_counts_and_uniqueness():
     for n, mm_parts, q in [(3, (1, 1, 1), 2), (2, (1, 1), 2),
                            (4, (1, 3), 2), (3, (1, 2), 3)]:
         mm = Composition(mm_parts)
-        flags = enumerate_flags(n, mm, q)
+        arr = enumerate_flag_array(n, mm, q)
+        flags = [_decode_flag(mat, mm, q) for mat in arr]
         assert len(flags) == flag_count(n, mm, q)
         assert len({f.rep.data for f in flags}) == len(flags)
         # enumerated representatives are already canonical
@@ -151,14 +151,21 @@ def test_orbit_partition_trivial_group():
     assert part.class_count == part.size == 3
 
 
-def test_orbit_partition_from_flag_list():
+def _classes(part):
+    """The flags of each class of ``part``, decoded, in enumeration order."""
+    out = [[] for _ in range(part.class_count)]
+    for mat, cid in zip(part.reps, part.labels):
+        out[cid].append(_decode_flag(mat, part.mm, part.q))
+    return out
+
+
+def test_orbit_partition_classes_closed_under_generators():
     nn = Composition.of(2, 1)
     mm = Composition.of(1, 1, 1)
-    flags = enumerate_flags(3, mm, 2)
-    part = orbit_partition(flags, group_generators(nn, 2), nn)
+    part = oracle_partition(nn, mm, 2)
     assert part.class_count == 13
     assert sum(part.class_sizes()) == 21
-    for cls in part.classes():
+    for cls in _classes(part):
         rep = cls[0]
         for g in group_generators(nn, 2):
             assert part.class_of_flag(act(g, rep)) == \
@@ -173,7 +180,7 @@ def test_signatures_constant_on_classes_exhaustive_small():
         part = oracle_partition(nn, mm, 2)
         fam = invariant_family(nn, mm)
         by_class = {}
-        for cls in part.classes():
+        for cls in _classes(part):
             vals = {signature(f, fam).values for f in cls}
             assert len(vals) == 1
             cid = part.class_of_flag(cls[0])

@@ -24,7 +24,7 @@ from flagorbits.orbits import (DominanceDimensionError,
                                hasse_candidate, is_closed_flag,
                                orbit_dimension)
 
-from conftest import compositions
+from conftest import compositions, dominates, pairwise_covers
 from test_invariants import _integer_rows
 
 
@@ -122,8 +122,7 @@ def test_chain_forms_with_marks_are_not_closed():
 
 def test_hasse_single_orbit_no_edges():
     cat = enumerate_orbits(Composition.of(1, 1), Composition.of(2,))
-    h = hasse_candidate(cat)
-    assert h.edges == ()
+    assert hasse_candidate(cat) == ()
     assert len(cat.entries) == 1
 
 
@@ -131,21 +130,20 @@ def test_hasse_covers_increase_dimension():
     for nn_parts, mm_parts in [((2, 1), (1, 1, 1)), ((2, 2), (1, 3)),
                                ((2, 2), (2, 2))]:
         cat = enumerate_orbits(Composition(nn_parts), Composition(mm_parts))
-        h = hasse_candidate(cat)
-        for a, b in h.edges:
+        for a, b in hasse_candidate(cat):
             assert cat.entries[a].dim < cat.entries[b].dim
 
 
 def test_emit_dot_structure():
     cat = enumerate_orbits(Composition.of(2, 1), Composition.of(1, 1, 1))
-    h = hasse_candidate(cat)
-    text = emit_dot(h, cat)
+    covers = hasse_candidate(cat)
+    text = emit_dot(covers, cat)
     assert text.count("->") == 23
     assert len(re.findall(r'n\d+ \[label=', text)) == 13
     # four dimension ranks
     assert text.count("rank=same") == 4
     _check_dot_syntax(text)
-    assert emit_dot(h, cat) == text  # byte-stable
+    assert emit_dot(covers, cat) == text  # byte-stable
 
 
 def _check_dot_syntax(text):
@@ -194,7 +192,6 @@ def test_open_orbit_unique_and_dominant():
         top_dim = max(e.dim for e in cat.entries)
         tops = [e for e in cat.entries if e.dim == top_dim]
         assert len(tops) == 1
-        from flagorbits.invariants import dominates
         assert all(dominates(e.sig, tops[0].sig) for e in cat.entries)
 
 
@@ -203,6 +200,23 @@ def test_catalog_built_once_per_pair():
     assert enumerate_orbits(nn, mm) is enumerate_orbits(nn, mm)
     assert enumerate_orbits(Composition.of(2, 1), Composition.of(1, 1, 1)) \
         is enumerate_orbits(nn, mm)
+
+
+def test_hasse_matches_pairwise_reference():
+    pairs = covers = 0
+    for _, nn, mm in _catalog_pairs(5):
+        cat = enumerate_orbits(nn, mm)
+        got = hasse_candidate(cat)
+        assert got == pairwise_covers(cat), (nn, mm)
+        pairs += 1
+        covers += len(got)
+    assert pairs == 131 and covers == 20909
+
+
+def test_hasse_cover_count_on_largest_hook_pair():
+    cat = enumerate_orbits(Composition.of(1, 5), Composition((1,) * 6))
+    assert len(cat.entries) == 4051
+    assert len(hasse_candidate(cat)) == 26602
 
 
 def test_dominance_dimension_guard():
