@@ -39,7 +39,12 @@ class Composition:
 
     @staticmethod
     def parse(text: str) -> "Composition":
-        return Composition(tuple(int(t) for t in text.replace(",", " ").split()))
+        """Parts separated by commas or whitespace; an empty comma field
+        (``2,,1``, ``2,``, ``,2``) raises ``ValueError``."""
+        fields = text.split(",")
+        if len(fields) > 1 and not all(f.strip() for f in fields):
+            raise ValueError(f"empty part in composition {text!r}")
+        return Composition(tuple(int(t) for f in fields for t in f.split()))
 
     @property
     def n(self) -> int:

@@ -16,6 +16,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .flags import Composition, Flag, invariant_row_sets, random_borel_prime, act
@@ -30,11 +31,23 @@ class JFamily:
     mm: Composition
     entries: tuple[tuple[int, tuple[int, ...]], ...]  # (s, rows J), sorted
 
-    def __len__(self):
-        return len(self.entries)
-
     def index(self):
         return {e: i for i, e in enumerate(self.entries)}
+
+    @cached_property
+    def rank_plan(self):
+        """``rank_table``'s order of work, built once per family."""
+        slots, extend = {(): 0}, []
+
+        def slot(J):
+            if J not in slots:
+                extend.append((slot(J[1:]), J[0] - 1))
+                slots[J] = len(extend)
+            return slots[J]
+
+        cuts = self.mm.prefix_sums()
+        entries = tuple((slot(J), cuts[s]) for s, J in self.entries)
+        return tuple(extend), entries
 
 
 @dataclass(frozen=True)
@@ -107,36 +120,34 @@ def rank_table(rows: Sequence[Sequence[int]], fam: JFamily,
     spans, so neither another basis nor a nonzero scaling of a column
     changes it.
 
-    Row sets are handled in one exact pass without ``Fraction``s.  The
-    echelon basis of J is the memoized basis of J minus its first row,
-    extended by that row through integer cross-multiplication; J minus
-    its first row is again a union of per-block suffixes.  Each basis row
-    is divided by its content and has its pivot at its first nonzero
-    column, all pivots distinct, so the rank of the first c columns of
-    the J rows is the number of pivots left of c.
+    ``fam.rank_plan`` lists every row set J as (slot of J[1:], index of
+    the row J[0]), each after its J[1:], slot 0 being the empty set, then
+    one (slot of J, m_1 + ... + m_s) per entry.  J's echelon basis is that
+    of J[1:] extended by the row J[0] through integer cross-multiplication,
+    with no ``Fraction``.  Basis rows are divided by their content and
+    pivot at their first nonzero column, so the rank of the first c columns
+    of the J rows is the number of pivots left of c.  Each basis is kept as
+    (id, basis, that count for every c): an entry's value is one lookup.
 
-    ``steps`` memoizes ``_echelon_extend`` on its (basis, row) arguments.
-    The step is a pure function, so one dict may be shared by every call
-    of a catalog build, whose candidates repeat the same few steps.
+    ``steps`` maps (basis id, row) to the extended basis.  The step is a
+    pure function, so one dict may be shared by every call of a catalog
+    build, for the primal and the complement family alike.
     """
-    cuts = fam.mm.prefix_sums()
+    extend, entries = fam.rank_plan
     rows = [tuple(r) for r in rows]
     steps = {} if steps is None else steps
-    bases: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]] = {
-        (): ()}
-
-    def basis(J: tuple[int, ...]):
-        known = bases.get(J)
+    bases = [(0, (), (0,) * (len(rows[0]) + 1))]
+    for slot, i in extend:
+        parent, row = bases[slot], rows[i]
+        known = steps.get((parent[0], row))
         if known is None:
-            step = (basis(J[1:]), rows[J[0] - 1])
-            known = steps.get(step)
-            if known is None:
-                known = steps[step] = _echelon_extend(*step)
-            bases[J] = known
-        return known
-
-    return tuple(sum(1 for pivot, _ in basis(J) if pivot < cuts[s])
-                 for s, J in fam.entries)
+            basis = _echelon_extend(parent[1], row)
+            ranks = tuple(sum(p < c for p, _ in basis)
+                          for c in range(len(row) + 1))
+            known = steps[parent[0], row] = parent if basis is parent[1] \
+                else (len(steps) + 1, basis, ranks)
+        bases.append(known)
+    return tuple(bases[slot][2][cut] for slot, cut in entries)
 
 
 def _echelon_extend(basis, row):

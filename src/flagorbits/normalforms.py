@@ -328,6 +328,11 @@ class NFChain:
     realize = _realize
 
 
+def _column_terms(col: Sequence[int]) -> str:
+    """A 0/1 column as it serializes: the sum of its rows' unknowns."""
+    return "+".join(f"x{i + 1}" for i, x in enumerate(col) if x) or "0"
+
+
 @dataclass(frozen=True)
 class NFPattern:
     """Catalog entry for the signature-lookup cases: a 0/1 representative on
@@ -345,12 +350,7 @@ class NFPattern:
     dualize: bool = False
 
     def serialize(self) -> str:
-        cols = []
-        ncols = len(self.matrix01[0]) if self.matrix01 else 0
-        for j in range(ncols):
-            terms = [f"x{i + 1}" for i in range(len(self.matrix01))
-                     if self.matrix01[i][j]]
-            cols.append("+".join(terms) if terms else "0")
+        cols = [_column_terms(col) for col in zip(*self.matrix01)]
         extra = ""
         if self.row_perm:
             extra = " perm=[" + ",".join(map(str, self.row_perm)) + "]"
@@ -744,36 +744,27 @@ def pattern_candidates(tag: CaseTag, nn: Composition,
     """Over-generate 0/1 representatives for the signature-lookup cases.
 
     The lists cover every orbit (they include all shapes of the case's
-    classification); redundancy is harmless because the caller collapses
-    equal signatures.
+    classification); the caller keeps the smallest ``serialize()`` per
+    signature.  Case II lists each plane {u, v} once, in the orientation
+    that serializes smaller: (u, v) and (v, u) span the same plane (and
+    V^perp), so they share a signature and the other is never kept.
     """
     n = nn.n
     if tag.label == "III":
         primal_mm = Composition.of(1, n - 1)
         dualize = tag.subcase == "(n-1,1)" and n > 2
-        cands = []
-        for bits in _bit_vectors(n):
-            if not any(bits):
-                continue
-            cands.append(NFPattern("III", tag.subcase, nn, mm, primal_mm,
-                                   tuple((b,) for b in bits),
-                                   dualize=dualize))
-        return cands
+        return [NFPattern("III", tag.subcase, nn, mm, primal_mm,
+                          tuple((b,) for b in bits), dualize=dualize)
+                for bits in _bit_vectors(n) if any(bits)]
 
     if tag.label == "II":
         primal_mm = Composition.of(2, n - 2)
         dualize = tag.subcase == "(n-2,2)"
-        cands = []
-        for u in _bit_vectors(n):
-            if not any(u):
-                continue
-            for v in _bit_vectors(n):
-                if not any(v) or u == v:
-                    continue
-                rowsm = tuple((a, b) for a, b in zip(u, v))
-                cands.append(NFPattern("II", tag.subcase, nn, mm, primal_mm,
-                                       rowsm, dualize=dualize))
-        return cands
+        terms = {u: _column_terms(u) for u in _bit_vectors(n) if any(u)}
+        return [NFPattern("II", tag.subcase, nn, mm, primal_mm,
+                          tuple(zip(u, v)), dualize=dualize)
+                for u, tu in terms.items() for v, tv in terms.items()
+                if f"{tu};{tv}" < f"{tv};{tu}"]
 
     if tag.label == "I":
         rho, canon_nn = _case1_row_perm(nn)

@@ -89,6 +89,18 @@ def _assert_one_line_error(code, out, err):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("nn", ["2,,1", "2,", ",2"])
+def test_empty_composition_field_is_usage_error(nn):
+    _assert_one_line_error(*run_cli(["enumerate", "--nn", nn, "--mm", "3"]))
+
+
+def test_composition_separators():
+    expected = run_cli(["enumerate", "--nn", "2,1", "--mm", "1,2"])
+    assert expected[0] == 0
+    for nn in ["2, 1", "2 1"]:
+        assert run_cli(["enumerate", "--nn", nn, "--mm", "1,2"]) == expected
+
+
 @pytest.mark.parametrize("verb", FLAG_VERBS)
 @pytest.mark.parametrize("text", [
     "", "\n  \n", "m: 1,1,1 of n=3\n3 2 Q\n1 0\n1/0 1\n1 0\n"])

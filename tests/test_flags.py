@@ -265,6 +265,16 @@ def test_flag_literal_round_trip():
     assert g.field == gf(2)
 
 
+def test_composition_parse_rejects_empty_fields():
+    for text in ["2,1", "2, 1", "2 1"]:
+        assert Composition.parse(text) == Composition.of(2, 1)
+    for text in ["2,,1", "2,", ",2"]:
+        with pytest.raises(ValueError):
+            Composition.parse(text)
+    with pytest.raises(ValueError):
+        parse_flag_literal("m: 1,,2 of n=3\n3 1 Q\n1\n0\n1")
+
+
 def test_flag_literal_errors_are_value_errors():
     for text in ["", "  \n\n", "m: 1,2 of n=3\n3 1 Q\n1/0\n1\n0\n"]:
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -261,6 +263,41 @@ def test_rank_table_matches_signature_on_every_candidate():
     assert pairs == 131 and duals > 0
 
 
+def _both_orientations(tag, nn, mm):
+    """Case II candidates with every ordered pair (u, v) of distinct
+    nonzero 0/1 columns, each plane in both orientations."""
+    n = nn.n
+    vecs = [u for u in itertools.product((0, 1), repeat=n) if any(u)]
+    return [NFPattern("II", tag.subcase, nn, mm, Composition.of(2, n - 2),
+                      tuple(zip(u, v)), dualize=tag.subcase == "(n-2,2)")
+            for u in vecs for v in vecs if u != v]
+
+
+def test_one_orientation_per_plane_changes_no_catalog():
+    # three row blocks of at least two rows: no case II pair has n < 6
+    pairs = [(tag, nn, mm) for tag, nn, mm in _catalog_pairs(6)
+             if tag.label == "II"]
+    assert [(nn.parts, mm.parts) for _, nn, mm in pairs] == [
+        ((2, 2, 2), (2, 4)), ((2, 2, 2), (4, 2))]
+    for tag, nn, mm in pairs:
+        fam = invariant_family(nn, mm)
+        kept = {}
+        for nf in _both_orientations(tag, nn, mm):
+            values, key = _signature_values(nf, fam), nf.serialize()
+            if values not in kept or key < kept[values][0]:
+                kept[values] = (key, nf)
+        expected = sorted((orbit_dimension(nf.realize(QQ), nn), key, values)
+                          for values, (key, nf) in kept.items())
+        assert [(e.dim, e.nf.serialize(), e.sig.values)
+                for e in enumerate_orbits(nn, mm).entries] == expected, \
+            (nn, mm)
+        planes = Counter(frozenset(zip(*nf.matrix01))
+                         for nf in pattern_candidates(tag, nn, mm))
+        assert set(planes.values()) == {1}
+        nonzero = 2 ** nn.n - 1
+        assert len(planes) == nonzero * (nonzero - 1) // 2, (nn, mm)
+
+
 def _inverse(perm):
     inv = [0] * len(perm)
     for j, pj in enumerate(perm):
@@ -377,6 +414,17 @@ def test_catalog_build_applies_no_group_element(monkeypatch, nn_parts,
     assert cat.entries
     assert [name for name, in_probe in calls if not in_probe] == []
     assert ("act", True) in calls and ("mul", True) in calls
+
+    # a dual build ranks on the complement family; one memo shared with
+    # the primal family gives the values of fresh memos and of the flag
+    fam, steps = cat.family, {}
+    for nf in _forms(cat.case, cat.nn, cat.mm):
+        if isinstance(nf, NFPattern) and nf.dualize:
+            f = nf.realize(QQ)
+            expected = signature(f, fam).values
+            assert rank_table(_integer_rows(f.rep), fam, steps) == expected
+            assert _signature_values(nf, fam, steps) == expected, nf
+            assert _signature_values(nf, fam) == expected, nf
 
 
 def test_catalog_dimensions_match_orbit_dimension():
