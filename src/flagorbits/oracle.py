@@ -7,16 +7,21 @@ live in one array of residues in ``np.min_scalar_type(q - 1)`` (one byte
 for q <= 256), and the canonical-form pass processes every matrix in
 lock step (same pivot convention as :mod:`flagorbits.flags`, verified by
 tests).  Each generator permutes the flags, so the orbits are the
-connected components of the union of those permutations.  Arithmetic is
+connected components of the union of those permutations.  A torus
+generator's images come in closed form, by rescaling one row and the
+columns that pivot there (``_torus_image``); only the unipotent ones are
+canonicalized.  Signature vectors follow the family's rank plan, as
+catalog builds do: one batched GF(q) echelon step per row set, and each
+entry a count of pivots (``_signature_vectors``).  Arithmetic is
 integer-only throughout, and numpy is the only dependency.
 
 Memory: partitioning N flags of n x C stored entries, s bytes each (the
-storage dtype), peaks below (2*n*C*s + 96)*N + 24*n*C*CHUNK + 2**20
-bytes of allocations: at most two copies of the flags while they are
-enumerated; then one copy, a sorted key index (16 bytes per flag), the
-component forest, one generator's image and the hooking temporaries
-(80 bytes per flag together); the rest is one chunk of working arrays
-and small objects.
+storage dtype), peaks below (n*C*s + 96)*N + 24*n*C*CHUNK + 2**20 bytes
+of allocations: the flags are enumerated into one preallocated array and
+exist once; then a sorted key index (16 bytes per flag), the component
+forest, one generator's image and the hooking temporaries (80 bytes per
+flag together); the rest is one chunk of working arrays and small
+objects.
 """
 
 from __future__ import annotations
@@ -182,79 +187,63 @@ def canonicalize_batch(A: np.ndarray, p: int,
     return out
 
 
-def rank_batch(A: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a stack of matrices over GF(p); ``A`` may have any integer
-    dtype, and the ranks come back in the storage dtype."""
-    N, r, c = A.shape
-    rank = np.zeros(N, dtype=_storage_dtype(p))
-    if r == 0 or c == 0:
-        return rank
-    for lo in range(0, N, CHUNK):
-        W = _planes(A[lo:lo + CHUNK], p)
-        ar = np.arange(W.shape[2])
-        free = np.ones(W.shape[1:], dtype=bool)   # rows not yet pivots
-        for col in range(c):
-            cand = (W[col] != 0) & free
-            has = cand.any(axis=0)
-            if not has.any():
-                continue
-            piv = cand.argmax(axis=0)
-            # clear the column in the other free rows, later columns only
-            factor = W[col] * free
-            factor[piv, ar] = 0
-            factor = factor * _inverses(W[col][piv, ar], p) % p
-            W[col + 1:] -= factor * W[col + 1:, piv, ar][:, None, :]
-            W[col + 1:] %= p
-            free[piv[has], ar[has]] = False
-            rank[lo:lo + CHUNK] += has
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # flag enumeration
 # ---------------------------------------------------------------------------
 
 
-def _echelon_blocks(comp_rows: list[int], pivots: tuple[int, ...],
-                    width: int, n: int, q: int) -> np.ndarray:
-    """All canonical width-column extensions with the given new pivots."""
-    free_cells = []
-    pivset = set(pivots)
-    for k, pk in enumerate(pivots):
-        for rr in comp_rows:
-            if rr > pk and rr not in pivset:
-                free_cells.append((rr, k))
-    K = q ** len(free_cells)
-    block = np.zeros((K, n, width), dtype=_storage_dtype(q))
-    for k, pk in enumerate(pivots):
-        block[:, pk, k] = 1
-    idx = np.arange(K)
-    for t, (rr, k) in enumerate(free_cells):
-        block[:, rr, k] = (idx // q ** t) % q
-    return block
+def _pivot_paths(rows: list[int], widths: Sequence[int]):
+    """Every choice of new pivot rows, block by block, from the free
+    ``rows``: tuples of one sorted tuple per block, in lexicographic
+    order."""
+    if not widths:
+        yield ()
+        return
+    for newpiv in itertools.combinations(rows, widths[0]):
+        rest = [r for r in rows if r not in newpiv]
+        for tail in _pivot_paths(rest, widths[1:]):
+            yield (newpiv,) + tail
 
 
 def enumerate_flag_array(n: int, mm: Composition, q: int,
                          budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """All flags of the type as one canonical array of shape (N, n, C),
-    residues in the storage dtype."""
+    residues in the storage dtype.
+
+    The flags come in groups, one per choice of pivot rows block by block
+    (``_pivot_paths`` order).  Column k of a block has a 1 at its pivot
+    row and a free residue in every later row that is no pivot of this or
+    an earlier block.  Inside a group the free cells count in base q: the
+    first block's cells are the most significant digits, and inside a
+    block a cell is more significant than those of earlier columns and,
+    in its column, of earlier rows.  Each cell is written in place,
+    through a reshaped view of its group, into one preallocated array, so
+    the flags exist once.
+    """
     total = check_budget(n, mm, q, budget)
-    groups: list[tuple[tuple[int, ...], np.ndarray]] = [
-        ((), np.zeros((1, n, 0), dtype=_storage_dtype(q)))]
-    for m_t in mm.parts[:-1]:
-        nxt = []
-        for pivots, mats in groups:
-            comp_rows = [r for r in range(n) if r not in pivots]
-            for newpiv in itertools.combinations(comp_rows, m_t):
-                block = _echelon_blocks(comp_rows, newpiv, m_t, n, q)
-                K, B = block.shape[0], mats.shape[0]
-                left = np.repeat(mats, K, axis=0)
-                right = np.tile(block, (B, 1, 1))
-                nxt.append((tuple(sorted(pivots + newpiv)),
-                            np.concatenate([left, right], axis=2)))
-        groups = nxt
-    out = np.concatenate([g[1] for g in groups], axis=0)
-    assert out.shape[0] == total, (out.shape, total)
+    C = n - mm.parts[-1]
+    out = np.zeros((total, n, C), dtype=_storage_dtype(q))
+    # a group with a free cell holds q flags or more, so q <= total there
+    digits = np.arange(min(q, total), dtype=out.dtype)[:, None]
+    pos = 0
+    for path in _pivot_paths(list(range(n)), mm.parts[:-1]):
+        pivots, cells, col, used = [], [], 0, set()
+        for newpiv in path:
+            used.update(newpiv)
+            level = [(rr, col + k) for k, pk in enumerate(newpiv)
+                     for rr in range(pk + 1, n) if rr not in used]
+            pivots += [(pk, col + k) for k, pk in enumerate(newpiv)]
+            cells = level + cells     # least significant first
+            col += len(newpiv)
+        size = q ** len(cells)
+        group = out[pos:pos + size]
+        for r, c in pivots:
+            group[:, r, c] = 1
+        for e, (r, c) in enumerate(cells):
+            group.reshape(size // q ** (e + 1), q, q ** e, n, C)[
+                :, :, :, r, c] = digits
+        pos += size
+    assert pos == total, (pos, total)
     return out
 
 
@@ -317,23 +306,43 @@ class OrbitPartition:
     def class_sizes(self) -> list[int]:
         return np.bincount(self.labels, minlength=self.class_count).tolist()
 
-    def locate(self, A: np.ndarray) -> np.ndarray:
-        """Indices of a stack of canonical matrices in the enumeration;
-        ``KeyError`` if one of them is not enumerated."""
+    def _search(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate indices of a stack of matrices in the enumeration, and
+        whether each candidate is the matrix itself: one key search."""
         keys = _encode_keys(A, self.q)
         pos = np.minimum(np.searchsorted(self._sorted_keys, keys),
                          self.size - 1)
-        if not (self._sorted_keys[pos] == keys).all():
+        return self._sort_idx[pos], self._sorted_keys[pos] == keys
+
+    def locate(self, A: np.ndarray) -> np.ndarray:
+        """Indices of a stack of canonical matrices in the enumeration;
+        ``KeyError`` if one of them is not enumerated."""
+        idx, found = self._search(A)
+        if not found.all():
             raise KeyError("flag is not in the enumerated variety")
-        return self._sort_idx[pos]
+        return idx
+
+    def indices_of_flags(self, flags: Sequence[Flag]) -> np.ndarray:
+        """Index of each flag in the enumeration, -1 where it is of
+        another type or size or is not enumerated."""
+        _, n, C = self.reps.shape
+        fits = [f.typ == self.mm and f.n == n for f in flags]
+        mats = np.array([[[int(x) for x in row] for row in f.rep.data]
+                         for f, ok in zip(flags, fits) if ok],
+                        dtype=np.int64).reshape(sum(fits), n, C)
+        idx, found = self._search(mats)
+        out = np.full(len(flags), -1, dtype=np.intp)
+        out[np.flatnonzero(fits)] = np.where(found, idx, -1)
+        return out
 
     def index_of_flag(self, f: Flag) -> int:
         if f.typ != self.mm or f.n != self.reps.shape[1]:
             raise KeyError(f"flag of type {f.typ} does not belong to the "
                            f"enumerated variety of type {self.mm}")
-        mat = np.array([[int(x) for x in row] for row in f.rep.data],
-                       dtype=np.int64).reshape(1, f.n, -1)
-        return int(self.locate(mat)[0])
+        at = int(self.indices_of_flags([f])[0])
+        if at < 0:
+            raise KeyError("flag is not in the enumerated variety")
+        return at
 
     def class_of_flag(self, f: Flag) -> int:
         return int(self.labels[self.index_of_flag(f)])
@@ -342,19 +351,50 @@ class OrbitPartition:
         return _decode_flag(self.reps[self.first_index[cid]], self.mm, self.q)
 
 
+def _torus_image(A: np.ndarray, d: np.ndarray, q: int) -> np.ndarray:
+    """Canonical forms of diag(d)·F for a stack ``A`` of canonical
+    matrices F, for nonzero residues ``d``, with no elimination.
+
+    A canonical column's pivot is its first nonzero row.  Scaling row i by
+    d_i keeps every zero, so the only repair is to divide each column by
+    the factor its pivot row got: scale the non-pivot entries of row i by
+    d_i, and the entries below row i of the columns pivoting there by
+    1/d_i.  The result is canonical again, with the same pivots.
+    """
+    work = _work_dtype(q)
+    out = A.copy()
+    pivot = (A != 0).argmax(axis=1)
+    for i in np.flatnonzero(d != 1):
+        gamma = int(d[i])
+        here = pivot == i
+        row = out[:, i, :]
+        row[...] = np.where(here, row, row.astype(work) * gamma % q)
+        k, c = np.nonzero(here)
+        below = out[k, i + 1:, c].astype(work)
+        out[k, i + 1:, c] = below * pow(gamma, q - 2, q) % q
+    return out
+
+
 def _generator_image(part: OrbitPartition, G: np.ndarray,
                      boundaries: Sequence[int]) -> np.ndarray:
     """Index of G·F for every enumerated flag F: a permutation of the
-    flags.  Only the rows where G differs from the identity change, and
-    each is recomputed from the nonzero entries of its row of G."""
+    flags.  A diagonal G acts in closed form (``_torus_image``).  For any
+    other G only the rows where it differs from the identity change, each
+    recomputed from the nonzero entries of its row of G, and the result is
+    canonicalized.  ``locate`` raises unless every image is enumerated."""
     q, reps = part.q, part.reps
     G = np.mod(G, q, dtype=np.int64)
+    diagonal = np.diag(G)
+    torus = np.array_equal(G, np.diag(diagonal)) and diagonal.all()
     moved_rows = np.flatnonzero((G != np.eye(G.shape[0], dtype=np.int64))
                                 .any(axis=1))
     work = _work_dtype(q)
     img = np.empty(part.size, dtype=np.intp)
     for lo in range(0, part.size, CHUNK):
         chunk = reps[lo:lo + CHUNK]
+        if torus:
+            img[lo:lo + CHUNK] = part.locate(_torus_image(chunk, diagonal, q))
+            continue
         moved = chunk.copy()
         for i in moved_rows:
             row = np.zeros(chunk.shape[::2], dtype=work)
@@ -477,13 +517,12 @@ def cross_validate(part: OrbitPartition, cat: OrbitCatalog,
     seen: dict[int, int] = {}
     collisions = []
     missing = []
-    for i, entry in enumerate(cat.entries):
-        try:
-            flag_q = entry.nf.realize(fld)
-            cid = part.class_of_flag(flag_q)
-        except KeyError:
+    found = part.indices_of_flags([e.nf.realize(fld) for e in cat.entries])
+    for i, at in enumerate(found.tolist()):
+        if at < 0:
             missing.append(i)
             continue
+        cid = int(part.labels[at])
         if cid in seen:
             collisions.append((seen[cid], i, cid))
         seen[cid] = i
@@ -544,12 +583,63 @@ def validate_witnesses(part: OrbitPartition,
 def _signature_vectors(part: OrbitPartition, fam,
                        idx: Optional[np.ndarray] = None) -> np.ndarray:
     """Signature values, in ``fam.entries`` order, as one uint8 row per
-    flag: of the flags at ``idx``, or of all of them."""
+    flag: of the flags at ``idx``, or of all of them.
+
+    Follows ``fam.rank_plan``, as ``invariants.rank_table`` does, batched
+    over the flags and over GF(q): each step gives a row set J the echelon
+    basis of J[1:] (its parent slot) extended by the one row J[0]
+    (``_echelon_step``), and an entry's value is the number of pivots of
+    J's basis left of its cut.  A slot's basis is freed as soon as no
+    later step extends it.
+    """
     reps = part.reps if idx is None else part.reps[idx]
-    ps = part.mm.prefix_sums()
-    out = np.empty((reps.shape[0], len(fam.entries)), dtype=np.uint8)
-    for k, (s, J) in enumerate(fam.entries):
-        out[:, k] = rank_batch(reps[:, [j - 1 for j in J], : ps[s]], part.q)
+    N, n, C = reps.shape
+    extend, entries = fam.rank_plan
+    out = np.empty((N, len(entries)), dtype=np.uint8)
+    by_slot: dict[int, list[tuple[int, int]]] = {}
+    for k, (slot, cut) in enumerate(entries):
+        by_slot.setdefault(slot, []).append((k, cut))
+    last_use = list(range(len(extend) + 1))
+    for step, (parent, _) in enumerate(extend, 1):
+        last_use[parent] = step
+    q, diag = part.q, np.arange(C)
+    for lo in range(0, N, CHUNK):
+        rows = np.ascontiguousarray(reps[lo:lo + CHUNK].transpose(1, 2, 0),
+                                    dtype=_work_dtype(q))
+        bases = {0: np.zeros((C, C, rows.shape[2]),
+                             dtype=_storage_dtype(q))}
+        for step in range(len(extend) + 1):
+            if step:
+                parent, r = extend[step - 1]
+                bases[step] = _echelon_step(bases[parent], rows[r], q)
+            if step in by_slot:
+                counts = np.cumsum(bases[step][diag, diag] != 0, axis=0)
+                for k, cut in by_slot[step]:
+                    out[lo:lo + CHUNK, k] = counts[cut - 1]
+            for slot in [s for s in bases if last_use[s] <= step]:
+                del bases[slot]
+    return out
+
+
+def _echelon_step(basis: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
+    """Extend a stack of echelon bases over GF(q) by one row each.
+
+    ``basis`` has shape (C, C, K): row c of basis k is its row pivoting at
+    column c, 1 there and 0 left of it, or all zero when no row pivots at
+    c.  ``v`` (shape (C, K), working dtype) is reduced against the rows in
+    column order; where something is left, it is scaled to 1 at its first
+    nonzero column and becomes the row pivoting there.
+    """
+    v = v.copy()
+    for c in range(v.shape[0]):
+        if v[c].any():
+            v[c:] -= v[c] * basis[c, c:]
+            v[c:] %= q
+    nonzero = v != 0
+    k = np.flatnonzero(nonzero.any(axis=0))
+    lead = nonzero.argmax(axis=0)[k]
+    out = basis.copy()
+    out[lead, :, k] = (v[:, k] * _inverses(v[lead, k], q) % q).T
     return out
 
 

@@ -167,12 +167,14 @@ def _form_dimension(nf: NormalForm) -> int:
     return _annihilator_dimension(nf.rows, nf.nn, nf.mm)
 
 
-def _bprime_coords(nn: Composition) -> list[tuple[int, int]]:
-    """The coordinates X_ab of b': a <= b inside one row block, in order."""
-    return [(a, b)
-            for blk in range(len(nn))
-            for a in nn.block_range(blk)
-            for b in nn.block_range(blk) if a <= b]
+@lru_cache(maxsize=None)
+def _bprime_coords(nn: Composition) -> tuple[tuple[int, int], ...]:
+    """The coordinates X_ab of b': a <= b inside one row block, in order;
+    built once per ``nn``."""
+    return tuple((a, b)
+                 for blk in range(len(nn))
+                 for a in nn.block_range(blk)
+                 for b in nn.block_range(blk) if a <= b)
 
 
 def _annihilator_dimension(rows: Sequence[Sequence[int]], nn: Composition,

@@ -9,6 +9,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from flagorbits import Composition
 from flagorbits.flags import act, random_borel_prime
 from flagorbits.linalg import Matrix, gf
@@ -61,6 +63,44 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
+
+
+def rank_batch(A, p):
+    """Ranks over GF(p) of a stack of matrices of any integer dtype, in
+    ``np.min_scalar_type(p - 1)``: Gaussian elimination on all of them in
+    lock step, in int64 (exact for p < 2**31), one column at a time."""
+    N, r, c = A.shape
+    rank = np.zeros(N, dtype=np.min_scalar_type(p - 1))
+    if r == 0 or c == 0:
+        return rank
+    W = np.mod(A, p, dtype=np.int64).transpose(2, 1, 0).copy()
+    ar = np.arange(N)
+    free = np.ones((r, N), dtype=bool)   # rows not yet pivots
+    for col in range(c):
+        cand = (W[col] != 0) & free
+        has = cand.any(axis=0)
+        if not has.any():
+            continue
+        piv = cand.argmax(axis=0)
+        # clear the column in the other free rows, later columns only
+        factor = W[col] * free
+        factor[piv, ar] = 0
+        factor = factor * _inverse_mod(W[col][piv, ar], p) % p
+        W[col + 1:] -= factor * W[col + 1:, piv, ar][:, None, :]
+        W[col + 1:] %= p
+        free[piv[has], ar[has]] = False
+        rank += has
+    return rank
+
+
+def _inverse_mod(x, p):
+    """x**(p-2) mod p elementwise on int64 residues (Fermat)."""
+    out, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x, e = x * x % p, e >> 1
+    return out
 
 
 def dominates(a, b):

@@ -17,14 +17,14 @@ from flagorbits.normalforms import (counterexample_pair, transporter_empty,
 from flagorbits.oracle import (CHUNK, BudgetExceededError,
                                _component_labels, _decode_flag,
                                _generator_image, _signature_vectors,
-                               _work_dtype, borel_order, canonicalize_batch,
-                               cross_validate, enumerate_flag_array,
-                               flag_count, gaussian_binomial,
-                               group_generators, oracle_partition,
-                               rank_batch, validate_witnesses)
+                               _torus_image, _work_dtype, borel_order,
+                               canonicalize_batch, cross_validate,
+                               enumerate_flag_array, flag_count,
+                               gaussian_binomial, group_generators,
+                               oracle_partition, validate_witnesses)
 from flagorbits.orbits import enumerate_orbits
 
-from conftest import borel_translates, compositions
+from conftest import borel_translates, compositions, rank_batch
 
 
 def test_gaussian_binomial_and_flag_counts():
@@ -71,6 +71,9 @@ def test_enumeration_is_a_canonical_fixed_point():
 def test_enumerate_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_flag_array(6, Composition.of(3, 3), 5, budget=100)
+    # one flag with no free cell: nothing of size q is built
+    arr = enumerate_flag_array(3, Composition.of(3,), 2**31 - 1)
+    assert arr.shape == (1, 3, 0) and arr.dtype == np.uint32
 
 
 def test_batch_canonicalization_matches_scalar_path():
@@ -395,6 +398,99 @@ def test_generator_image_matches_dense_product():
         assert sorted(img.tolist()) == list(range(part.size))
 
 
+# pairs whose torus generators are checked on every flag at q in {3, 5, 7}
+TORUS_PAIRS = [((2, 1), (1, 1, 1)), ((2, 2), (1, 3)), ((3, 1), (2, 2)),
+               ((1, 2, 1), (1, 2, 1)), ((2, 2), (2, 1, 1))]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_torus_image_matches_dense_product_on_all_flags(q):
+    # every torus generator: the closed-form image equals the canonical
+    # form of the dense product, and so locates to the same permutation
+    for nn_parts, mm_parts in TORUS_PAIRS:
+        nn, mm = Composition(nn_parts), Composition(mm_parts)
+        part = oracle_partition(nn, mm, q)
+        boundaries = mm.prefix_sums()[: len(mm) - 1]
+        torus = [np.array(g.data, dtype=np.int64)
+                 for g in group_generators(nn, q)]
+        torus = [G for G in torus if not (G - np.diag(np.diag(G))).any()]
+        assert len(torus) == nn.n
+        for G in torus:
+            dense = np.einsum("ij,njk->nik", G,
+                              part.reps.astype(np.int64)) % q
+            canon = canonicalize_batch(dense, q, boundaries)
+            got = _torus_image(part.reps, np.diag(G), q)
+            assert got.dtype == part.reps.dtype
+            assert np.array_equal(got, canon), (nn, mm, q)
+            img = _generator_image(part, G, boundaries)
+            assert (img == part.locate(canon)).all()
+            assert sorted(img.tolist()) == list(range(part.size))
+
+
+@pytest.mark.parametrize("q", [257, 46349])
+def test_torus_image_on_random_canonical_matrices(q):
+    # two-byte residues and the int64 working dtype, on sparse matrices so
+    # that pivots fall on every row; one scaled row (a torus generator) and
+    # whole random diagonals
+    rng = random.Random(q)
+    fld = gf(q)
+    for parts in [(1, 1, 1), (2, 1, 2), (1, 2, 1, 1), (3, 2)]:
+        mm = Composition(parts)
+        n, stored = mm.n, mm.n - parts[-1]
+        boundaries = mm.prefix_sums()[: len(mm) - 1]
+        raws = []
+        while len(raws) < 60:
+            raw = [[rng.randrange(q) if rng.random() < 0.5 else 0
+                    for _ in range(stored)] for _ in range(n)]
+            if Matrix.from_rows(fld, raw).rank() == stored:
+                raws.append(raw)
+        A = canonicalize_batch(np.array(raws, dtype=np.int64), q, boundaries)
+        diagonals = [[rng.randrange(1, q) if a == i else 1
+                      for a in range(n)] for i in range(n)]
+        diagonals += [[rng.choice([1, 2, q - 1, rng.randrange(1, q)])
+                       for _ in range(n)] for _ in range(4)]
+        for d in diagonals:
+            d = np.array(d, dtype=np.int64)
+            dense = d[None, :, None] * A.astype(np.int64) % q
+            got = _torus_image(A, d, q)
+            assert got.dtype == np.min_scalar_type(q - 1)
+            assert np.array_equal(got, canonicalize_batch(dense, q,
+                                                          boundaries))
+
+
+def _reference_vectors(reps, fam, q):
+    """Signature vectors by one reference rank per family entry."""
+    ps = fam.mm.prefix_sums()
+    out = np.empty((reps.shape[0], len(fam.entries)), dtype=np.uint8)
+    for k, (s, J) in enumerate(fam.entries):
+        out[:, k] = rank_batch(reps[:, [j - 1 for j in J], : ps[s]], q)
+    return out
+
+
+# (nn, mm, q): at least one pair per q, q = 2 and q = 257 among them
+PLAN_CASES = [((2, 1), (1, 1, 1), 2), ((1, 1, 1, 1, 1), (1, 1, 1, 1, 1), 2),
+              ((2, 2, 1), (1, 2, 2), 2), ((4, 1), (1, 1, 2, 1), 3),
+              ((1, 2, 1), (2, 1, 1), 3), ((2, 1, 2), (3, 2), 5),
+              ((3, 3), (1, 5), 7), ((1, 1), (1, 1), 257),
+              ((1, 1, 1), (2, 1), 257)]
+
+
+@pytest.mark.parametrize("nn_parts,mm_parts,q", PLAN_CASES)
+def test_plan_vectors_match_reference_ranks(nn_parts, mm_parts, q):
+    nn, mm = Composition(nn_parts), Composition(mm_parts)
+    part = oracle_partition(nn, mm, q)
+    fam = invariant_family(nn, mm)
+    got = _signature_vectors(part, fam)
+    assert got.dtype == np.uint8
+    assert got.shape == (part.size, len(fam.entries))
+    assert np.array_equal(got, _reference_vectors(part.reps, fam, q))
+    # subsets: class representatives, and repeated indices in any order
+    rng = np.random.default_rng(q)
+    for idx in (part.first_index, rng.integers(0, part.size, 300),
+                np.arange(part.size)[::-7], np.zeros(0, dtype=np.intp)):
+        assert np.array_equal(_signature_vectors(part, fam, idx), got[idx])
+
+
 def test_work_dtype_bound():
     assert _work_dtype(2) is np.int32
     assert _work_dtype(46337) is np.int32    # 46336**2 + 46336 < 2**31
@@ -480,7 +576,7 @@ def test_partition_peak_within_stated_bound(nn_parts, mm_parts, q):
         tracemalloc.stop()
     N, n, C = part.reps.shape
     assert part.reps.dtype == np.uint8
-    bound = (2 * n * C + 96) * N + 24 * n * C * CHUNK + 2**20
+    bound = (n * C + 96) * N + 24 * n * C * CHUNK + 2**20
     assert peak <= bound, (peak, bound)
 
 
