@@ -13,14 +13,13 @@ classical baseline on permutation matrices.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .flags import Composition, Flag, invariant_row_sets, random_borel_prime, act
-from .linalg import QQ, integer_rank, gf
+from .linalg import QQ, echelon_extend, integer_rank, gf
 
 
 @dataclass(frozen=True)
@@ -123,10 +122,9 @@ def rank_table(rows: Sequence[Sequence[int]], fam: JFamily,
     ``fam.rank_plan`` lists every row set J as (slot of J[1:], index of
     the row J[0]), each after its J[1:], slot 0 being the empty set, then
     one (slot of J, m_1 + ... + m_s) per entry.  J's echelon basis is that
-    of J[1:] extended by the row J[0] through integer cross-multiplication,
-    with no ``Fraction``.  Basis rows are divided by their content and
-    pivot at their first nonzero column, so the rank of the first c columns
-    of the J rows is the number of pivots left of c.  Each basis is kept as
+    of J[1:] extended by the row J[0] through ``linalg.echelon_extend``,
+    with no ``Fraction``, so the rank of the first c columns of the J rows
+    is the number of pivots left of c.  Each basis is kept as
     (id, basis, that count for every c): an entry's value is one lookup.
 
     ``steps`` maps (basis id, row) to the extended basis.  The step is a
@@ -141,29 +139,13 @@ def rank_table(rows: Sequence[Sequence[int]], fam: JFamily,
         parent, row = bases[slot], rows[i]
         known = steps.get((parent[0], row))
         if known is None:
-            basis = _echelon_extend(parent[1], row)
+            basis = echelon_extend(parent[1], row)
             ranks = tuple(sum(p < c for p, _ in basis)
                           for c in range(len(row) + 1))
             known = steps[parent[0], row] = parent if basis is parent[1] \
                 else (len(steps) + 1, basis, ranks)
         bases.append(known)
     return tuple(bases[slot][2][cut] for slot, cut in entries)
-
-
-def _echelon_extend(basis, row):
-    """Add one integer row to an echelon basis of (pivot, row) pairs sorted
-    by pivot; the basis comes back unchanged when the row depends on it."""
-    v = tuple(row)
-    for pivot, b in basis:
-        c = v[pivot]
-        if c:
-            a = b[pivot]
-            v = tuple(a * x - c * y for x, y in zip(v, b))
-    lead = next((j for j, x in enumerate(v) if x), None)
-    if lead is None:
-        return basis
-    g = math.gcd(*v)
-    return tuple(sorted(basis + ((lead, tuple(x // g for x in v)),)))
 
 
 INVARIANCE_TRIALS = 4

@@ -8,13 +8,17 @@ offers two scalar domains and nothing else:
 * ``GF(p)`` -- canonical residues ``0..p-1`` for a prime ``p < 2**31``,
   with inverses by Fermat's little theorem.
 
-Matrices are immutable row-major tuples.  No floating point is used
+Matrices are immutable row-major tuples.  Integer matrices over Q need
+no ``Fraction``: ``echelon_extend`` adds one integer row to an echelon
+basis by cross-multiplication and content division, and ``integer_rank``
+and ``integer_kernel`` are folds of it.  No floating point is used
 anywhere.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -366,90 +370,77 @@ def _row_reduce(rows: list[list], F: Field, pivot_cols: int | None = None):
     return rows, rank
 
 
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix over Q by fraction-free (Bareiss) elimination.
+def echelon_extend(basis, row):
+    """Add one integer row to an echelon basis of (pivot, row) pairs sorted
+    by pivot; the basis comes back unchanged when the row depends on it.
 
-    Much faster than Fraction arithmetic for the 0/1 matrices that normal
-    forms produce; all intermediates stay integral.
+    The row is reduced against each basis row in pivot order by integer
+    cross-multiplication, then divided by its content; its pivot is its
+    first nonzero column.  Each basis row is zero left of its pivot and
+    the pivots are distinct, so the number of pivots left of c is the
+    rank of the first c columns.  This is the library's one exact
+    elimination over Q: ``integer_rank``, ``integer_kernel`` and
+    ``invariants.rank_table`` are folds of it.
     """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, nrows):
-            mr = m[r]
-            mp = m[rank]
-            f = mr[col]
-            # the two-term update must hit every remaining row to keep
-            # the divisions exact, even when f is zero
-            for c in range(col + 1, ncols):
-                mr[c] = (pv * mr[c] - f * mp[c]) // prev
-            mr[col] = 0
-        prev = pv
-        rank += 1
-        if rank == nrows:
+    v = row
+    for pivot, b in basis:
+        c = v[pivot]
+        if c:
+            a = b[pivot]
+            v = [a * x - c * y for x, y in zip(v, b)]
+    for lead, x in enumerate(v):
+        if x:
+            g = math.gcd(*v)
+            reduced = tuple([y // g for y in v])
+            return tuple(sorted(basis + ((lead, reduced),)))
+    return basis
+
+
+def _echelon_basis(rows: Sequence[Sequence[int]]):
+    basis = ()
+    for row in rows:
+        basis = echelon_extend(basis, row)
+        if len(basis) == len(row):
             break
-    return rank
+    return basis
+
+
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of an integer matrix: the size of the echelon basis
+    ``echelon_extend`` folds from its rows.  All arithmetic is on ints,
+    which is much faster than ``Fraction``s on 0/1 normal forms."""
+    return len(_echelon_basis(rows))
 
 
 def integer_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Integer basis of the right null space {y : A y = 0} of an integer
-    matrix, by fraction-free (Bareiss) Gauss-Jordan elimination.
+    matrix, one vector per free column of its echelon basis.
 
-    After each pivot step every row, the pivot rows above included, is
-    updated by two-term cross-multiplication and divided exactly by the
-    previous pivot, so all entries stay integral minors and every pivot
-    equals the last one, d.  Each free column f then gives the kernel
-    vector with d at f and minus the f-th entry of each pivot row at that
-    row's pivot column, divided by its content.  ``rows`` must be
-    nonempty, since the width is read from them.
+    For a free column f, y starts as the unit vector at f; then, for each
+    basis row b with pivot p < f, from the last such pivot to the first,
+    y is scaled by b[p] and y[p] is set to minus b's product with the
+    old y, which makes b.y = 0 and keeps the later rows' products zero.
+    Each vector is divided by its content.  ``rows`` must be nonempty,
+    since the width is read from them.
     """
-    m = [list(r) for r in rows]
-    if not m:
+    if not rows:
         raise ValueError("integer_kernel needs at least one row")
-    width = len(m[0])
-    pivots: list[int] = []
-    prev = 1
-    for col in range(width):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        mp = m[rank]
-        pv = mp[col]
-        for r, mr in enumerate(m):
-            if r == rank:
-                continue
-            f = mr[col]
-            m[r] = [(pv * x - f * y) // prev for x, y in zip(mr, mp)]
-        prev = pv
-        pivots.append(col)
-        if len(pivots) == len(m):
-            break
-    basis = []
-    for free in range(width):
+    basis = _echelon_basis(rows)
+    pivots = {p for p, _ in basis}
+    kernel = []
+    for free in range(len(rows[0])):
         if free in pivots:
             continue
-        y = [0] * width
-        y[free] = prev
-        for r, pc in enumerate(pivots):
-            y[pc] = -m[r][free]
+        y = [0] * len(rows[0])
+        y[free] = 1
+        for p, b in reversed(basis):
+            if p < free:
+                dot = sum(map(operator.mul, b, y))
+                y = [b[p] * x for x in y]
+                y[p] = -dot
         g = math.gcd(*y)
-        basis.append([x // g for x in y])
-    return basis
+        kernel.append([x // g for x in y])
+    return kernel
 
 
 def parse_matrix_literal(text: str) -> Matrix:

@@ -335,17 +335,14 @@ class OrbitPartition:
         out[np.flatnonzero(fits)] = np.where(found, idx, -1)
         return out
 
-    def index_of_flag(self, f: Flag) -> int:
+    def class_of_flag(self, f: Flag) -> int:
         if f.typ != self.mm or f.n != self.reps.shape[1]:
             raise KeyError(f"flag of type {f.typ} does not belong to the "
                            f"enumerated variety of type {self.mm}")
         at = int(self.indices_of_flags([f])[0])
         if at < 0:
             raise KeyError("flag is not in the enumerated variety")
-        return at
-
-    def class_of_flag(self, f: Flag) -> int:
-        return int(self.labels[self.index_of_flag(f)])
+        return int(self.labels[at])
 
     def representative(self, cid: int) -> Flag:
         return _decode_flag(self.reps[self.first_index[cid]], self.mm, self.q)

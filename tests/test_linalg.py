@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -109,19 +110,54 @@ def test_solve_substitute_exactness():
         assert m * m.inverse() == Matrix.identity(QQ, 4)
 
 
-def test_integer_rank_agrees():
-    rng = random.Random(41)
-    for _ in range(40):
-        rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(5)]
-        assert integer_rank(rows) == bareiss_rank(rows)
-
-
 def _low_rank_integer_matrix(rng, rows, cols):
     k = rng.randint(0, min(rows, cols))
     left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
     right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
     return [[sum(left[i][t] * right[t][j] for t in range(k))
              for j in range(cols)] for i in range(rows)]
+
+
+def _special_integer_matrices(rng):
+    """Shapes and entries that random small matrices seldom reach."""
+    big = 2**64
+    yield [()]
+    yield [(), (), ()]
+    yield [[0, 0, 0], [0, 0, 0]]
+    yield [[1, 2, 3]] * 3
+    yield [[2, -4, 6], [0, 0, 0], [1, -2, 3], [2, -4, 6]]
+    yield [[2, 0, 1], [0, 2, 1]]
+    for _ in range(6):
+        yield [[rng.randint(-3, 3) for _ in range(3)] for _ in range(9)]
+        yield [[rng.randint(-3, 3) for _ in range(9)] for _ in range(2)]
+        yield [[-rng.randint(1, 9) for _ in range(4)] for _ in range(3)]
+        yield [[rng.randint(-big * 8, big * 8) for _ in range(4)]
+               for _ in range(3)]
+        yield [[big * x + rng.choice([0, 1]) * x for x in row]
+               for row in _low_rank_integer_matrix(rng, 4, 5)]
+        row = [rng.randint(-5, 5) * big for _ in range(5)]
+        yield [row, [3 * x for x in row], [-x for x in row]]
+
+
+def test_integer_rank_agrees():
+    rng = random.Random(41)
+    for _ in range(40):
+        rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(5)]
+        assert integer_rank(rows) == bareiss_rank(rows)
+    for rows in _special_integer_matrices(rng):
+        assert integer_rank(rows) == bareiss_rank(rows)
+
+
+def _check_kernel(a):
+    cols = len(a[0])
+    basis = integer_kernel(a)
+    assert len(basis) == cols - bareiss_rank(a)
+    for y in basis:
+        assert len(y) == cols
+        assert all(isinstance(x, int) for x in y)
+        assert math.gcd(*y) == 1
+        assert all(sum(p * q for p, q in zip(row, y)) == 0 for row in a)
+    assert bareiss_rank(basis) == len(basis)
 
 
 def test_integer_kernel_annihilates_with_full_dimension():
@@ -133,18 +169,22 @@ def test_integer_kernel_annihilates_with_full_dimension():
         else:
             a = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(cols)]
                  for _ in range(rows)]
-        basis = integer_kernel(a)
-        assert len(basis) == cols - integer_rank(a)
-        for y in basis:
-            assert all(isinstance(x, int) for x in y)
-            assert all(sum(p * q for p, q in zip(row, y)) == 0 for row in a)
-        assert integer_rank(basis) == len(basis)
+        _check_kernel(a)
+    for a in _special_integer_matrices(rng):
+        _check_kernel(a)
 
 
 def test_integer_kernel_edge_cases():
     assert integer_kernel([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert integer_kernel([[2, 0], [0, 3]]) == []
     assert integer_kernel([[2, 4]]) in ([[-2, 1]], [[2, -1]])
+    assert integer_kernel([()]) == []
+    assert integer_rank([()]) == integer_rank([]) == 0
+    assert integer_kernel([[1, 1], [1, 1]]) in ([[-1, 1]], [[1, -1]])
+    assert integer_kernel([[2**65, -2**66]]) in ([[2, 1]], [[-2, -1]])
+    # both pivots are 2, so the vector is primitive only after division
+    assert integer_kernel([[2, 0, 1], [0, 2, 1]]) in ([[-1, -1, 2]],
+                                                      [[1, 1, -2]])
     with pytest.raises(ValueError):
         integer_kernel([])
 
