@@ -129,7 +129,7 @@ def rank_table(rows: Sequence[Sequence[int]], fam: JFamily,
 
     ``steps`` maps (basis id, row) to the extended basis.  The step is a
     pure function, so one dict may be shared by every call of a catalog
-    build, for the primal and the complement family alike.
+    build.
     """
     extend, entries = fam.rank_plan
     rows = [tuple(r) for r in rows]

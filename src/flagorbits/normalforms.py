@@ -3,7 +3,7 @@
 The seven finiteness rows (by ``k = len(nn)``, ``N = min(nn)``,
 ``l = len(mm)``, ``M = min(mm)``) are matched in display order; the first
 matching row names the case.  Each case with a classification gets a
-normal-form data type, a realization into a 0/1 flag matrix, and a
+normal-form data type, a realization from its integer rows, and a
 reducer:
 
 * case 0 (two blocks on both sides) -- a constructive triangular
@@ -16,11 +16,13 @@ reducer:
   signature separates orbits in these cases), reduced by signature
   lookup.
 
-Every normal form has its 0/1 ``rows`` in the pair's own row order, and
-one shared ``realize`` makes them a flag over any field: the canonical
-flag they span (its dual, for a dual pattern).  Catalog builds rank and
-dimension the same rows as integers and realize none of them; a dual
-pattern is ranked on the complementary row sets instead of dualized.
+Every normal form has integer ``rows`` in the pair's own row order whose
+column prefixes span its own flag, and one shared ``realize`` makes them
+the canonical flag over any field.  The rows are 0/1, except for a dual
+pattern, whose rows are an integer basis of V^perp, V the span of its
+0/1 columns with the rows reversed inside every row block.  Catalog
+builds rank and dimension the same rows as integers and realize none of
+them.
 
 The three elimination reducers (``triangular_reduce``, ``reduce_case0``,
 ``reduce_case3prime``) hold their matrix as a list of columns, each a
@@ -51,7 +53,7 @@ from typing import Iterable, Optional, Sequence
 
 from .flags import Composition, Flag, dual, flags_equal, group_generators
 from .invariants import Signature, invariant_family, signature
-from .linalg import GF, Field, Matrix, QQ, gf, integer_rank
+from .linalg import GF, Field, Matrix, QQ, gf, integer_kernel, integer_rank
 
 
 class InfinitePairError(ValueError):
@@ -226,12 +228,7 @@ def triangular_reduce(a: Matrix) -> TriangularReduction:
 
 
 def _realize(nf: "NormalForm", fld: Field = QQ) -> Flag:
-    """The flag of ``nf`` over ``fld``: the canonical flag of its 0/1
-    ``rows``, or for a dual pattern the dual of the primal flag they span.
-    """
-    if isinstance(nf, NFPattern) and nf.dualize:
-        return dual(Flag.from_matrix(nf.primal_mm,
-                                     Matrix.from_rows(fld, nf.rows)))
+    """The flag of ``nf`` over ``fld``: the canonical flag of its ``rows``."""
     return Flag.from_matrix(nf.mm, Matrix.from_rows(fld, nf.rows))
 
 
@@ -337,14 +334,15 @@ def _column_terms(col: Sequence[int]) -> str:
 class NFPattern:
     """Catalog entry for the signature-lookup cases: a 0/1 representative on
     the primal side together with the transform back to the original pair
-    (a row relabeling for case I, the orthogonal swap for dual subcases).
+    (a row relabeling for case I, the orthogonal swap g -> w0 g^{-T} w0
+    for the dual subcases III (n-1,1) and II (n-2,2), w0 the block
+    reversal).
     """
 
     case: str
     subcase: Optional[str]
     nn: Composition
     mm: Composition
-    primal_mm: Composition
     matrix01: tuple[tuple[int, ...], ...]   # primal-side rows
     row_perm: Optional[tuple[int, ...]] = None
     dualize: bool = False
@@ -361,11 +359,22 @@ class NFPattern:
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """``matrix01`` relabeled by ``row_perm``; for a dual pattern,
-        block-reversed: the rows whose flag's dual is this form's."""
+        """``matrix01`` relabeled by ``row_perm``; for a dual pattern, an
+        integer basis of V^perp, V the span of the block-reversed columns
+        of ``matrix01``, as n rows.
+
+        Both dual subcases have two column blocks, so the flag is V^perp
+        alone and the order of its columns is free.  Each basis vector
+        of ``integer_kernel`` is +-1 at its own free column and 0 at the
+        other free columns, since the echelon pivots of at most two 0/1
+        rows are +-1: the rows stay independent modulo every prime.
+        ``Flag.from_matrix`` and the oracle's ``canonicalize_batch``
+        raise on rank deficiency all the same.
+        """
         rows = self.matrix01
         if self.dualize:
-            rows = _relabel(rows, _block_reversal_perm(self.nn))
+            reversed_cols = zip(*_relabel(rows, _block_reversal_perm(self.nn)))
+            return tuple(zip(*integer_kernel(list(reversed_cols))))
         if self.row_perm:
             rows = _relabel(rows, self.row_perm)
         return rows
@@ -751,17 +760,15 @@ def pattern_candidates(tag: CaseTag, nn: Composition,
     """
     n = nn.n
     if tag.label == "III":
-        primal_mm = Composition.of(1, n - 1)
         dualize = tag.subcase == "(n-1,1)" and n > 2
-        return [NFPattern("III", tag.subcase, nn, mm, primal_mm,
+        return [NFPattern("III", tag.subcase, nn, mm,
                           tuple((b,) for b in bits), dualize=dualize)
                 for bits in _bit_vectors(n) if any(bits)]
 
     if tag.label == "II":
-        primal_mm = Composition.of(2, n - 2)
         dualize = tag.subcase == "(n-2,2)"
         terms = {u: _column_terms(u) for u in _bit_vectors(n) if any(u)}
-        return [NFPattern("II", tag.subcase, nn, mm, primal_mm,
+        return [NFPattern("II", tag.subcase, nn, mm,
                           tuple(zip(u, v)), dualize=dualize)
                 for u, tu in terms.items() for v, tv in terms.items()
                 if f"{tu};{tv}" < f"{tv};{tu}"]
@@ -777,8 +784,8 @@ def pattern_candidates(tag: CaseTag, nn: Composition,
             for nf in case0_normal_forms(sub_nn,
                                          Composition.of(m1, n - 1 - m1)):
                 rowsm = ((0,) * m1,) + nf.rows
-                cands.append(NFPattern("I", tag.subcase, nn, mm, mm,
-                                       rowsm, row_perm=rho))
+                cands.append(NFPattern("I", tag.subcase, nn, mm, rowsm,
+                                       row_perm=rho))
         # orbits meeting the scalar row: a distinguished first column
         tail_mm = None if m1 == 1 else Composition.of(m1 - 1, n - m1)
         base_forms = [None] if tail_mm is None else \
@@ -789,8 +796,8 @@ def pattern_candidates(tag: CaseTag, nn: Composition,
                 for v in _bit_vectors(n3):
                     rowsm = ((1,) + (0,) * (m1 - 1),) + tuple(
                         (x,) + r for x, r in zip(u + v, base_rows))
-                    cands.append(NFPattern("I", tag.subcase, nn, mm, mm,
-                                           rowsm, row_perm=rho))
+                    cands.append(NFPattern("I", tag.subcase, nn, mm, rowsm,
+                                           row_perm=rho))
         return cands
 
     if tag.label == "I'" and tag.subcase == "m2=1":
@@ -807,7 +814,7 @@ def pattern_candidates(tag: CaseTag, nn: Composition,
                     rowsm = tuple(r + (x,) for r, x in zip(base_rows, extra))
                     if integer_rank(rowsm) != m1 + 1:
                         continue
-                    cands.append(NFPattern("I'", tag.subcase, nn, mm, mm,
+                    cands.append(NFPattern("I'", tag.subcase, nn, mm,
                                            rowsm))
         return cands
 

@@ -12,8 +12,10 @@ generator's images come in closed form, by rescaling one row and the
 columns that pivot there (``_torus_image``); only the unipotent ones are
 canonicalized.  Signature vectors follow the family's rank plan, as
 catalog builds do: one batched GF(q) echelon step per row set, and each
-entry a count of pivots (``_signature_vectors``).  Arithmetic is
-integer-only throughout, and numpy is the only dependency.
+entry a count of pivots (``_signature_vectors``).  Cross-validation
+realizes no catalog entry as a flag: every entry's integer rows are
+reduced mod q, canonicalized in one batch and found with one key search.
+Arithmetic is integer-only throughout, and numpy is the only dependency.
 
 Memory: partitioning N flags of n x C stored entries, s bytes each (the
 storage dtype), peaks below (n*C*s + 96)*N + 24*n*C*CHUNK + 2**20 bytes
@@ -322,27 +324,14 @@ class OrbitPartition:
             raise KeyError("flag is not in the enumerated variety")
         return idx
 
-    def indices_of_flags(self, flags: Sequence[Flag]) -> np.ndarray:
-        """Index of each flag in the enumeration, -1 where it is of
-        another type or size or is not enumerated."""
-        _, n, C = self.reps.shape
-        fits = [f.typ == self.mm and f.n == n for f in flags]
-        mats = np.array([[[int(x) for x in row] for row in f.rep.data]
-                         for f, ok in zip(flags, fits) if ok],
-                        dtype=np.int64).reshape(sum(fits), n, C)
-        idx, found = self._search(mats)
-        out = np.full(len(flags), -1, dtype=np.intp)
-        out[np.flatnonzero(fits)] = np.where(found, idx, -1)
-        return out
-
     def class_of_flag(self, f: Flag) -> int:
-        if f.typ != self.mm or f.n != self.reps.shape[1]:
+        _, n, C = self.reps.shape
+        if f.typ != self.mm or f.n != n:
             raise KeyError(f"flag of type {f.typ} does not belong to the "
                            f"enumerated variety of type {self.mm}")
-        at = int(self.indices_of_flags([f])[0])
-        if at < 0:
-            raise KeyError("flag is not in the enumerated variety")
-        return int(self.labels[at])
+        mat = np.array([[int(x) for x in row] for row in f.rep.data],
+                       dtype=np.int64).reshape(1, n, C)
+        return int(self.labels[self.locate(mat)[0]])
 
     def representative(self, cid: int) -> Flag:
         return _decode_flag(self.reps[self.first_index[cid]], self.mm, self.q)
@@ -497,26 +486,31 @@ def cross_validate(part: OrbitPartition, cat: OrbitCatalog,
                    exhaustive: Optional[bool] = None) -> ValidationReport:
     """Compare a brute-force partition with an analytic catalog.
 
-    Checks: equal class counts; one realized normal form per class
-    (a bijection); signature separation, with representative signatures
-    matching the catalog; and, when exhaustive, that signature level sets
-    coincide with the classes.
+    Checks: equal class counts; one normal form per class (a bijection):
+    the integer rows of every entry, reduced mod q and canonicalized in
+    one batch, are looked up in the enumeration with one key search;
+    signature separation, with representative signatures matching the
+    catalog; and, when exhaustive, that signature level sets coincide
+    with the classes.
     """
     checks = []
     q = part.q
-    fld = gf(q)
     n_classes = part.class_count
     n_entries = len(cat.entries)
     checks.append(CheckResult(
         "class-count", n_classes == n_entries,
         f"oracle={n_classes} catalog={n_entries}"))
 
+    _, n, C = part.reps.shape
+    rows = np.array([e.nf.rows for e in cat.entries],
+                    dtype=np.int64).reshape(n_entries, n, C)
+    idx, found = part._search(canonicalize_batch(
+        rows, q, cat.mm.prefix_sums()[:len(cat.mm) - 1]))
     seen: dict[int, int] = {}
     collisions = []
     missing = []
-    found = part.indices_of_flags([e.nf.realize(fld) for e in cat.entries])
-    for i, at in enumerate(found.tolist()):
-        if at < 0:
+    for i, (at, ok) in enumerate(zip(idx.tolist(), found.tolist())):
+        if not ok:
             missing.append(i)
             continue
         cid = int(part.labels[at])

@@ -2,12 +2,12 @@
 
 A catalog lists one entry per orbit of the block Borel on the flag
 variety of the pair: the normal form, its full rank signature and the
-orbit dimension, all taken from the form's own 0/1 rows as integers; its
-rational flag is realized only when read.  The dimension is the
-codimension in b' of the Lie-algebra stabilizer: X stabilizes the flag
-when y^T X u = 0 for every column u of each block t and every y
-annihilating the t-th subspace, and the rank of these integer conditions
-is the dimension.  Closed orbits are the fixed points: dimension 0.
+orbit dimension, all taken from the form's own integer rows, whose
+column prefixes span its flag; its rational flag is realized only when
+read.  The dimension is the codimension in b' of the Lie-algebra
+stabilizer: X stabilizes the flag when y^T X u = 0 for every column u of
+each block t and every y annihilating the t-th subspace, and the rank of
+these integer conditions is the dimension.  Closed orbits are the fixed points: dimension 0.
 The candidate partial order is entry-wise signature dominance, which rank
 semicontinuity makes a necessary condition for closure; its transitive
 reduction is emitted as a DOT digraph but never claimed to be the closure
@@ -29,8 +29,8 @@ from .flags import (Composition, Flag, complete_to_invertible)
 from .invariants import (JFamily, Signature, invariant_family, rank_table,
                          verify_family_invariance)
 from .linalg import QQ, integer_kernel, integer_rank
-from .normalforms import (CaseTag, InfinitePairError, NFPattern,
-                          NonInjectiveError, NormalForm, UnsupportedCaseError,
+from .normalforms import (CaseTag, InfinitePairError, NonInjectiveError,
+                          NormalForm, UnsupportedCaseError,
                           case0_normal_forms, case3prime_normal_forms,
                           classify_pair, has_catalog, pattern_candidates,
                           counterexample_pair)
@@ -109,7 +109,7 @@ def enumerate_orbits(nn: Composition, mm: Composition) -> OrbitCatalog:
     steps: dict = {}
     by_sig: dict[tuple[int, ...], tuple[str, NormalForm]] = {}
     for nf in forms:
-        values = _signature_values(nf, fam, steps)
+        values = rank_table(nf.rows, fam, steps)
         key = nf.serialize()
         known = by_sig.get(values)
         if known is None or key < known[0]:
@@ -120,51 +120,11 @@ def enumerate_orbits(nn: Composition, mm: Composition) -> OrbitCatalog:
             f"normal forms of case {tag} are not signature-separated: "
             f"{len(forms)} forms, {len(by_sig)} signatures")
 
-    ranked = sorted((_form_dimension(nf), key, values, nf)
+    ranked = sorted((_annihilator_dimension(nf.rows, nn, mm), key, values, nf)
                     for values, (key, nf) in by_sig.items())
     entries = tuple(CatalogEntry(nf, Signature(fam, values), dim)
                     for dim, _, values, nf in ranked)
     return OrbitCatalog(tag, nn, mm, fam, entries)
-
-
-@lru_cache(maxsize=8)
-def _complement_family(fam: JFamily, primal_mm: Composition) -> JFamily:
-    """The pairs (l - s, J^c) of ``fam``'s entries, in their order, over the
-    primal type of a dual pattern; cached, as every candidate of a dual
-    build ranks against it."""
-    l, everything = len(fam.mm), range(1, fam.nn.n + 1)
-    return JFamily(fam.nn, primal_mm, tuple(
-        (l - s, tuple(i for i in everything if i not in J))
-        for s, J in fam.entries))
-
-
-def _signature_values(nf: NormalForm, fam: JFamily,
-                      steps: dict | None = None) -> tuple[int, ...]:
-    """Signature values of the flag of ``nf``, ranked on its 0/1 ``rows``.
-
-    A dual pattern's flag has s-th subspace V^perp, V the span of the
-    first k = m'_1 + ... + m'_{l-s} columns of its rows (m' the primal
-    type; the columns are independent), and rank pi_J(V^perp) = |J| - k +
-    rank pi_{J^c}(V): ranks of the same rows on the complementary sets.
-    """
-    if not (isinstance(nf, NFPattern) and nf.dualize):
-        return rank_table(nf.rows, fam, steps)
-    cuts, l = nf.primal_mm.prefix_sums(), len(fam.mm)
-    cofam = _complement_family(fam, nf.primal_mm)
-    return tuple(len(J) - cuts[l - s] + r for (s, J), r in
-                 zip(fam.entries, rank_table(nf.rows, cofam, steps)))
-
-
-def _form_dimension(nf: NormalForm) -> int:
-    """Orbit dimension of the flag of ``nf``, from its 0/1 rows.
-
-    For a dual pattern, g -> w0 g^{-T} w0 (w0 the block reversal) maps B'
-    onto itself and the stabilizer of its flag onto that of the flag its
-    unreversed rows ``matrix01`` span in the primal type.
-    """
-    if isinstance(nf, NFPattern) and nf.dualize:
-        return _annihilator_dimension(nf.matrix01, nf.nn, nf.primal_mm)
-    return _annihilator_dimension(nf.rows, nf.nn, nf.mm)
 
 
 @lru_cache(maxsize=None)

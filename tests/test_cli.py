@@ -1,7 +1,10 @@
 import io
+import itertools
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flagorbits.cli import main
 
@@ -192,3 +195,106 @@ def test_oracle_validation_mismatch_exit_4(monkeypatch, tmp_path):
     code, out, _ = run_cli(["oracle", "--nn", "2,2", "--mm", "1,3"])
     assert code == 4
     assert "status=fail" in out
+
+
+# -- the whole argument surface ---------------------------------------------
+
+FLAG_TEXTS = {
+    "empty": "",
+    "junk": "not a flag\n",
+    "f2": "m: 1,1,1 of n=3\n3 2 F2\n1 0\n1 1\n1 0\n",
+    "rank-deficient": "m: 1,1,1 of n=3\n3 2 Q\n1 1\n1 1\n0 0\n",
+    "zero-denominator": "m: 1,1,1 of n=3\n3 2 Q\n1 0\n1/0 1\n1 0\n",
+    "one-block": "m: 3 of n=3\n3 0 Q\n",
+}
+
+
+@pytest.fixture(scope="module")
+def flag_paths(tmp_path_factory):
+    """Every fixed ``--flag`` argument: the texts above, a missing path
+    and a directory."""
+    root = tmp_path_factory.mktemp("flags")
+    paths = [str(root / "missing.txt"), str(root)]
+    for name, text in FLAG_TEXTS.items():
+        (root / name).write_text(text)
+        paths.append(str(root / name))
+    return paths
+
+
+_JUNK = st.sampled_from(["", ",", "2,,1", "a", "1.5", "-"])
+_PARTS = st.lists(st.integers(-1, 3), min_size=1, max_size=4)
+# every composition of up to 4 parts in 1..3, by its sum; parts of at
+# most 3 keep every reachable catalog at n <= 6
+_BY_SUM: dict[int, list[str]] = {}
+for _parts in itertools.chain.from_iterable(
+        itertools.product(range(1, 4), repeat=k) for k in range(1, 5)):
+    _BY_SUM.setdefault(sum(_parts), []).append(",".join(map(str, _parts)))
+
+
+@st.composite
+def _pair(draw, sums):
+    """``--nn`` and ``--mm``: half the time two compositions of one n
+    drawn from ``sums``, else each one drawn alone, parts in -1..3 or a
+    malformed string."""
+    if draw(st.booleans()):
+        same_n = st.sampled_from(_BY_SUM[draw(sums)])
+        return draw(same_n), draw(same_n)
+    alone = _PARTS.map(lambda parts: ",".join(map(str, parts))) | _JUNK
+    return draw(alone), draw(alone)
+
+
+_SMALL_INTS = st.integers(-2, 13).map(str) | _JUNK
+
+# the options each verb takes; the unknown verb borrows a few
+_OPTIONS = {
+    "classify": ("--nn", "--mm"),
+    "normalize": ("--nn", "--mm", "--flag"),
+    "signature": ("--nn", "--mm", "--flag"),
+    "dimension": ("--nn", "--mm", "--flag"),
+    "enumerate": ("--nn", "--mm"),
+    "hasse": ("--nn", "--mm", "--dot"),
+    "count": ("--n", "--mm"),
+    "oracle": ("--nn", "--mm", "--q", "--budget"),
+    "counterexample": ("--case", "--variant"),
+    "no-such-verb": ("--nn", "--mm", "--q"),
+}
+
+
+@st.composite
+def _argv(draw, flag_paths):
+    """One argument list; ``--budget`` stays at most 20,000, so that no
+    example enumerates a large variety."""
+    verb = draw(st.sampled_from(sorted(_OPTIONS)))
+    # every flag file declares n = 3, so a flag verb's pair agrees with it
+    sums = st.just(3) if "--flag" in _OPTIONS[verb] else st.integers(1, 6)
+    nn, mm = draw(_pair(sums))
+    values = {
+        "--nn": st.just(nn),
+        "--mm": st.just(mm),
+        "--n": _SMALL_INTS,
+        "--q": _SMALL_INTS,
+        "--budget": st.integers(-1, 20_000).map(str) | _JUNK,
+        "--flag": st.sampled_from(flag_paths),
+        "--case": st.sampled_from(["Iprime", "IIprime", "III"]),
+        "--variant": st.sampled_from(["m1", "m3", "m2"]),
+    }
+    argv = [verb]
+    for option in _OPTIONS[verb]:
+        # each option is left out now and then, to reach argparse errors
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        argv.append(option)
+        if option != "--dot":
+            argv.append(draw(values[option]))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_argument_list_ends_in_an_exit_code(flag_paths, data):
+    """300 argument lists over every verb: ``main`` returns a documented
+    exit code, raises nothing and prints no traceback."""
+    code, out, err = run_cli(data.draw(_argv(flag_paths)))
+    assert code in range(5)
+    assert "Traceback" not in out + err

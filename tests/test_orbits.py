@@ -20,7 +20,7 @@ from flagorbits.normalforms import (InfinitePairError, NFCase0, NFChain,
                                     case3prime_normal_forms, classify_pair,
                                     has_catalog, pattern_candidates)
 from flagorbits.orbits import (DominanceDimensionError,
-                               _annihilator_dimension, _signature_values,
+                               _annihilator_dimension,
                                catalog_to_text, count_multiplicity_free,
                                emit_dot, enumerate_orbits, enumeration_count,
                                hasse_candidate, is_closed_flag,
@@ -258,7 +258,7 @@ def test_rank_table_matches_signature_on_every_candidate():
         for nf in _forms(tag, nn, mm):
             if isinstance(nf, NFPattern) and nf.dualize:
                 duals += 1
-            assert _signature_values(nf, fam, steps) == \
+            assert rank_table(nf.rows, fam, steps) == \
                 signature(nf.realize(QQ), fam).values, (nn, mm, nf)
     assert pairs == 131 and duals > 0
 
@@ -268,8 +268,8 @@ def _both_orientations(tag, nn, mm):
     nonzero 0/1 columns, each plane in both orientations."""
     n = nn.n
     vecs = [u for u in itertools.product((0, 1), repeat=n) if any(u)]
-    return [NFPattern("II", tag.subcase, nn, mm, Composition.of(2, n - 2),
-                      tuple(zip(u, v)), dualize=tag.subcase == "(n-2,2)")
+    return [NFPattern("II", tag.subcase, nn, mm, tuple(zip(u, v)),
+                      dualize=tag.subcase == "(n-2,2)")
             for u in vecs for v in vecs if u != v]
 
 
@@ -283,7 +283,7 @@ def test_one_orientation_per_plane_changes_no_catalog():
         fam = invariant_family(nn, mm)
         kept = {}
         for nf in _both_orientations(tag, nn, mm):
-            values, key = _signature_values(nf, fam), nf.serialize()
+            values, key = rank_table(nf.rows, fam), nf.serialize()
             if values not in kept or key < kept[values][0]:
                 kept[values] = (key, nf)
         expected = sorted((orbit_dimension(nf.realize(QQ), nn), key, values)
@@ -309,7 +309,9 @@ def _reference_realize(nf, fld):
     """The flag of a normal form built the long way: columns in the stored
     orientation, then permutation-matrix products (and ``dual``)."""
     if isinstance(nf, NFPattern):
-        f = Flag.from_matrix(nf.primal_mm, Matrix.from_rows(fld, nf.matrix01))
+        primal_mm = Composition(tuple(reversed(nf.mm.parts))) \
+            if nf.dualize else nf.mm
+        f = Flag.from_matrix(primal_mm, Matrix.from_rows(fld, nf.matrix01))
         if nf.dualize:
             w = _block_reversal_perm(nf.nn)
             f = dual(act(permutation_matrix(fld, w), f))
@@ -351,7 +353,7 @@ def test_realize_matches_permutation_matrix_reference():
     for tag, nn, mm in _catalog_pairs(5):
         for nf in _forms(tag, nn, mm):
             forms += 1
-            for fld in (QQ, gf(3)):
+            for fld in (QQ, gf(2), gf(3)):
                 assert nf.realize(fld) == _reference_realize(nf, fld), \
                     (nn, mm, nf, fld)
             if isinstance(nf, NFCase0):
@@ -415,16 +417,17 @@ def test_catalog_build_applies_no_group_element(monkeypatch, nn_parts,
     assert [name for name, in_probe in calls if not in_probe] == []
     assert ("act", True) in calls and ("mul", True) in calls
 
-    # a dual build ranks on the complement family; one memo shared with
-    # the primal family gives the values of fresh memos and of the flag
+    # a dual pattern's rows are an integer basis of its flag's subspace;
+    # one memo shared with the canonical flag's rows gives the values of
+    # fresh memos and of the flag
     fam, steps = cat.family, {}
     for nf in _forms(cat.case, cat.nn, cat.mm):
         if isinstance(nf, NFPattern) and nf.dualize:
             f = nf.realize(QQ)
             expected = signature(f, fam).values
             assert rank_table(_integer_rows(f.rep), fam, steps) == expected
-            assert _signature_values(nf, fam, steps) == expected, nf
-            assert _signature_values(nf, fam) == expected, nf
+            assert rank_table(nf.rows, fam, steps) == expected, nf
+            assert rank_table(nf.rows, fam) == expected, nf
 
 
 def test_catalog_dimensions_match_orbit_dimension():
