@@ -7,10 +7,8 @@ differ by the right action of the block-upper-triangular group, so every
 :class:`Flag` holds the unique canonical representative and flag equality
 is entry-wise equality.
 
-The canonical form processes blocks left to right: block j's columns are
-cleared along the pivot rows of blocks 1..j-1, column-reduced with
-first-nonzero-row pivots scaled to 1, mutually cleared inside the block,
-and finally ordered by pivot row.
+``_canonical_rep`` states the convention that picks the canonical
+representative.
 """
 
 from __future__ import annotations
@@ -20,7 +18,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Field, Matrix, QQ, gf, parse_matrix_literal
+from .linalg import (Field, Matrix, QQ, _col_axpy, _col_scale, gf,
+                     parse_matrix_literal)
 
 
 @dataclass(frozen=True)
@@ -112,63 +111,33 @@ def _canonical_rep(mat: Matrix, boundaries: Sequence[int]) -> Matrix:
     """Canonical representative modulo the right block-upper action.
 
     ``boundaries`` are the column indices where blocks start (ascending,
-    first entry 0).  Raises ``ValueError`` on rank deficiency.
+    first entry 0).  Left to right, each column is cleared at the earlier
+    columns' pivot rows, pivots at its first nonzero row not yet a pivot
+    row, is scaled to 1 there and clears that row from the earlier columns
+    of its block; then each block's columns are ordered by pivot row.
+    ``oracle.canonicalize_batch`` follows this convention on GF(q) stacks.
+    Raises ``ValueError`` on rank deficiency.
     """
-    F = mat.field
-    n, C = mat.rows, mat.cols
-    if C == 0:
-        return mat
-    cols = [list(mat.column(j)) for j in range(C)]
-    used = [False] * n
+    F, z = mat.field, mat.field.zero
+    cols = [list(col) for col in mat.columns()]
+    start = [max(b for b in boundaries if b <= c) for c in range(mat.cols)]
     pivots: list[int] = []      # pivot row per processed column
-    block_of_col = []
-    for j in range(len(boundaries)):
-        hi = boundaries[j + 1] if j + 1 < len(boundaries) else C
-        block_of_col.extend([j] * (hi - boundaries[j]))
-
-    for c in range(C):
-        col = cols[c]
-        # clear the pivot rows of all earlier columns (their blocks are <=)
-        for pc in range(c):
-            r = pivots[pc]
-            f = col[r]
-            if f != F.zero:
-                pcol = cols[pc]
-                for i in range(n):
-                    if pcol[i] != F.zero:
-                        col[i] = F.sub(col[i], F.mul(f, pcol[i]))
-        pivot = None
-        for i in range(n):
-            if not used[i] and col[i] != F.zero:
-                pivot = i
-                break
+    for c in range(mat.cols):
+        for pc, r in enumerate(pivots):
+            if cols[c][r] != z:
+                _col_axpy(F, cols, c, pc, F.sub(z, cols[c][r]))
+        pivot = next((i for i, x in enumerate(cols[c])
+                      if x != z and i not in pivots), None)
         if pivot is None:
             raise ValueError("flag representative is rank deficient")
-        inv = F.inv(col[pivot])
-        if inv != F.one:
-            for i in range(n):
-                if col[i] != F.zero:
-                    col[i] = F.mul(inv, col[i])
-        # clear this pivot row backwards inside the same block
-        for pc in range(c):
-            if block_of_col[pc] != block_of_col[c]:
-                continue
-            f = cols[pc][pivot]
-            if f != F.zero:
-                pcol = cols[pc]
-                for i in range(n):
-                    if col[i] != F.zero:
-                        pcol[i] = F.sub(pcol[i], F.mul(f, col[i]))
-        used[pivot] = True
+        if cols[c][pivot] != F.one:
+            _col_scale(F, cols, c, F.inv(cols[c][pivot]))
+        for pc in range(start[c], c):
+            if cols[pc][pivot] != z:
+                _col_axpy(F, cols, pc, c, F.sub(z, cols[pc][pivot]))
         pivots.append(pivot)
-
-    # order the columns of each block by pivot row
-    order: list[int] = []
-    for j in range(len(boundaries)):
-        lo = boundaries[j]
-        hi = boundaries[j + 1] if j + 1 < len(boundaries) else C
-        order.extend(sorted(range(lo, hi), key=lambda c: pivots[c]))
-    return Matrix.from_columns(F, [cols[c] for c in order], n)
+    order = sorted(range(mat.cols), key=lambda c: (start[c], pivots[c]))
+    return Matrix.from_columns(F, [cols[c] for c in order], mat.rows)
 
 
 @dataclass(frozen=True)

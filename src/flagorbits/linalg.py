@@ -8,11 +8,13 @@ offers two scalar domains and nothing else:
 * ``GF(p)`` -- canonical residues ``0..p-1`` for a prime ``p < 2**31``,
   with inverses by Fermat's little theorem.
 
-Matrices are immutable row-major tuples.  Integer matrices over Q need
-no ``Fraction``: ``echelon_extend`` adds one integer row to an echelon
-basis by cross-multiplication and content division, and ``integer_rank``
-and ``integer_kernel`` are folds of it.  No floating point is used
-anywhere.
+Matrices are immutable row-major tuples.  Elimination over a field, in
+``Matrix`` row reduction, the canonical flag form and the normal-form
+reducers, runs on four elementary operations on a list of columns,
+defined here once.  Integer matrices over Q need no ``Fraction``:
+``echelon_extend`` adds one integer row to an echelon basis by
+cross-multiplication and content division, and ``integer_rank`` and
+``integer_kernel`` are folds of it.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -280,19 +282,16 @@ class Matrix:
     # -- rank / inverse / kernel ---------------------------------------
 
     def rank(self) -> int:
-        return _row_reduce([list(r) for r in self.data], self.field)[1]
+        return len(_row_reduce([list(r) for r in self.data], self.field)[1])
 
     def kernel_basis(self) -> "Matrix":
         """Columns form a basis of the right null space."""
         F = self.field
-        reduced, rank = _row_reduce([list(r) for r in self.data], F)
-        pivots = []
-        for r in range(rank):
-            row = reduced[r]
-            pivots.append(next(j for j, a in enumerate(row) if a != F.zero))
-        free = [j for j in range(self.cols) if j not in pivots]
+        reduced, pivots = _row_reduce([list(r) for r in self.data], F)
         basis = []
-        for j in free:
+        for j in range(self.cols):
+            if j in pivots:
+                continue
             v = [F.zero] * self.cols
             v[j] = F.one
             for r, pj in enumerate(pivots):
@@ -307,8 +306,8 @@ class Matrix:
         n = self.rows
         aug = [list(self.data[i]) + [F.one if j == i else F.zero for j in range(n)]
                for i in range(n)]
-        reduced, rank = _row_reduce(aug, F, pivot_cols=n)
-        if rank != n:
+        reduced, pivots = _row_reduce(aug, F, pivot_cols=n)
+        if len(pivots) != n:
             raise ValueError("matrix is singular")
         return Matrix(F, n, n, tuple(tuple(reduced[i][n:]) for i in range(n)))
 
@@ -335,39 +334,60 @@ def _dot(F: Field, u, v):
     return acc
 
 
+# -- elementary operations on a matrix held as a list of columns --------------
+
+
+def _col_axpy(F: Field, cols: list[list], dst: int, src: int, c) -> None:
+    """Column ``dst`` += c * column ``src``; zero entries of ``src`` leave
+    ``dst`` as it is."""
+    z = F.zero
+    cols[dst] = [x if y == z else F.add(x, F.mul(c, y))
+                 for x, y in zip(cols[dst], cols[src])]
+
+
+def _col_scale(F: Field, cols: list[list], j: int, c) -> None:
+    cols[j] = [F.mul(c, x) for x in cols[j]]
+
+
+def _row_axpy(F: Field, cols: Sequence[list], dst: int, src: int, c) -> None:
+    """Row ``dst`` += c * row ``src``."""
+    for col in cols:
+        col[dst] = F.add(col[dst], F.mul(c, col[src]))
+
+
+def _row_scale(F: Field, cols: Sequence[list], i: int, c) -> None:
+    for col in cols:
+        col[i] = F.mul(c, col[i])
+
+
 def _row_reduce(rows: list[list], F: Field, pivot_cols: int | None = None):
-    """In-place RREF with first-nonzero pivots; returns (rows, rank).
+    """In-place RREF with first-nonzero pivots; returns (rows, pivot
+    columns), the rank being the number of pivots.
 
     Only the first ``pivot_cols`` columns are eligible for pivots; row
     operations always span the full width (used for augmented solves).
+    The rows are the "columns" of ``_col_scale`` and ``_col_axpy``.
     """
-    if not rows:
-        return rows, 0
-    ncols = len(rows[0])
+    pivots: list[int] = []
     if pivot_cols is None:
-        pivot_cols = ncols
-    rank = 0
+        pivot_cols = len(rows[0]) if rows else 0
+    z = F.zero
     for col in range(pivot_cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != F.zero:
-                pivot = r
-                break
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != z),
+                     None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = F.inv(rows[rank][col])
-        if inv != F.one:
-            rows[rank] = [F.mul(inv, a) for a in rows[rank]]
+        if rows[rank][col] != F.one:
+            _col_scale(F, rows, rank, F.inv(rows[rank][col]))
         for r in range(len(rows)):
-            if r != rank and rows[r][col] != F.zero:
-                c = rows[r][col]
-                rows[r] = [F.sub(a, F.mul(c, b))
-                           for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
+            if r != rank and rows[r][col] != z:
+                _col_axpy(F, rows, r, rank, F.sub(z, rows[r][col]))
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    return rows, rank
+    return rows, pivots
 
 
 def echelon_extend(basis, row):

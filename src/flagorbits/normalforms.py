@@ -26,8 +26,10 @@ them.
 
 The three elimination reducers (``triangular_reduce``, ``reduce_case0``,
 ``reduce_case3prime``) hold their matrix as a list of columns, each a
-mutable list of field elements, and change it only through four
-elementary operations: ``_col_axpy`` and ``_col_scale`` act on whole
+mutable list of field elements, and change it only through the four
+elementary operations of ``linalg``, which also serve the canonical flag
+form (``flags._canonical_rep``) and ``Matrix`` row reduction
+(``linalg._row_reduce``): ``_col_axpy`` and ``_col_scale`` act on whole
 columns, ``_row_axpy`` and ``_row_scale`` on one entry of every column.
 Row operations only ever add a row to one above it (a smaller index),
 so the row transformations they compose stay upper triangular.  Their
@@ -52,8 +54,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .flags import Composition, Flag, dual, flags_equal, group_generators
-from .invariants import Signature, invariant_family, signature
-from .linalg import GF, Field, Matrix, QQ, gf, integer_kernel, integer_rank
+from .invariants import Signature, invariant_family, rank_table, signature
+from .linalg import (GF, Field, Matrix, QQ, _col_axpy, _col_scale, _row_axpy,
+                     _row_scale, gf, integer_kernel, integer_rank)
 
 
 class InfinitePairError(ValueError):
@@ -130,28 +133,9 @@ def has_catalog(tag: CaseTag) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# elementary operations on a matrix held as a list of columns
+# the reducers' shared pivot sweep, and triangular reduction (upper-triangular
+# x general linear orbits)
 # ---------------------------------------------------------------------------
-
-
-def _col_axpy(F: Field, cols: list[list], dst: int, src: int, c) -> None:
-    """Column ``dst`` += c * column ``src``."""
-    cols[dst] = [F.add(x, F.mul(c, y)) for x, y in zip(cols[dst], cols[src])]
-
-
-def _col_scale(F: Field, cols: list[list], j: int, c) -> None:
-    cols[j] = [F.mul(c, x) for x in cols[j]]
-
-
-def _row_axpy(F: Field, cols: Sequence[list], dst: int, src: int, c) -> None:
-    """Row ``dst`` += c * row ``src``."""
-    for col in cols:
-        col[dst] = F.add(col[dst], F.mul(c, col[src]))
-
-
-def _row_scale(F: Field, cols: Sequence[list], i: int, c) -> None:
-    for col in cols:
-        col[i] = F.mul(c, col[i])
 
 
 def _sweep_up(F: Field, cols: list[list], rows: range, pool: Iterable[int],
@@ -182,11 +166,6 @@ def _sweep_up(F: Field, cols: list[list], rows: range, pool: Iterable[int],
         pivots[c0] = r
         pool.remove(c0)
     return pivots
-
-
-# ---------------------------------------------------------------------------
-# triangular reduction (upper-triangular x general linear orbits)
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -484,9 +463,13 @@ def reduce_case0(f: Flag, nn: Composition) -> NFCase0:
 
 def _check_signature(nf: NormalForm, f: Flag, nn: Composition,
                      reducer: str) -> None:
-    """Raise unless the realized normal form has the signature of ``f``."""
+    """Raise unless the normal form's rows have the signature of ``f``.
+
+    Ranking the rows over Q serves every field: an ``NFCase0``'s columns
+    have disjoint supports, and an ``NFChain``'s columns other than the
+    pivot column are distinct unit vectors, so supports fix every rank."""
     fam = invariant_family(nn, f.typ)
-    if signature(nf.realize(f.field), fam).values != signature(f, fam).values:
+    if rank_table(nf.rows, fam) != signature(f, fam).values:
         raise AssertionError(f"{reducer} does not preserve the signature")
 
 

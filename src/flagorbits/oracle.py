@@ -143,10 +143,8 @@ def canonicalize_batch(A: np.ndarray, p: int,
 
     ``A`` has shape (N, n, C) and any integer dtype; ``boundaries`` lists
     the starting column of every stored block.  The result holds residues
-    in the storage dtype.  Same convention as the scalar implementation:
-    clear earlier pivot rows, pivot at the first unused nonzero row, scale
-    to 1, clear backwards inside the block, then order each block's
-    columns by pivot row.
+    in the storage dtype.  The convention is ``flags._canonical_rep``'s,
+    which handles one flag over any field; tests compare the two.
     """
     N, n, C = A.shape
     out = np.empty(A.shape, dtype=_storage_dtype(p))

@@ -7,6 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flagorbits.cli import main
+from flagorbits.flags import Composition, parse_flag_literal
+from flagorbits.normalforms import counterexample_pair
 
 
 def run_cli(args):
@@ -81,6 +83,23 @@ def test_signature_normalize_dimension(tmp_path):
     code, out, _ = run_cli(["dimension", "--nn", "2,1", "--mm", "1,1,1",
                             "--flag", str(flag_file)])
     assert code == 0 and out.strip() == "3"
+
+
+def test_flag_verbs_on_a_finite_field_file(tmp_path):
+    # the README flag written over F5: the ranks and the normal form are
+    # those of the Q file, and orbit dimensions are refused
+    readme_flag = "m: 1,1,1 of n=3\n3 2 {}\n1 0\n1 1\n1 0\n"
+    args = {}
+    for fld in ("Q", "F5"):
+        flag_file = tmp_path / f"{fld}.txt"
+        flag_file.write_text(readme_flag.format(fld))
+        args[fld] = ["--nn", "2,1", "--mm", "1,1,1", "--flag", str(flag_file)]
+    for verb in ("signature", "normalize"):
+        expected = run_cli([verb] + args["Q"])
+        assert expected[0] == 0 and expected[1]
+        assert run_cli([verb] + args["F5"]) == expected
+    code, out, err = run_cli(["dimension"] + args["F5"])
+    _assert_one_line_error(code, out, err)
 
 
 FLAG_VERBS = ["normalize", "signature", "dimension"]
@@ -169,14 +188,21 @@ def test_oracle_bad_q_rejected_up_front(q, recwarn):
 
 
 def test_counterexample_verb():
-    code, out, _ = run_cli(["counterexample", "--case", "Iprime"])
-    assert code == 0
-    assert "signatures equal: 1" in out
-    code, out, _ = run_cli(["counterexample", "--case", "Iprime",
-                            "--variant", "m3"])
-    assert code == 0
-    code, out, _ = run_cli(["counterexample", "--case", "IIprime"])
-    assert code == 0
+    # m3 is the dualized witness: it runs through dual, kernel_basis and
+    # the Matrix row reduction
+    for argv, nn, mm in [(["--case", "Iprime"], "3,2", "1,2,2"),
+                         (["--case", "Iprime", "--variant", "m3"],
+                          "3,2", "2,2,1"),
+                         (["--case", "IIprime"], "4,2", "2,2,2")]:
+        code, out, _ = run_cli(["counterexample"] + argv)
+        assert code == 0
+        assert "signatures equal: 1" in out
+        pair = counterexample_pair(Composition.parse(nn),
+                                   Composition.parse(mm))
+        d1, rest = out.split("flag D1:\n")[1].split("flag D2:\n")
+        d2 = rest.split("signatures equal:")[0]
+        assert parse_flag_literal(d1) == pair.d1
+        assert parse_flag_literal(d2) == pair.d2
 
 
 def test_oracle_validation_mismatch_exit_4(monkeypatch, tmp_path):

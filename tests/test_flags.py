@@ -313,8 +313,10 @@ def test_complete_to_invertible_deterministic():
     m = Matrix.from_columns(QQ, [[1, 1, 0]], 3)
     g = complete_to_invertible(m)
     assert g.is_invertible()
-    assert g.column(0) == (1, 1, 0)
-    # greedy picks e1 then e3 (e2 no longer enlarges after e1? it does; check)
+    # the greedy completion tries e1, e2, e3 in turn and keeps each unit
+    # vector that Matrix.rank finds enlarging the span: e1 does, then e2
+    # lies in the span of (1,1,0) and e1, and e3 completes it
+    assert g.columns() == [(1, 1, 0), (1, 0, 0), (0, 0, 1)]
     g2 = complete_to_invertible(m)
     assert g == g2
 

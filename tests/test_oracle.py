@@ -93,11 +93,15 @@ def test_batch_canonicalization_matches_scalar_path():
             raw = [[rng.randrange(q) for _ in range(stored)]
                    for _ in range(n)]
             mat = Matrix.from_rows(fld, raw)
-            if stored and mat.rank() != stored:
-                continue
             batch = np.array(raw, dtype=np.int64)[None, :, :]
-            out = canonicalize_batch(batch, q,
-                                     mm.prefix_sums()[: max(len(mm) - 1, 0)])
+            boundaries = mm.prefix_sums()[: max(len(mm) - 1, 0)]
+            if stored and mat.rank() != stored:
+                with pytest.raises(ValueError):
+                    Flag.from_matrix(mm, mat)
+                with pytest.raises(ValueError):
+                    canonicalize_batch(batch, q, boundaries)
+                continue
+            out = canonicalize_batch(batch, q, boundaries)
             got = [[int(x) for x in row] for row in out[0]]
             expect = [[int(x) for x in row]
                       for row in Flag.from_matrix(mm, mat).rep.data]
