@@ -1,12 +1,15 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage error, 2 infinite pair, 3 non-injective
-case where a catalog was requested, 4 validation mismatch.
+case where a catalog was requested, 4 validation mismatch.  A reader that
+closes the pipe early (``| head``) ends a verb with exit 0 and nothing on
+stderr: every verb has finished its work before it prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .flags import Composition, Flag, parse_flag_literal
@@ -216,7 +219,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # closing stdout drops its unwritten buffer, or the exit flush fails
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+        return EXIT_OK
     except InfinitePairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFINITE

@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import (Field, Matrix, QQ, _col_axpy, _col_scale, gf,
-                     parse_matrix_literal)
+from .linalg import (Field, Matrix, QQ, _col_axpy, _col_scale, _row_reduce,
+                     gf, parse_matrix_literal)
 
 
 @dataclass(frozen=True)
@@ -305,61 +305,33 @@ def project(f: Flag, target: Composition) -> Flag:
 
 
 def complete_to_invertible(mat: Matrix) -> Matrix:
-    """Deterministic greedy completion to an invertible square matrix.
-
-    Standard basis vectors are appended in index order whenever they
-    enlarge the span; input columns must be independent.
+    """Deterministic greedy completion to an invertible square matrix:
+    the input's columns, which must be independent, then each standard
+    basis vector that enlarges the span, in index order.  These are the
+    pivot columns of the reduced (A | I).
     """
-    F = mat.field
-    n = mat.rows
-    cols = [list(mat.column(j)) for j in range(mat.cols)]
-    current_rank = len(cols)
-    if mat.rank() != current_rank:
+    F, n, k = mat.field, mat.rows, mat.cols
+    eye = Matrix.identity(F, n).data
+    _, pivots = _row_reduce([list(a + e) for a, e in zip(mat.data, eye)], F)
+    if pivots[:k] != list(range(k)):
         raise ValueError("columns are not independent")
-    for i in range(n):
-        if current_rank == n:
-            break
-        v = [F.zero] * n
-        v[i] = F.one
-        candidate_cols = cols + [v]
-        cand = Matrix.from_columns(F, candidate_cols, n)
-        if cand.rank() == current_rank + 1:
-            cols = candidate_cols
-            current_rank += 1
-    out = Matrix.from_columns(F, cols, n)
-    if out.rank() != n:
-        raise ValueError("completion failed")
-    return out
+    return Matrix.from_columns(
+        F, mat.columns() + [eye[p - k] for p in pivots[k:]], n)
 
 
 def dual(f: Flag) -> Flag:
     """Orthogonal-complement flag: type ``(m_1..m_l)`` to ``(m_l..m_1)``.
 
-    Each nested subspace is replaced by the kernel of its transpose
-    (the standard dot product, no conjugation), mirroring the chain.
+    Each subspace becomes its annihilator under the standard dot product
+    (no conjugation), mirroring the chain.  With g the completion of the
+    representative, the rows of g^{-1} from m_1+...+m_s on span the
+    annihilator of the s-th subspace (as ``orbit_dimension`` states), so
+    the rows from m_1 on, read bottom up, represent the dual flag.
     """
     target = Composition(tuple(reversed(f.typ.parts)))
-    F = f.field
-    n = f.n
-    src_ps = f.typ.prefix_sums()
-    tgt_ps = target.prefix_sums()
-    cols: list[list] = []
-    for j in range(1, len(target)):
-        # the j-th dual subspace is the orthogonal of the source prefix l-j
-        span = f.rep.col_submatrix(range(src_ps[len(f.typ) - j]))
-        if span.cols == 0:
-            orth = Matrix.identity(F, n)
-        else:
-            orth = span.transpose().kernel_basis()
-        for c in range(orth.cols):
-            if len(cols) == tgt_ps[j]:
-                break
-            v = list(orth.column(c))
-            if Matrix.from_columns(F, cols + [v], n).rank() == len(cols) + 1:
-                cols.append(v)
-        if len(cols) != tgt_ps[j]:
-            raise ValueError("dual flag construction failed")
-    return Flag.from_matrix(target, Matrix.from_columns(F, cols, n))
+    ginv = complete_to_invertible(f.rep).inverse()
+    return Flag.from_matrix(target, Matrix.from_columns(
+        f.field, ginv.data[:f.typ.parts[0] - 1:-1], f.n))
 
 
 # -- maximal parabolics over B' and P ---------------------------------------

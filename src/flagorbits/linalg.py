@@ -279,37 +279,22 @@ class Matrix:
         )
         return Matrix(F, self.rows, other.cols, out)
 
-    # -- rank / inverse / kernel ---------------------------------------
+    # -- rank / inverse ------------------------------------------------
 
     def rank(self) -> int:
         return len(_row_reduce([list(r) for r in self.data], self.field)[1])
 
-    def kernel_basis(self) -> "Matrix":
-        """Columns form a basis of the right null space."""
-        F = self.field
-        reduced, pivots = _row_reduce([list(r) for r in self.data], F)
-        basis = []
-        for j in range(self.cols):
-            if j in pivots:
-                continue
-            v = [F.zero] * self.cols
-            v[j] = F.one
-            for r, pj in enumerate(pivots):
-                v[pj] = F.sub(F.zero, reduced[r][j])
-            basis.append(v)
-        return Matrix.from_columns(F, basis, self.cols)
-
     def inverse(self) -> "Matrix":
+        """The right half of the reduced (A | I)."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        F = self.field
         n = self.rows
-        aug = [list(self.data[i]) + [F.one if j == i else F.zero for j in range(n)]
-               for i in range(n)]
-        reduced, pivots = _row_reduce(aug, F, pivot_cols=n)
-        if len(pivots) != n:
+        eye = Matrix.identity(self.field, n).data
+        aug = [list(a + e) for a, e in zip(self.data, eye)]
+        reduced, pivots = _row_reduce(aug, self.field)
+        if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(F, n, n, tuple(tuple(reduced[i][n:]) for i in range(n)))
+        return Matrix(self.field, n, n, tuple(tuple(r[n:]) for r in reduced))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -360,19 +345,15 @@ def _row_scale(F: Field, cols: Sequence[list], i: int, c) -> None:
         col[i] = F.mul(c, col[i])
 
 
-def _row_reduce(rows: list[list], F: Field, pivot_cols: int | None = None):
+def _row_reduce(rows: list[list], F: Field):
     """In-place RREF with first-nonzero pivots; returns (rows, pivot
-    columns), the rank being the number of pivots.
-
-    Only the first ``pivot_cols`` columns are eligible for pivots; row
-    operations always span the full width (used for augmented solves).
-    The rows are the "columns" of ``_col_scale`` and ``_col_axpy``.
+    columns), the rank being the number of pivots.  A column is a pivot
+    exactly when it is independent of the columns before it.  The rows
+    are the "columns" of ``_col_scale`` and ``_col_axpy``.
     """
     pivots: list[int] = []
-    if pivot_cols is None:
-        pivot_cols = len(rows[0]) if rows else 0
     z = F.zero
-    for col in range(pivot_cols):
+    for col in range(len(rows[0]) if rows else 0):
         rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != z),
                      None)

@@ -187,9 +187,44 @@ def test_oracle_bad_q_rejected_up_front(q, recwarn):
     assert len(recwarn) == 0
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader took ``limit`` characters and closed the pipe;
+    a flush fails too, as a buffered stdout's does once the pipe is gone."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, s):
+        if self.tell() + len(s) > self.limit:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(s)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("limit", [0, 40, 10**6])
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--case", "Iprime", "--variant", "m3"],
+    ["hasse", "--nn", "2,1", "--mm", "1,1,1", "--dot"]])
+def test_reader_closing_the_pipe_ends_the_verb_quietly(argv, limit):
+    # `flagorbits ... | head -2`: exit 0, no error line, and stdout closed
+    # so that the interpreter's final flush has nothing left to write
+    out, err = _ClosedPipe(limit), io.StringIO()
+    old = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        code = main(argv)
+    finally:
+        sys.stdout, sys.stderr = old
+    assert code == 0 and err.getvalue() == ""
+    assert out.closed
+
+
 def test_counterexample_verb():
-    # m3 is the dualized witness: it runs through dual, kernel_basis and
-    # the Matrix row reduction
+    # m3 is the dualized witness: dual reads it off the inverse of the
+    # completed representative, one row reduction of (A | I) each
     for argv, nn, mm in [(["--case", "Iprime"], "3,2", "1,2,2"),
                          (["--case", "Iprime", "--variant", "m3"],
                           "3,2", "2,2,1"),

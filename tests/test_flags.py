@@ -15,6 +15,8 @@ from flagorbits.flags import (Composition, Flag, act, complete_to_invertible,
                               subcomposition_witness)
 from flagorbits.linalg import Matrix, QQ, gf
 
+from conftest import compositions
+
 
 def test_composition_basics():
     c = Composition.of(1, 2, 1)
@@ -223,6 +225,42 @@ def test_dual_conjugates_by_inverse_transpose():
         assert flags_equal(lhs, rhs)
 
 
+def _gf2_span(cols, n):
+    """Every GF(2) combination of ``cols``, by adding each in turn."""
+    span = {(0,) * n}
+    for c in cols:
+        span |= {tuple((a + b) % 2 for a, b in zip(v, c)) for v in span}
+    return span
+
+
+def test_dual_prefixes_are_brute_force_annihilators():
+    # every flag of every type with n <= 4 over GF(2): each prefix of the
+    # dual is the set of vectors orthogonal to the matching prefix of f,
+    # found by trying all 2^n vectors, with no library elimination
+    f2 = gf(2)
+    for n in range(1, 5):
+        vectors = list(itertools.product((0, 1), repeat=n))
+        for typ in compositions(n):
+            ps, stored = typ.prefix_sums(), n - typ.parts[-1]
+            seen = set()
+            for cols in itertools.product(vectors, repeat=stored):
+                if len(_gf2_span(cols, n)) != 2 ** stored:
+                    continue
+                f = Flag.from_matrix(typ, Matrix.from_columns(f2, cols, n))
+                if f in seen:
+                    continue
+                seen.add(f)
+                d = dual(f)
+                assert d.typ.parts == typ.parts[::-1]
+                dps = d.typ.prefix_sums()
+                for j in range(1, len(typ)):
+                    span = _gf2_span(f.rep.columns()[:ps[len(typ) - j]], n)
+                    orth = {v for v in vectors if all(
+                        sum(a * b for a, b in zip(v, u)) % 2 == 0
+                        for u in span)}
+                    assert _gf2_span(d.rep.columns()[:dps[j]], n) == orth
+
+
 def test_invariant_row_sets_are_block_suffix_unions():
     js = invariant_row_sets(Composition.of(2, 2))
     assert (2,) in js and (2, 4) in js and (1, 2, 3, 4) in js
@@ -313,9 +351,9 @@ def test_complete_to_invertible_deterministic():
     m = Matrix.from_columns(QQ, [[1, 1, 0]], 3)
     g = complete_to_invertible(m)
     assert g.is_invertible()
-    # the greedy completion tries e1, e2, e3 in turn and keeps each unit
-    # vector that Matrix.rank finds enlarging the span: e1 does, then e2
-    # lies in the span of (1,1,0) and e1, and e3 completes it
+    # the greedy completion keeps the unit vectors that are pivot columns
+    # of the reduced (A | I): e1 enlarges the span, e2 lies in the span of
+    # (1,1,0) and e1, and e3 completes it
     assert g.columns() == [(1, 1, 0), (1, 0, 0), (0, 0, 1)]
     g2 = complete_to_invertible(m)
     assert g == g2

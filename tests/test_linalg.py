@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from flagorbits.flags import Composition, Flag
+from flagorbits.flags import Composition, Flag, complete_to_invertible
 from flagorbits.linalg import (GF, Matrix, QQ, gf, integer_kernel,
                                integer_rank, parse_matrix_literal)
 
@@ -78,26 +78,40 @@ def test_reduced_column_echelon_of_example_block():
     assert Matrix.from_columns(QQ, m.columns() + alt.columns(), 4).rank() == 2
 
 
-def test_kernel_identity_empty():
-    assert Matrix.identity(QQ, 3).kernel_basis().cols == 0
-
-
-def test_kernel_gf2_forced():
-    m = Matrix.from_rows(gf(2), [[1, 1]])
-    k = m.kernel_basis()
-    assert k.cols == 1
-    assert k.column(0) == (1, 1)
-
-
-def test_kernel_multiply_back():
+def test_completion_inverse_rows_annihilate_the_columns():
+    # the fact dual reads off g^-1: with g the completion of A, the rows
+    # of g^-1 from A's column count on span the annihilator of A's columns
     rng = random.Random(17)
-    for _ in range(30):
-        m = rand_matrix(QQ, 4, 6, rng)
-        k = m.kernel_basis()
-        assert m.rank() + k.cols == m.cols
-        if k.cols:
-            assert m * k == Matrix.zero(QQ, m.rows, k.cols)
-            assert k.rank() == k.cols
+    for fld in (QQ, gf(2), gf(3)):
+        for k in range(5):
+            for _ in range(6):
+                a = rand_matrix(fld, 4, k, rng)
+                while a.rank() != k:
+                    a = rand_matrix(fld, 4, k, rng)
+                rest = complete_to_invertible(a).inverse().row_submatrix(
+                    range(k, 4))
+                assert rest * a == Matrix.zero(fld, 4 - k, k)
+                assert rest.rank() == 4 - k
+
+
+def test_completion_rejects_dependent_columns():
+    for cols in ([[1, 2, 0], [2, 4, 0]], [[0, 0, 0]], [[1, 0, 1], [1, 0, 1]]):
+        with pytest.raises(ValueError, match="not independent"):
+            complete_to_invertible(Matrix.from_columns(QQ, cols, 3))
+    with pytest.raises(ValueError, match="not independent"):
+        complete_to_invertible(Matrix.from_columns(gf(2), [[1, 1], [1, 1]], 2))
+
+
+def test_inverse_rejects_singular_matrices():
+    # a zero first column makes the reduction of (A | I) pivot inside I
+    singular = [(QQ, [[0, 1], [0, 1]]), (QQ, [[0, 1, 2], [0, 3, 4], [0, 5, 6]]),
+                (QQ, [[1, 2], [2, 4]]), (gf(2), [[1, 1], [1, 1]]),
+                (gf(3), [[1, 2], [2, 1]])]
+    for fld, rows in singular:
+        with pytest.raises(ValueError, match="singular"):
+            Matrix.from_rows(fld, rows).inverse()
+    with pytest.raises(ValueError, match="non-square"):
+        Matrix.zero(QQ, 2, 3).inverse()
 
 
 def test_solve_substitute_exactness():
