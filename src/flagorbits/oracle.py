@@ -6,10 +6,21 @@ the partition.  The heavy lifting is vectorized: all representatives
 live in one array of residues in ``np.min_scalar_type(q - 1)`` (one byte
 for q <= 256), and the canonical-form pass processes every matrix in
 lock step (same pivot convention as :mod:`flagorbits.flags`, verified by
-tests).  Each generator permutes the flags, so the orbits are the
-connected components of the union of those permutations.  A torus
-generator's images come in closed form, by rescaling one row and the
-columns that pivot there (``_torus_image``); only the unipotent ones are
+tests).  The orbits are the connected components of the graph with an
+edge F -- g·F for every group element g sent to a flag F, and each
+generator is sent only to the flags it has to, by its shape:
+
+1. a torus generator (diagonal, no zero on the diagonal) goes to one flag
+   per current class, since torus generators are taken first and commute:
+   g·(h·F) = h·(g·F).  After them the classes are the orbits of the torus
+   T they generate;
+2. a root element G = I + c·e_i e_jᵀ (i != j) sends G, G², ..., G^(q-1)
+   to one flag per T-orbit, the roots as step 1 left them: for d in T,
+   G·(d·F) = d·(G^k·F) with k = d_j/d_i, since d⁻¹Gd = G^k;
+3. any other generator goes to every flag.
+
+A torus element's images come in closed form, by rescaling rows and the
+columns that pivot there (``_torus_image``); only the others are
 canonicalized.  Signature vectors follow the family's rank plan, as
 catalog builds do: one batched GF(q) echelon step per row set, and each
 entry a count of pivots (``_signature_vectors``).  Cross-validation
@@ -20,10 +31,12 @@ Arithmetic is integer-only throughout, and numpy is the only dependency.
 Memory: partitioning N flags of n x C stored entries, s bytes each (the
 storage dtype), peaks below (n*C*s + 96)*N + 24*n*C*CHUNK + 2**20 bytes
 of allocations: the flags are enumerated into one preallocated array and
-exist once; then a sorted key index (16 bytes per flag), the component
-forest, one generator's image and the hooking temporaries (80 bytes per
-flag together); the rest is one chunk of working arrays and small
-objects.
+exist once; then a sorted key index (16 bytes per flag); the component
+forest, the snapshot of the T-orbits' roots, and one sweep's source
+indices and images (8 bytes per flag each, the last two in a full
+sweep); and the hooking temporaries, one more forest, four index arrays
+over the edges and two masks (42 bytes per flag at most).  The rest is
+one chunk of working arrays and small objects.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -327,6 +340,9 @@ class OrbitPartition:
         if f.typ != self.mm or f.n != n:
             raise KeyError(f"flag of type {f.typ} does not belong to the "
                            f"enumerated variety of type {self.mm}")
+        if f.field != gf(self.q):
+            raise KeyError(f"flag over {f.field} does not belong to the "
+                           f"variety enumerated over GF({self.q})")
         mat = np.array([[int(x) for x in row] for row in f.rep.data],
                        dtype=np.int64).reshape(1, n, C)
         return int(self.labels[self.locate(mat)[0]])
@@ -359,25 +375,46 @@ def _torus_image(A: np.ndarray, d: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+def _is_torus(G: np.ndarray) -> bool:
+    """Whether the residue matrix G is diagonal with no zero on its
+    diagonal: a torus element, which acts in closed form."""
+    diagonal = np.diag(G)
+    return bool(np.array_equal(G, np.diag(diagonal)) and diagonal.all())
+
+
+def _root_entry(G: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """(i, j, c) when the residue matrix G is I + c·e_i e_jᵀ with i != j
+    and c != 0 (a root element), else None."""
+    off = np.argwhere(G != np.eye(G.shape[0], dtype=G.dtype))
+    if len(off) != 1 or off[0, 0] == off[0, 1]:
+        return None
+    i, j = off[0].tolist()
+    return i, j, int(G[i, j])
+
+
 def _generator_image(part: OrbitPartition, G: np.ndarray,
-                     boundaries: Sequence[int]) -> np.ndarray:
-    """Index of G·F for every enumerated flag F: a permutation of the
-    flags.  A diagonal G acts in closed form (``_torus_image``).  For any
-    other G only the rows where it differs from the identity change, each
-    recomputed from the nonzero entries of its row of G, and the result is
-    canonicalized.  ``locate`` raises unless every image is enumerated."""
+                     boundaries: Sequence[int],
+                     src: Optional[np.ndarray] = None) -> np.ndarray:
+    """Index of G·F for every enumerated flag F at the indices ``src``, or
+    for every flag (then a permutation of the flags).  A torus G acts in
+    closed form (``_torus_image``).  For any other G only the rows where
+    it differs from the identity change, each recomputed from the nonzero
+    entries of its row of G, and the result is canonicalized.  ``locate``
+    raises unless every image is enumerated."""
     q, reps = part.q, part.reps
     G = np.mod(G, q, dtype=np.int64)
-    diagonal = np.diag(G)
-    torus = np.array_equal(G, np.diag(diagonal)) and diagonal.all()
+    torus = _is_torus(G)
     moved_rows = np.flatnonzero((G != np.eye(G.shape[0], dtype=np.int64))
                                 .any(axis=1))
     work = _work_dtype(q)
-    img = np.empty(part.size, dtype=np.intp)
-    for lo in range(0, part.size, CHUNK):
-        chunk = reps[lo:lo + CHUNK]
+    count = part.size if src is None else len(src)
+    img = np.empty(count, dtype=np.intp)
+    for lo in range(0, count, CHUNK):
+        chunk = (reps[lo:lo + CHUNK] if src is None
+                 else reps[src[lo:lo + CHUNK]])
         if torus:
-            img[lo:lo + CHUNK] = part.locate(_torus_image(chunk, diagonal, q))
+            img[lo:lo + CHUNK] = part.locate(
+                _torus_image(chunk, np.diag(G), q))
             continue
         moved = chunk.copy()
         for i in moved_rows:
@@ -391,35 +428,28 @@ def _generator_image(part: OrbitPartition, G: np.ndarray,
     return img
 
 
-def _component_labels(N: int, images: Iterable[np.ndarray]) -> np.ndarray:
-    """Class ids, numbered by first appearance, of the components of the
-    graph on range(N) with an edge i -- img[i] for every permutation
-    ``img`` in ``images`` (read one at a time).
+def _hook(root: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    """Join the trees of src[k] and dst[k] in the forest ``root`` for
+    every k, in place.
 
     Hooking plus pointer jumping (Shiloach and Vishkin, J. Algorithms 3,
-    1982): ``root`` is a forest whose pointers only go to smaller
-    indices.  Each edge joining two trees hooks the larger root under the
-    smaller, then pointer jumping points every index at its root again;
-    a permutation's edges are swept until none joins two trees.  So each
-    component's root is its smallest index, and numbering the roots in
-    order numbers the classes by first appearance.
+    1982): ``root`` points every index at its tree's root, and pointers
+    only go to smaller indices.  Each edge joining two trees hooks the
+    larger root under the smaller, then pointer jumping points every index
+    at its root again; the edges are swept until none joins two trees.  So
+    each tree's root is its smallest index.
     """
-    root = np.arange(N)
-    for img in images:
+    while True:
+        split = root[src] != root[dst]
+        if not split.any():
+            return
+        a, b = root[src[split]], root[dst[split]]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
         while True:
-            a = root[img]
-            split = a != root
-            if not split.any():
+            jumped = root[root]
+            if np.array_equal(jumped, root):
                 break
-            a, b = a[split], root[split]
-            hi = np.maximum(a, b)
-            np.minimum.at(root, hi, np.minimum(a, b, out=a))
-            while True:
-                jumped = root[root]
-                if np.array_equal(jumped, root):
-                    break
-                root = jumped
-    return (np.cumsum(root == np.arange(N)) - 1)[root]
+            root[:] = jumped
 
 
 def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
@@ -427,11 +457,53 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
                                 q: int) -> OrbitPartition:
     """Split canonical flags (shape (N, n, C), residues in any integer
     dtype) into the orbits of the group the matrices ``gen_mats``
-    generate.  The generators are swept one at a time."""
+    generate: the components of the graph with an edge F -- g·F for every
+    group element g sent to F.  Classes are numbered by their smallest
+    index, which is first appearance.
+
+    Each generator goes only to the flags it has to, by its shape:
+
+    1. Torus generators (diagonal, no zero on the diagonal; T is the group
+       they generate) come first, each sent to one flag per current class.
+       They commute, so g·(hF) = h·(gF) lies in the class of g·F.  After
+       them the classes are the T-orbits.
+    2. A root element G = I + c·e_i e_jᵀ (i != j) sends its powers G^k
+       (entry k·c) for k = 1..q-1 to one flag per T-orbit: the roots as
+       step 1 left them, not as later merges leave them, since only a
+       T-orbit's flags are all d·R for its root R and d in T.  Then
+       G·(d·R) = d·(d⁻¹Gd)·R and d⁻¹Gd = G^k with k = d_j/d_i, so
+       G·(d·R) lies in the T-orbit of G^k·R.
+    3. Any other generator goes to every flag.
+
+    Over GF(2) T is trivial, so every generator goes to every flag.
+    """
     boundaries = mm.prefix_sums()[: max(len(mm) - 1, 0)]
     part = OrbitPartition(q, nn, mm, reps, np.zeros(0, dtype=np.int64))
-    part.labels = _component_labels(
-        part.size, (_generator_image(part, G, boundaries) for G in gen_mats))
+    N = part.size
+    root = np.arange(N)
+
+    def class_roots() -> np.ndarray:
+        return np.flatnonzero(root == np.arange(N))
+
+    def sweep(G: np.ndarray, src: np.ndarray) -> None:
+        _hook(root, src, _generator_image(part, G, boundaries, src))
+
+    gens = [np.mod(G, q, dtype=np.int64) for G in gen_mats]
+    for G in filter(_is_torus, gens):
+        sweep(G, class_roots())
+    torus_roots = class_roots()
+    for G in gens:
+        if _is_torus(G):
+            continue
+        entry = _root_entry(G)
+        if entry is None:
+            sweep(G, np.arange(N))
+            continue
+        i, j, c = entry
+        for k in range(1, q):
+            G[i, j] = k * c % q     # G is now G^k
+            sweep(G, torus_roots)
+    part.labels = (np.cumsum(root == np.arange(N)) - 1)[root]
     return part
 
 

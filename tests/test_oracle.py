@@ -4,27 +4,31 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import flagorbits
-from flagorbits.flags import Composition, Flag, act, flags_equal, random_flag
+from flagorbits.flags import (Composition, Flag, ParabolicSpec, act,
+                              flags_equal, random_flag)
 from flagorbits.invariants import invariant_family, rank_js, signature
-from flagorbits.linalg import Matrix, gf
+from flagorbits.linalg import QQ, Matrix, gf
 from flagorbits.normalforms import (counterexample_pair, transporter_empty,
                                     witness_pair_over)
-from flagorbits.oracle import (CHUNK, BudgetExceededError,
-                               _component_labels, _decode_flag,
-                               _generator_image, _signature_vectors,
+from flagorbits.oracle import (CHUNK, BudgetExceededError, _decode_flag,
+                               _generator_image, _hook, _signature_vectors,
                                _torus_image, _work_dtype, borel_order,
                                canonicalize_batch, cross_validate,
                                enumerate_flag_array, flag_count,
                                gaussian_binomial, group_generators,
-                               oracle_partition, validate_witnesses)
+                               oracle_partition,
+                               orbit_partition_from_arrays,
+                               validate_witnesses)
 from flagorbits.orbits import enumerate_orbits
 
-from conftest import borel_translates, compositions, rank_batch
+from conftest import (borel_translates, compositions, parabolic_generators,
+                      rank_batch)
 
 
 def test_gaussian_binomial_and_flag_counts():
@@ -286,6 +290,24 @@ def test_index_of_unknown_flag_raises():
         part.class_of_flag(other)
 
 
+def test_class_of_flag_rejects_other_fields():
+    # the entries of a flag over another field are no residues mod q:
+    # GF(5) and Q flags are refused, not truncated into a GF(3) class
+    nn, mm = Composition.of(2, 1), Composition.of(1, 1, 1)
+    part = oracle_partition(nn, mm, 3)
+    gf5 = Flag.from_matrix(mm, Matrix.from_rows(gf(5), [[1, 0], [2, 1],
+                                                         [0, 1]]))
+    rational = Flag.from_matrix(mm, Matrix.from_rows(
+        QQ, [[1, 0], [Fraction(1, 2), 1], [0, Fraction(7, 3)]]))
+    for other in (gf5, rational):
+        with pytest.raises(KeyError):
+            part.class_of_flag(other)
+    gf3 = Flag.from_matrix(mm, Matrix.from_rows(gf(3), [[1, 0], [2, 1],
+                                                         [0, 1]]))
+    at = part.locate(np.array(gf3.rep.data, dtype=np.int64)[None])[0]
+    assert part.class_of_flag(gf3) == part.labels[at]
+
+
 def test_encode_keys_exact_beyond_one_byte():
     # 4 entries at p = 65537 need more than 62 bits, so keys take the
     # structured-dtype path; residues 1 and 257 must stay distinct there
@@ -321,8 +343,9 @@ def test_batched_representative_signatures_match_scalar():
             assert (full[part.first_index] == batched).all()
 
 
-def _union_find_labels(N, perms):
-    """Reference: scalar union-find, classes numbered by first appearance."""
+def _union_find_labels(N, edges):
+    """Reference: scalar union-find over the edges src[k] -- dst[k] of
+    every (src, dst) in ``edges``, classes numbered by first appearance."""
     parent = list(range(N))
 
     def find(x):
@@ -331,9 +354,9 @@ def _union_find_labels(N, perms):
             x = parent[x]
         return x
 
-    for perm in perms:
-        for i, j in enumerate(perm):
-            ri, rj = find(i), find(int(j))
+    for src, dst in edges:
+        for i, j in zip(np.asarray(src).tolist(), np.asarray(dst).tolist()):
+            ri, rj = find(i), find(j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
     ids = {}
@@ -342,8 +365,13 @@ def _union_find_labels(N, perms):
 
 def _component_cases():
     rng = np.random.default_rng(5)
+
+    def every(N, perms):
+        return [(np.arange(N), perm) for perm in perms]
+
     for N, k in [(2, 1), (7, 2), (50, 1), (200, 3), (1000, 2), (3000, 4)]:
-        yield f"random N={N} k={k}", N, [rng.permutation(N) for _ in range(k)]
+        yield (f"random N={N} k={k}", N,
+               every(N, [rng.permutation(N) for _ in range(k)]))
     # permutations with many fixed points leave many small classes
     for N in (40, 500):
         perms = []
@@ -352,31 +380,158 @@ def _component_cases():
             moved = rng.choice(N, size=N // 10, replace=False)
             perm[moved] = rng.permutation(moved)
             perms.append(perm)
-        yield f"sparse N={N}", N, perms
+        yield f"sparse N={N}", N, every(N, perms)
     for N in (2, 1000, 4096):
-        yield f"N-cycle forward N={N}", N, [np.roll(np.arange(N), -1)]
-        yield f"N-cycle backward N={N}", N, [np.roll(np.arange(N), 1)]
+        yield (f"N-cycle forward N={N}", N,
+               every(N, [np.roll(np.arange(N), -1)]))
+        yield (f"N-cycle backward N={N}", N,
+               every(N, [np.roll(np.arange(N), 1)]))
     order = rng.permutation(1000)
     cycle = np.empty(1000, dtype=np.intp)
     cycle[order] = np.roll(order, -1)
-    yield "N-cycle shuffled", 1000, [cycle]
-    yield "identity only", 30, [np.arange(30), np.arange(30)]
-    yield "N=1", 1, [np.arange(1)]
+    yield "N-cycle shuffled", 1000, every(1000, [cycle])
+    yield "identity only", 30, every(30, [np.arange(30), np.arange(30)])
+    yield "N=1", 1, every(1, [np.arange(1)])
     yield "no generators", 5, []
+    # partial edge lists: a few sources each, repeated sources, sources
+    # hooked by an earlier list, self-loops and an empty list
+    for N, k in [(60, 4), (2000, 6)]:
+        yield (f"partial random N={N} k={k}", N,
+               [(rng.choice(N, size=N // 8), rng.integers(0, N, N // 8))
+                for _ in range(k)])
+    evens = np.arange(0, 400, 2)
+    yield ("partial chains N=400", 400,
+           [(evens[1:], evens[:-1]), (evens + 1, evens[::-1]),
+            (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)),
+            (np.array([399, 399, 5]), np.array([399, 0, 5]))])
+    yield ("partial one edge N=9", 9, [(np.array([8]), np.array([3]))])
 
 
 COMPONENT_CASES = list(_component_cases())
 
 
-@pytest.mark.parametrize("name,N,perms", COMPONENT_CASES,
+@pytest.mark.parametrize("name,N,edges", COMPONENT_CASES,
                          ids=[c[0] for c in COMPONENT_CASES])
-def test_component_labels_match_union_find(name, N, perms):
-    got = _component_labels(N, iter(perms))
-    expect = _union_find_labels(N, perms)
-    assert got.tolist() == expect
-    # first-appearance order: every new class id is one past the largest
-    seen_max = np.maximum.accumulate(got)
-    assert got[0] == 0 and (np.diff(seen_max) <= 1).all()
+def test_component_labels_match_union_find(name, N, edges):
+    # each index ends up pointing at the smallest index of its component
+    root = np.arange(N)
+    for src, dst in edges:
+        _hook(root, src, dst)
+    labels = _union_find_labels(N, edges)
+    first = np.unique(labels, return_index=True)[1]
+    assert root.tolist() == first[labels].tolist()
+
+
+def _full_sweep_labels(part, gens):
+    """Reference partition: every generator on every flag, joined by the
+    scalar union-find."""
+    bounds = part.mm.prefix_sums()[: max(len(part.mm) - 1, 0)]
+    everything = np.arange(part.size)
+    return _union_find_labels(part.size, [
+        (everything, _generator_image(part, G, bounds)) for G in gens])
+
+
+def _matrices(gens):
+    return [np.array(g.data, dtype=np.int64) for g in gens]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_partition_matches_full_sweep_every_pair_n4(q):
+    # every pair with n <= 4, classified or not
+    cases = 0
+    for n in range(2, 5):
+        for nn in compositions(n):
+            for mm in compositions(n):
+                part = oracle_partition(nn, mm, q)
+                expect = _full_sweep_labels(
+                    part, _matrices(group_generators(nn, q)))
+                assert part.labels.tolist() == expect, (nn, mm, q)
+                cases += 1
+    assert cases == 84
+
+
+@pytest.mark.parametrize("nn_parts,mm_parts,q",
+                         WORKLOAD_RUNS + [((2, 3), (2, 3), 7)])
+def test_partition_matches_full_sweep_large(nn_parts, mm_parts, q):
+    nn, mm = Composition(nn_parts), Composition(mm_parts)
+    part = oracle_partition(nn, mm, q)
+    expect = _full_sweep_labels(part, _matrices(group_generators(nn, q)))
+    assert part.labels.tolist() == expect
+
+
+def test_partition_matches_full_sweep_parabolic_generators():
+    # criterion 7's parabolic generators at q = 3: torus scalings and
+    # root elements on both sides of the diagonal
+    q, cases = 3, 0
+    for n in range(2, 5):
+        for m1 in range(1, n):
+            mm = Composition.of(m1, n - m1)
+            arr = enumerate_flag_array(n, mm, q)
+            for size in range(1, n):
+                for J in itertools.combinations(range(1, n + 1), size):
+                    perm = tuple([i for i in range(1, n + 1) if i not in J]
+                                 + list(J))
+                    spec = ParabolicSpec(
+                        Composition.of(n - len(J), len(J)), perm)
+                    gens = _matrices(parabolic_generators(spec, q))
+                    part = orbit_partition_from_arrays(
+                        arr, gens, Composition.of(n), mm, q)
+                    assert part.labels.tolist() == \
+                        _full_sweep_labels(part, gens), (mm, J)
+                    cases += 1
+    assert cases == 56
+
+
+def test_partition_matches_full_sweep_random_tori():
+    # random diagonal generators, so that T is a proper subgroup of the
+    # torus, with root elements of random entries on either side of the
+    # diagonal: a root element needs its powers, since d⁻¹Gd = G^k with
+    # k = d_j/d_i running over the ratios T has
+    rng = random.Random(1)
+    cases = 0
+    while cases < 40:
+        q, n = rng.choice([3, 5, 7]), rng.choice([2, 3, 4])
+        mm = rng.choice([c for c in compositions(n) if len(c) > 1])
+        if flag_count(n, mm, q) > 3000:
+            continue
+        gens = [np.diag([rng.randrange(1, q) for _ in range(n)])
+                for _ in range(rng.randint(1, 2))]
+        for _ in range(rng.randint(1, 2)):
+            G = np.eye(n, dtype=np.int64)
+            i, j = rng.sample(range(n), 2)
+            G[i, j] = rng.randrange(1, q)
+            gens.append(G)
+        part = orbit_partition_from_arrays(
+            enumerate_flag_array(n, mm, q), gens, Composition.of(n), mm, q)
+        assert part.labels.tolist() == _full_sweep_labels(part, gens), \
+            (q, mm, [G.tolist() for G in gens])
+        cases += 1
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_partition_matches_full_sweep_dense_generators(q):
+    # dense invertible generators, a scaled root element and a root
+    # element with entry 2, mixed with torus scalings: the dense ones and
+    # the scaled one take the every-flag path
+    rng = random.Random(q)
+    fld = gf(q)
+    nn, mm = Composition.of(2, 2), Composition.of(1, 2, 1)
+    part = oracle_partition(nn, mm, q)
+    torus = [G for G in _matrices(group_generators(nn, q))
+             if not (G - np.diag(np.diag(G))).any()]
+    scaled = np.eye(4, dtype=np.int64)
+    scaled[0, 3], scaled[1, 1] = 1, 2
+    entry2 = np.eye(4, dtype=np.int64)
+    entry2[2, 0] = 2
+    for trial in range(4):
+        dense = []
+        while len(dense) < 1 + trial % 2:
+            rows = [[rng.randrange(q) for _ in range(4)] for _ in range(4)]
+            if Matrix.from_rows(fld, rows).rank() == 4:
+                dense.append(np.array(rows, dtype=np.int64))
+        gens = dense + torus[trial:] + [scaled, entry2][: trial % 3]
+        got = orbit_partition_from_arrays(part.reps, gens, nn, mm, q)
+        assert got.labels.tolist() == _full_sweep_labels(part, gens)
 
 
 def test_generator_image_matches_dense_product():
