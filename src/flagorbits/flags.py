@@ -325,8 +325,9 @@ def dual(f: Flag) -> Flag:
     Each subspace becomes its annihilator under the standard dot product
     (no conjugation), mirroring the chain.  With g the completion of the
     representative, the rows of g^{-1} from m_1+...+m_s on span the
-    annihilator of the s-th subspace (as ``orbit_dimension`` states), so
-    the rows from m_1 on, read bottom up, represent the dual flag.
+    annihilator of the s-th subspace (g^{-1} g = I, and the first
+    m_1+...+m_s columns of g span it), so the rows from m_1 on, read
+    bottom up, represent the dual flag.
     """
     target = Composition(tuple(reversed(f.typ.parts)))
     ginv = complete_to_invertible(f.rep).inverse()

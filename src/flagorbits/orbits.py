@@ -7,7 +7,11 @@ column prefixes span its flag; its rational flag is realized only when
 read.  The dimension is the codimension in b' of the Lie-algebra
 stabilizer: X stabilizes the flag when y^T X u = 0 for every column u of
 each block t and every y annihilating the t-th subspace, and the rank of
-these integer conditions is the dimension.  Closed orbits are the fixed points: dimension 0.
+these integer conditions is the dimension.  ``orbit_dimension`` computes
+it the same way for one rational flag, after scaling each column of its
+representative to integers; the g^{-1} X g formulation is kept in
+``tests/conftest.py`` as the reference the tests compare against.  Closed
+orbits are the fixed points: dimension 0.
 The candidate partial order is entry-wise signature dominance, which rank
 semicontinuity makes a necessary condition for closure; its transitive
 reduction is emitted as a DOT digraph but never claimed to be the closure
@@ -25,10 +29,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .flags import (Composition, Flag, complete_to_invertible)
+from .flags import Composition, Flag
 from .invariants import (JFamily, Signature, invariant_family, rank_table,
                          verify_family_invariance)
-from .linalg import QQ, integer_kernel, integer_rank
+from .linalg import QQ, Matrix, integer_kernel, integer_rank
 from .normalforms import (CaseTag, InfinitePairError, NonInjectiveError,
                           NormalForm, UnsupportedCaseError,
                           case0_normal_forms, case3prime_normal_forms,
@@ -105,23 +109,25 @@ def enumerate_orbits(nn: Composition, mm: Composition) -> OrbitCatalog:
         forms = pattern_candidates(tag, nn, mm)
 
     # Echelon steps repeat across candidates, so they are shared within
-    # this build.
+    # this build.  A dual pattern computes its rows on every read, so the
+    # rows ranked are kept for the dimension.
     steps: dict = {}
-    by_sig: dict[tuple[int, ...], tuple[str, NormalForm]] = {}
+    by_sig: dict[tuple[int, ...], tuple[str, NormalForm, tuple]] = {}
     for nf in forms:
-        values = rank_table(nf.rows, fam, steps)
+        rows = nf.rows
+        values = rank_table(rows, fam, steps)
         key = nf.serialize()
         known = by_sig.get(values)
         if known is None or key < known[0]:
-            by_sig[values] = (key, nf)
+            by_sig[values] = (key, nf, rows)
 
     if tag.label in ("0", "III'") and len(by_sig) != len(forms):
         raise AssertionError(
             f"normal forms of case {tag} are not signature-separated: "
             f"{len(forms)} forms, {len(by_sig)} signatures")
 
-    ranked = sorted((_annihilator_dimension(nf.rows, nn, mm), key, values, nf)
-                    for values, (key, nf) in by_sig.items())
+    ranked = sorted((_annihilator_dimension(rows, nn, mm), key, values, nf)
+                    for values, (key, nf, rows) in by_sig.items())
     entries = tuple(CatalogEntry(nf, Signature(fam, values), dim)
                     for dim, _, values, nf in ranked)
     return OrbitCatalog(tag, nn, mm, fam, entries)
@@ -209,40 +215,25 @@ def count_multiplicity_free(n: int, mm: Composition) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _integer_rows(rep: Matrix) -> list[list[int]]:
+    """Rows of a rational ``rep`` after scaling each column by the lcm of
+    its entries' denominators."""
+    scales = [math.lcm(*(x.denominator for x in col)) for col in rep.columns()]
+    return [[int(x * k) for x, k in zip(row, scales)] for row in rep.data]
+
+
 def orbit_dimension(f: Flag, nn: Composition) -> int:
     """dim of the block-Borel orbit through ``f`` (rational Lie algebra).
 
-    The stabilizer subalgebra is cut out of b' by the linear conditions
-    ``(g^{-1} X g)_{ij} = 0`` over the strictly-lower block positions of
-    the column parabolic, where g is the deterministic invertible
-    completion of the representative; the orbit dimension equals the rank
-    of that constraint matrix.  The rows of g^{-1} below block t span the
-    annihilator of the t-th subspace, so these are the conditions that
-    catalogs build from an integer annihilator basis instead
-    (``_annihilator_dimension``): the same count, the same rank, with no
-    completion and no inverse.  This per-flag form stays the reference.
+    Scaling a column by a nonzero number changes no subspace of the flag,
+    so the representative's integer rows (``_integer_rows``) give the
+    dimension through ``_annihilator_dimension``, the computation catalogs
+    use.  ``tests/conftest.py`` keeps the g^{-1} X g formulation, with g
+    the completion of the representative, as the reference.
     """
     if f.field is not QQ:
         raise ValueError("orbit dimensions are computed over Q")
-    n = f.n
-    g = complete_to_invertible(f.rep)
-    ginv = g.inverse()
-    mm = f.typ
-
-    coords = _bprime_coords(nn)
-    rows: list[list[int]] = []
-    for i in range(n):
-        for j in range(n):
-            if mm.block_of(i) <= mm.block_of(j):
-                continue
-            row = [ginv[i, a] * g[b, j] for a, b in coords]
-            lcm = 1
-            for x in row:
-                lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-            rows.append([int(x * lcm) for x in row])
-    if not rows:
-        return 0
-    return integer_rank(rows)
+    return _annihilator_dimension(_integer_rows(f.rep), nn, f.typ)
 
 
 def is_closed_flag(f: Flag, nn: Composition) -> bool:

@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from flagorbits import Composition
-from flagorbits.flags import act, random_borel_prime
-from flagorbits.linalg import Matrix, gf
+from flagorbits.flags import act, complete_to_invertible, random_borel_prime
+from flagorbits.linalg import QQ, Matrix, gf
 
 
 def compositions(n):
@@ -63,6 +63,36 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
+
+
+def reference_orbit_dimension(f, nn):
+    """dim of the block-Borel orbit through a rational flag ``f``.
+
+    The stabilizer subalgebra is cut out of b' by the linear conditions
+    ``(g^{-1} X g)_{ij} = 0`` over the strictly-lower block positions of
+    the column parabolic, where g is the deterministic invertible
+    completion of the representative; the orbit dimension equals the rank
+    of that constraint matrix.  The library ranks integer annihilator
+    conditions instead, with no completion and no inverse; this reference
+    shares neither those conditions nor their elimination.
+    """
+    if f.field is not QQ:
+        raise ValueError("orbit dimensions are computed over Q")
+    n = f.n
+    g = complete_to_invertible(f.rep)
+    ginv = g.inverse()
+    mm = f.typ
+
+    coords = [(a, b) for blk in range(len(nn))
+              for a in nn.block_range(blk)
+              for b in nn.block_range(blk) if a <= b]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            if mm.block_of(i) <= mm.block_of(j):
+                continue
+            rows.append([ginv[i, a] * g[b, j] for a, b in coords])
+    return bareiss_rank(rows)
 
 
 def rank_batch(A, p):

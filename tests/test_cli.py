@@ -72,17 +72,22 @@ def test_hasse_dot():
 
 
 def test_signature_normalize_dimension(tmp_path):
-    flag_file = tmp_path / "flag.txt"
-    flag_file.write_text("m: 1,1,1 of n=3\n3 2 Q\n1 0\n1 1\n1 0\n")
-    code, out, _ = run_cli(["signature", "--nn", "2,1", "--mm", "1,1,1",
-                            "--flag", str(flag_file)])
-    assert code == 0 and out.startswith("s=1 ")
-    code, out, _ = run_cli(["normalize", "--nn", "2,1", "--mm", "1,1,1",
-                            "--flag", str(flag_file)])
-    assert code == 0 and out.startswith("case=III'")
-    code, out, _ = run_cli(["dimension", "--nn", "2,1", "--mm", "1,1,1",
-                            "--flag", str(flag_file)])
-    assert code == 0 and out.strip() == "3"
+    # the README flag, and the same flag with its columns scaled by 1/2
+    # and 1/3
+    texts = {"flag.txt": "m: 1,1,1 of n=3\n3 2 Q\n1 0\n1 1\n1 0\n",
+             "scaled.txt": "m: 1,1,1 of n=3\n3 2 Q\n1/2 0\n1/2 1/3\n1/2 0\n"}
+    for name, text in texts.items():
+        flag_file = tmp_path / name
+        flag_file.write_text(text)
+        code, out, _ = run_cli(["signature", "--nn", "2,1", "--mm", "1,1,1",
+                                "--flag", str(flag_file)])
+        assert code == 0 and out.startswith("s=1 "), name
+        code, out, _ = run_cli(["normalize", "--nn", "2,1", "--mm", "1,1,1",
+                                "--flag", str(flag_file)])
+        assert code == 0 and out.startswith("case=III'"), name
+        code, out, _ = run_cli(["dimension", "--nn", "2,1", "--mm", "1,1,1",
+                                "--flag", str(flag_file)])
+        assert code == 0 and out.strip() == "3", name
 
 
 def test_flag_verbs_on_a_finite_field_file(tmp_path):

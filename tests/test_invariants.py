@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -11,10 +10,9 @@ from flagorbits.invariants import (bruhat_rij, bruhat_vector,
                                    invariant_family, rank_js, rank_table,
                                    signature, verify_family_invariance)
 from flagorbits.linalg import Matrix, QQ, gf
-from flagorbits.orbits import (_annihilator_dimension, enumerate_orbits,
-                               orbit_dimension)
+from flagorbits.orbits import _integer_rows, enumerate_orbits, orbit_dimension
 
-from conftest import bruhat_le_subword, dominates
+from conftest import bruhat_le_subword, dominates, reference_orbit_dimension
 
 
 PAPER_FLAG = Matrix.from_rows(QQ, [[1, 1], [2, 0], [0, 1], [0, 0]])
@@ -125,12 +123,6 @@ NON_INTEGRAL_PAIRS = [
     ((1, 2, 2), (2, 1, 2))]
 
 
-def _integer_rows(rep):
-    """Rows of ``rep`` after scaling each column by its denominators' lcm."""
-    scales = [math.lcm(*(x.denominator for x in col)) for col in rep.columns()]
-    return [[int(x * k) for x, k in zip(row, scales)] for row in rep.data]
-
-
 def _non_integral_flags(nn, mm):
     rng = random.Random(11)
     seen = 0
@@ -156,8 +148,18 @@ def test_rank_table_matches_signature_on_non_integral_reps(nn_parts,
 def test_annihilator_dimension_on_non_integral_reps(nn_parts, mm_parts):
     nn, mm = Composition(nn_parts), Composition(mm_parts)
     for f in _non_integral_flags(nn, mm):
-        assert _annihilator_dimension(_integer_rows(f.rep), nn, mm) == \
-            orbit_dimension(f, nn)
+        assert orbit_dimension(f, nn) == reference_orbit_dimension(f, nn)
+
+
+def test_orbit_dimension_edge_inputs():
+    # one column block: the representative is 3 x 0 and the flag a point
+    point = Flag.from_matrix(Composition.of(3), Matrix.from_columns(QQ, [], 3))
+    assert orbit_dimension(point, Composition.of(2, 1)) == 0
+    assert reference_orbit_dimension(point, Composition.of(2, 1)) == 0
+    over_f5 = Flag.from_matrix(Composition.of(1, 1, 1), Matrix.from_rows(
+        gf(5), [[1, 0], [1, 1], [1, 0]]))
+    with pytest.raises(ValueError, match="over Q"):
+        orbit_dimension(over_f5, Composition.of(2, 1))
 
 
 def test_figure_one_signatures_distinct():

@@ -19,15 +19,14 @@ from flagorbits.normalforms import (InfinitePairError, NFCase0, NFChain,
                                     _block_reversal_perm, case0_normal_forms,
                                     case3prime_normal_forms, classify_pair,
                                     has_catalog, pattern_candidates)
-from flagorbits.orbits import (DominanceDimensionError,
-                               _annihilator_dimension,
+from flagorbits.orbits import (DominanceDimensionError, _integer_rows,
                                catalog_to_text, count_multiplicity_free,
                                emit_dot, enumerate_orbits, enumeration_count,
                                hasse_candidate, is_closed_flag,
                                orbit_dimension)
 
-from conftest import compositions, dominates, pairwise_covers
-from test_invariants import _integer_rows
+from conftest import (compositions, dominates, pairwise_covers,
+                      reference_orbit_dimension)
 
 
 def test_enumerate_small_grassmannian():
@@ -286,7 +285,8 @@ def test_one_orientation_per_plane_changes_no_catalog():
             values, key = rank_table(nf.rows, fam), nf.serialize()
             if values not in kept or key < kept[values][0]:
                 kept[values] = (key, nf)
-        expected = sorted((orbit_dimension(nf.realize(QQ), nn), key, values)
+        expected = sorted((reference_orbit_dimension(nf.realize(QQ), nn),
+                           key, values)
                           for values, (key, nf) in kept.items())
         assert [(e.dim, e.nf.serialize(), e.sig.values)
                 for e in enumerate_orbits(nn, mm).entries] == expected, \
@@ -436,16 +436,15 @@ def test_catalog_dimensions_match_orbit_dimension():
         pairs += 1
         for e in enumerate_orbits(nn, mm).entries:
             entries += 1
-            assert e.dim == orbit_dimension(e.flag, nn), (nn, mm, e.nf)
-            assert _annihilator_dimension(_integer_rows(e.flag.rep), nn,
-                                          mm) == e.dim
+            assert e.dim == reference_orbit_dimension(e.flag, nn), \
+                (nn, mm, e.nf)
+            assert orbit_dimension(e.flag, nn) == e.dim, (nn, mm, e.nf)
             assert is_closed_flag(e.flag, nn) == (e.dim == 0), (nn, mm, e.nf)
     assert pairs == 131 and entries == 6427
 
 
 def test_catalog_dimensions_need_no_completion_or_inverse(monkeypatch):
     import flagorbits.flags as flags_mod
-    import flagorbits.orbits as orbits_mod
 
     calls = []
 
@@ -455,18 +454,16 @@ def test_catalog_dimensions_need_no_completion_or_inverse(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for mod in (flags_mod, orbits_mod):
-        monkeypatch.setattr(mod, "complete_to_invertible", counting(
-            "complete_to_invertible", mod.complete_to_invertible))
+    monkeypatch.setattr(flags_mod, "complete_to_invertible", counting(
+        "complete_to_invertible", flags_mod.complete_to_invertible))
     monkeypatch.setattr(Matrix, "inverse",
                         counting("inverse", Matrix.inverse))
     nn, mm = Composition.of(2, 2, 2), Composition.of(2, 4)
-    enumerate_orbits.cache_clear()
-    try:
-        cat = enumerate_orbits(nn, mm)
-    finally:
-        enumerate_orbits.cache_clear()
+    cat = enumerate_orbits.__wrapped__(nn, mm)
     assert len(cat.entries) == 172
+    # per-flag dimensions take the catalog's path too
+    assert [orbit_dimension(e.flag, nn) for e in cat.entries] == \
+        [e.dim for e in cat.entries]
     assert calls == []
 
     fam = invariant_family(nn, mm)
@@ -474,6 +471,24 @@ def test_catalog_dimensions_need_no_completion_or_inverse(monkeypatch):
     for nf in pattern_candidates(classify_pair(nn, mm), nn, mm):
         assert rank_table(nf.rows, fam, steps) == rank_table(nf.rows, fam)
     assert steps
+
+
+def test_catalog_build_computes_each_dual_kernel_once(monkeypatch):
+    import flagorbits.normalforms as normalforms_mod
+
+    nn, mm = Composition.of(2, 2, 2), Composition.of(4, 2)
+    duals = sum(nf.dualize for nf in
+                pattern_candidates(classify_pair(nn, mm), nn, mm))
+    kernel, calls = normalforms_mod.integer_kernel, []
+
+    def counting(rows):
+        calls.append(rows)
+        return kernel(rows)
+
+    monkeypatch.setattr(normalforms_mod, "integer_kernel", counting)
+    cat = enumerate_orbits.__wrapped__(nn, mm)
+    assert len(cat.entries) == 172
+    assert duals > 0 and len(calls) == duals
 
 
 def test_catalog_build_imports_no_numpy():
