@@ -34,6 +34,13 @@ class JFamily:
         return {e: i for i, e in enumerate(self.entries)}
 
     @cached_property
+    def line_heads(self) -> tuple[str, ...]:
+        """The ``s=... J={...} r=`` head of each entry's signature line,
+        built once per family."""
+        return tuple(f"s={s} J={{{','.join(map(str, J))}}} r="
+                     for s, J in self.entries)
+
+    @cached_property
     def rank_plan(self):
         """``rank_table``'s order of work, built once per family."""
         slots, extend = {(): 0}, []
@@ -57,11 +64,8 @@ class Signature:
     values: tuple[int, ...]
 
     def serialize(self) -> str:
-        lines = []
-        for (s, J), v in zip(self.family.entries, self.values):
-            jtxt = "{" + ",".join(str(j) for j in J) + "}"
-            lines.append(f"s={s} J={jtxt} r={v}")
-        return "\n".join(lines)
+        return "\n".join([head + str(v) for head, v in
+                          zip(self.family.line_heads, self.values)])
 
     def hash(self) -> str:
         return hashlib.sha256(self.serialize().encode()).hexdigest()[:12]

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import os
 import re
@@ -19,7 +20,8 @@ from flagorbits.normalforms import (InfinitePairError, NFCase0, NFChain,
                                     _block_reversal_perm, case0_normal_forms,
                                     case3prime_normal_forms, classify_pair,
                                     has_catalog, pattern_candidates)
-from flagorbits.orbits import (DominanceDimensionError, _integer_rows,
+from flagorbits.orbits import (DominanceDimensionError,
+                               _annihilator_dimension, _integer_rows,
                                catalog_to_text, count_multiplicity_free,
                                emit_dot, enumerate_orbits, enumeration_count,
                                hasse_candidate, is_closed_flag,
@@ -441,6 +443,64 @@ def test_catalog_dimensions_match_orbit_dimension():
             assert orbit_dimension(e.flag, nn) == e.dim, (nn, mm, e.nf)
             assert is_closed_flag(e.flag, nn) == (e.dim == 0), (nn, mm, e.nf)
     assert pairs == 131 and entries == 6427
+
+
+def test_shared_dimension_memo_matches_fresh_calls():
+    """One memo shared by every form of a pair, in build order, gives each
+    form the dimension it gets with no memo."""
+    pairs = [(tag, nn, mm) for tag, nn, mm in _catalog_pairs(5)
+             if tag.label in ("0", "III'")]
+    for nn in (Composition.of(5, 1), Composition.of(1, 5)):
+        mm = Composition.of(1, 1, 1, 1, 1, 1)
+        pairs.append((classify_pair(nn, mm), nn, mm))
+    forms = 0
+    for tag, nn, mm in pairs:
+        memo = {}
+        for nf in _forms(tag, nn, mm):
+            forms += 1
+            assert _annihilator_dimension(nf.rows, nn, mm, memo) == \
+                _annihilator_dimension(nf.rows, nn, mm), (nn, mm, nf)
+        assert memo or len(mm) < 3
+    assert forms == 4348 + 2 * 4051
+
+    # equal block-2 columns after different block-1 columns: the key of
+    # block 2 names its parent entry, so each flag keeps its own conditions
+    nn, mm = Composition.of(3, 1), Composition.of(1, 1, 1, 1)
+    standard = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    opposite = [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
+    memo = {}
+    assert _annihilator_dimension(standard, nn, mm, memo) == 0
+    assert _annihilator_dimension(opposite, nn, mm, memo) == 3
+    assert _annihilator_dimension(opposite, nn, mm) == 3
+
+
+def test_catalog_build_keeps_one_memo_without_its_last_level(monkeypatch):
+    import flagorbits.orbits as orbits_mod
+
+    memos = []
+
+    def capturing(rows, nn, mm, memo=None):
+        if not any(m is memo for m in memos):
+            assert memo == {}, "a build starts from an empty memo"
+            memos.append(memo)
+        return _annihilator_dimension(rows, nn, mm, memo)
+
+    monkeypatch.setattr(orbits_mod, "_annihilator_dimension", capturing)
+    nn, mm = Composition.of(5, 1), Composition.of(1, 1, 1, 1, 1, 1)
+    cat = enumerate_orbits.__wrapped__(nn, mm)
+    assert len(cat.entries) == 4051
+    assert len(memos) == 1
+    memo = memos[0]
+    # a key is (parent entry id, columns of block t); ids start at 1
+    depth = {0: -1}
+    for (parent, block), (entry, _) in memo.items():
+        depth[entry] = depth[parent] + 1
+        assert len(block) == mm.parts[depth[entry]]
+    # blocks t = 0..3 are stored; t = 4, the last with conditions, is not
+    assert max(depth.values()) == len(mm) - 3
+    assert 0 < len(memo) < len(cat.entries)
+    # only this test still holds the memo: no module keeps it
+    assert [r for r in gc.get_referrers(memo) if r is not memos] == []
 
 
 def test_catalog_dimensions_need_no_completion_or_inverse(monkeypatch):
