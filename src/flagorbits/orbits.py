@@ -12,9 +12,10 @@ prefixes, so a build keeps one memo of these conditions, dropped when the
 build ends: it maps (entry for the blocks before t, columns of block t)
 to the echelon basis of the conditions of blocks 1..t, and stores nothing
 for the last block with conditions, whose prefixes are almost all
-distinct; an entry takes under 1 KB.  ``orbit_dimension`` computes the
-dimension the same way for one rational flag, with no memo, after
-scaling each column of its representative to integers; the g^{-1} X g
+distinct (its measured size is in the README's catalogs bullet).
+``orbit_dimension`` computes the dimension the same way for one rational
+flag, with a memo of its own for that call, after scaling each column of
+its representative to integers; the g^{-1} X g
 formulation is kept in ``tests/conftest.py`` as the reference the tests
 compare against.  Closed orbits are the fixed points: dimension 0.
 The candidate partial order is entry-wise signature dominance, which rank
@@ -168,15 +169,15 @@ def _annihilator_dimension(rows: Sequence[Sequence[int]], nn: Composition,
     is its size.
 
     ``memo`` shares these bases between the forms of one catalog build,
-    which creates it and drops it when it ends.  Its key for block t is
-    (id of the entry for the blocks before t, the columns of block t), so
-    a key names a whole column prefix; its value is (entry id, echelon
-    basis of the conditions of blocks 1..t).  The last block with
-    conditions is not stored, since its prefixes are almost all distinct.
-    An entry takes about 670 bytes on ``(5,1)/(1^6)`` (3,195 entries for
-    4,051 forms); the 30,410 entries of ``(6,1)/(1^7)`` raise the peak
-    memory of its build from 125 to 149 MiB.
+    which creates it and drops it when it ends; a call given none uses a
+    fresh one.  Its key for block t is (id of the entry for the blocks
+    before t, the columns of block t), so a key names a whole column
+    prefix; its value is (entry id, echelon basis of the conditions of
+    blocks 1..t).  The last block with conditions is not stored, since
+    its prefixes are almost all distinct.  The README's catalogs bullet
+    gives its measured size.
     """
+    memo = {} if memo is None else memo
     coords = _bprime_coords(nn)
     cols = list(zip(*rows))
     cuts = mm.prefix_sums()
@@ -184,7 +185,7 @@ def _annihilator_dimension(rows: Sequence[Sequence[int]], nn: Composition,
     entry, basis = 0, ()
     for t in range(last + 1):
         block = tuple(cols[cuts[t]:cuts[t + 1]])
-        stored = memo is not None and t < last
+        stored = t < last
         if stored:
             key = (entry, block)
             known = memo.get(key)
