@@ -50,6 +50,7 @@ grows by breadth-first search from the generators of B'.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -215,8 +216,11 @@ def _rows_of(n: int, supports: Sequence[Sequence[int]]
              ) -> tuple[tuple[int, ...], ...]:
     """The n 0/1 rows of the matrix whose column j has its ones at the
     1-based rows ``supports[j]``."""
-    return tuple(tuple(int(i in s) for s in supports)
-                 for i in range(1, n + 1))
+    rows = [[0] * len(supports) for _ in range(n)]
+    for j, s in enumerate(supports):
+        for i in s:
+            rows[i - 1][j] = 1
+    return tuple(map(tuple, rows))
 
 
 def _relabel(rows: Sequence[tuple], perm: Sequence[int]) -> tuple[tuple, ...]:
@@ -731,15 +735,87 @@ def _bit_vectors(length: int):
     return itertools.product((0, 1), repeat=length)
 
 
+# Rules 1 and 3 of ``pattern_candidates`` put one unknown x_a before a
+# later x_c in a column's terms, which makes the key smaller only while
+# every index has one digit: "x2" sorts after "x10".
+_ONE_DIGIT_ROWS = 9
+
+
+def _disjoint(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether two 0/1 vectors share no 1."""
+    return not any(map(operator.and_, a, b))
+
+
+def _row_move_lowers(block: Sequence[Sequence[int]], n: int) -> bool:
+    """Rule 1, on the rows of one row block of an n-row 0/1 matrix: some
+    row b is nonzero and shares no 1 with an earlier row a.  Adding row b
+    to row a then gives a 0/1 matrix whose key is smaller.  False for
+    n > ``_ONE_DIGIT_ROWS``, where the key need not be smaller."""
+    return n <= _ONE_DIGIT_ROWS and any(
+        any(rb) and _disjoint(ra, rb)
+        for b, rb in enumerate(block) for ra in block[:b])
+
+
+def _column_move_lowers(base_cols: Sequence[Sequence[int]],
+                        extra: Sequence[int], n: int) -> bool:
+    """Rule 3: the extra column shares no 1 with some base column c, so
+    extra + c is a 0/1 column with a smaller key.  False for
+    n > ``_ONE_DIGIT_ROWS``, where the key need not be smaller."""
+    return n <= _ONE_DIGIT_ROWS and any(_disjoint(c, extra)
+                                        for c in base_cols)
+
+
+def _plane_vectors(u: tuple[int, ...], v: tuple[int, ...]) -> list:
+    """The 0/1 vectors of span{u, v}, for distinct nonzero 0/1 u and v:
+    u, v, and u XOR v when u AND v is 0, u or v, since u XOR v is then
+    u + v or |u - v|.  There are no others: a*u + b*v must be 0 or 1
+    where only u is 1 (a), where only v is (b) and where both are
+    (a + b)."""
+    meet = tuple(map(operator.and_, u, v))
+    if any(meet) and meet != u and meet != v:
+        return [u, v]
+    return [u, v, tuple(map(operator.xor, u, v))]
+
+
+def _smallest_basis(u: tuple[int, ...], v: tuple[int, ...],
+                    terms: dict[tuple[int, ...], str]) -> bool:
+    """Rule 2: (u, v) has the smallest key of the ordered bases of its
+    plane by two of its 0/1 vectors, ``terms`` giving each vector's
+    ``_column_terms``.  Keys of one pair differ only in their text between
+    ``cols=[`` and ``]``, so they compare as that text."""
+    key = f"{terms[u]};{terms[v]}]"
+    return all(key <= f"{terms[a]};{terms[b]}]"
+               for a, b in itertools.permutations(_plane_vectors(u, v), 2))
+
+
 def pattern_candidates(tag: CaseTag, nn: Composition,
                        mm: Composition) -> list[NFPattern]:
-    """Over-generate 0/1 representatives for the signature-lookup cases.
+    """0/1 representatives for the signature-lookup cases.
 
     The lists cover every orbit (they include all shapes of the case's
     classification); the caller keeps the smallest ``serialize()`` per
-    signature.  Case II lists each plane {u, v} once, in the orientation
-    that serializes smaller: (u, v) and (v, u) span the same plane (and
-    V^perp), so they share a signature and the other is never kept.
+    signature.  Cases II and I' (m2 = 1) leave out candidates that a B'
+    row operation or a P column operation maps to another candidate with
+    a smaller key:
+
+    1. case II, rows: rows a < b of one row block, row b nonzero and
+       sharing no 1 with row a.  Adding row b to row a is in B', and so
+       is its image w0 g^-T w0 for the dual subcase; the result is a 0/1
+       plane whose column terms gain x_a before a later unknown;
+    2. case II, columns: a plane {u, v} is listed only by its ordered
+       basis of smallest key.  When the plane holds a third 0/1 vector
+       (u + v, or |u - v|), that is one of six bases, else one of two.
+       The flag, and V^perp for the dual subcase, stay the same;
+    3. I' (m2 = 1): an extra column x that shares no 1 with some base
+       column c.  With the base columns, x + c spans the same U_2 as x,
+       and its terms are those of x plus some.
+
+    A candidate left out has the signature of a candidate with a strictly
+    smaller key, so it would never have been kept; the smallest key of a
+    signature is never left out, and the catalog is that of the full
+    lists.  Rules 1 and 3 need one-digit unknowns x1..x9: for n > 9
+    (``_ONE_DIGIT_ROWS``) they drop nothing.  Rule 2 compares whole keys
+    and holds for every n.
     """
     n = nn.n
     if tag.label == "III":
@@ -750,11 +826,21 @@ def pattern_candidates(tag: CaseTag, nn: Composition,
 
     if tag.label == "II":
         dualize = tag.subcase == "(n-2,2)"
-        terms = {u: _column_terms(u) for u in _bit_vectors(n) if any(u)}
-        return [NFPattern("II", tag.subcase, nn, mm,
-                          tuple(zip(u, v)), dualize=dualize)
-                for u, tu in terms.items() for v, tv in terms.items()
-                if f"{tu};{tv}" < f"{tv};{tu}"]
+        # rule 1 reads one row block at a time: filter each block's rows
+        # (pairs of entries of u and v) before combining the blocks
+        blocks = [[rows for rows in itertools.product(
+                       tuple(_bit_vectors(2)), repeat=size)
+                   if not _row_move_lowers(rows, n)] for size in nn.parts]
+        terms = {u: _column_terms(u) for u in _bit_vectors(n)}
+        cands = []
+        for parts in itertools.product(*blocks):
+            rows = sum(parts, ())
+            u, v = zip(*rows)
+            if any(u) and any(v) and u != v and \
+                    _smallest_basis(u, v, terms):
+                cands.append(NFPattern("II", tag.subcase, nn, mm, rows,
+                                       dualize=dualize))
+        return cands
 
     if tag.label == "I":
         rho, canon_nn = _case1_row_perm(nn)
@@ -784,21 +870,19 @@ def pattern_candidates(tag: CaseTag, nn: Composition,
         return cands
 
     if tag.label == "I'" and tag.subcase == "m2=1":
-        n1, n2 = nn.parts
         m1 = mm.parts[0]
         cands = []
         for base in case0_normal_forms(nn, Composition.of(m1, n - m1)):
             base_rows = base.rows
-            for u in _bit_vectors(n1):
-                for v in _bit_vectors(n2):
-                    extra = u + v
-                    if not any(extra):
-                        continue
-                    rowsm = tuple(r + (x,) for r, x in zip(base_rows, extra))
-                    if integer_rank(rowsm) != m1 + 1:
-                        continue
-                    cands.append(NFPattern("I'", tag.subcase, nn, mm,
-                                           rowsm))
+            base_cols = tuple(zip(*base_rows))
+            for extra in _bit_vectors(n):
+                if not any(extra) or \
+                        _column_move_lowers(base_cols, extra, n):
+                    continue
+                rowsm = tuple(r + (x,) for r, x in zip(base_rows, extra))
+                if integer_rank(rowsm) != m1 + 1:
+                    continue
+                cands.append(NFPattern("I'", tag.subcase, nn, mm, rowsm))
         return cands
 
     raise UnsupportedCaseError(f"no pattern generator for case {tag}")

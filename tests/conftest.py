@@ -13,7 +13,9 @@ import numpy as np
 
 from flagorbits import Composition
 from flagorbits.flags import act, complete_to_invertible, random_borel_prime
-from flagorbits.linalg import QQ, Matrix, gf
+from flagorbits.linalg import QQ, Matrix, gf, integer_rank
+from flagorbits.normalforms import (NFPattern, _column_terms,
+                                    case0_normal_forms, pattern_candidates)
 
 
 def compositions(n):
@@ -93,6 +95,32 @@ def reference_orbit_dimension(f, nn):
                 continue
             rows.append([ginv[i, a] * g[b, j] for a, b in coords])
     return bareiss_rank(rows)
+
+
+def reference_pattern_candidates(tag, nn, mm):
+    """The signature-lookup candidates with no orbit-mate left out: every
+    case II plane {u, v} of distinct nonzero 0/1 columns, in the
+    orientation that serializes smaller, and every I' (m2 = 1) extra
+    column that passes the rank filter.  Cases I and III take the
+    library's lists, which leave nothing out."""
+    n = nn.n
+    if tag.label == "II":
+        terms = {u: _column_terms(u)
+                 for u in itertools.product((0, 1), repeat=n) if any(u)}
+        return [NFPattern("II", tag.subcase, nn, mm, tuple(zip(u, v)),
+                          dualize=tag.subcase == "(n-2,2)")
+                for u, tu in terms.items() for v, tv in terms.items()
+                if f"{tu};{tv}" < f"{tv};{tu}"]
+    if tag.label == "I'" and tag.subcase == "m2=1":
+        m1 = mm.parts[0]
+        cands = []
+        for base in case0_normal_forms(nn, Composition.of(m1, n - m1)):
+            for extra in itertools.product((0, 1), repeat=n):
+                rows = tuple(r + (x,) for r, x in zip(base.rows, extra))
+                if any(extra) and integer_rank(rows) == m1 + 1:
+                    cands.append(NFPattern("I'", tag.subcase, nn, mm, rows))
+        return cands
+    return pattern_candidates(tag, nn, mm)
 
 
 def rank_batch(A, p):

@@ -1,12 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from flagorbits.flags import (Composition, Flag, act, flag_from_permutation,
                               group_generators, qfamily, random_borel_prime,
                               random_flag)
-from flagorbits.invariants import (bruhat_rij, bruhat_vector,
+from flagorbits.invariants import (JFamily, bruhat_rij, bruhat_vector,
                                    invariant_family, rank_js, rank_table,
                                    signature, verify_family_invariance)
 from flagorbits.linalg import Matrix, QQ, gf
@@ -106,6 +107,20 @@ def _violates(J, flags, gens, mm):
 def test_verify_family_invariance_guard():
     fam = invariant_family(Composition.of(2, 2), Composition.of(1, 3))
     verify_family_invariance(fam)
+
+
+@pytest.mark.parametrize("nn_parts, mm_parts, J", [
+    ((2, 2), (1, 3), (1,)),
+    ((3, 2), (1, 1, 3), (2,)),
+])
+def test_verify_family_invariance_rejects_a_row_set_that_is_no_suffix(
+        nn_parts, mm_parts, J):
+    fam = invariant_family(Composition(nn_parts), Composition(mm_parts))
+    verify_family_invariance(fam)
+    assert (1, J) not in fam.entries
+    with pytest.raises(AssertionError, match=re.escape(f"(s=1, J={J})")):
+        verify_family_invariance(
+            JFamily(fam.nn, fam.mm, fam.entries + ((1, J),)))
 
 
 def test_signature_on_borel_translates():

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -11,10 +12,14 @@ from flagorbits.flags import (Composition, Flag, act, flags_equal,
                               random_parabolic, standard_flag)
 from flagorbits.invariants import invariant_family, signature
 from flagorbits.linalg import Matrix, QQ, gf
+import flagorbits.normalforms as normalforms_mod
 from flagorbits.normalforms import (CaseTag, InconsistentSignatureError,
                                     InfinitePairError, NFCase0, NFChain,
-                                    NonInjectiveError, UnsupportedCaseError,
+                                    NFPattern, NonInjectiveError,
+                                    UnsupportedCaseError,
+                                    _column_move_lowers, _row_move_lowers,
                                     case0_normal_forms,
+                                    case3prime_normal_forms,
                                     classify_pair, counterexample_pair,
                                     decode_signature_case0, has_catalog,
                                     reduce_by_catalog, reduce_case0,
@@ -23,7 +28,7 @@ from flagorbits.normalforms import (CaseTag, InconsistentSignatureError,
                                     witness_pair_over)
 from flagorbits.orbits import enumerate_orbits
 
-from conftest import borel_translates
+from conftest import borel_translates, compositions
 
 
 def test_classify_table_rows():
@@ -387,3 +392,56 @@ def test_normal_form_serializations_stable():
               for e in enumerate_orbits(nn2, mm2).entries]
     assert all(t.startswith("case=III' ") for t in texts2)
 
+
+def _key(*cols):
+    """``serialize()`` of a case II pattern with these 0/1 columns."""
+    n = len(cols[0])
+    return NFPattern("II", "(2,n-2)", Composition.of(n), Composition.of(n),
+                     tuple(zip(*cols))).serialize()
+
+
+def _unit(n, *rows):
+    return tuple(int(i + 1 in rows) for i in range(n))
+
+
+def test_an_earlier_unknown_lowers_a_key_only_with_one_digit():
+    # the string fact under the row and column moves of pattern_candidates
+    for c in range(2, 10):
+        other = _unit(9, 9)
+        for a in range(1, c):
+            for tail in ((), (9,) if c < 9 else ()):
+                old, new = _unit(9, c, *tail), _unit(9, a, c, *tail)
+                assert _key(new) < _key(old)
+                assert _key(new, other) < _key(old, other)
+                assert _key(other, new) < _key(other, old)
+    assert _key(_unit(10, 2, 10)) > _key(_unit(10, 10))
+
+
+def test_row_and_column_moves_drop_nothing_past_nine_rows():
+    block = ((0, 0), (0, 1))     # row 2 is nonzero and shares no 1 with row 1
+    assert _row_move_lowers(block, 9)
+    base = (_unit(9, 1), _unit(9, 2, 6))
+    assert _column_move_lowers(base, _unit(9, 3), 9)
+    for n in (10, 11):
+        assert not any(_row_move_lowers(rows, n) for size in range(1, 7)
+                       for rows in itertools.product(
+                           ((0, 0), (0, 1), (1, 0), (1, 1)), repeat=size))
+        base = (_unit(n, 1), _unit(n, 2, n))
+        assert not any(_column_move_lowers(base, extra, n)
+                       for extra in itertools.product((0, 1), repeat=n))
+
+
+def test_rows_set_each_support_like_a_membership_test(monkeypatch):
+    generators = {"0": case0_normal_forms, "III'": case3prime_normal_forms}
+    forms = []
+    for n in range(1, 7):
+        for nn in compositions(n):
+            for mm in compositions(n):
+                tag = classify_pair(nn, mm)
+                if tag is not None and tag.label in generators:
+                    forms += generators[tag.label](nn, mm)
+    rows = [nf.rows for nf in forms]
+    monkeypatch.setattr(normalforms_mod, "_rows_of", lambda n, supports: tuple(
+        tuple(int(i in s) for s in supports) for i in range(1, n + 1)))
+    assert [nf.rows for nf in forms] == rows
+    assert len(forms) == 47816

@@ -28,7 +28,7 @@ from flagorbits.orbits import (DominanceDimensionError,
                                orbit_dimension)
 
 from conftest import (compositions, dominates, pairwise_covers,
-                      reference_orbit_dimension)
+                      reference_orbit_dimension, reference_pattern_candidates)
 
 
 def test_enumerate_small_grassmannian():
@@ -242,12 +242,13 @@ def _catalog_pairs(max_n):
 
 
 def _forms(tag, nn, mm):
-    """Every normal form or pattern candidate a catalog build ranks."""
+    """Every normal form, or every pattern candidate before orbit-mates
+    with a smaller key are left out."""
     if tag.label == "0":
         return case0_normal_forms(nn, mm)
     if tag.label == "III'":
         return case3prime_normal_forms(nn, mm)
-    return pattern_candidates(tag, nn, mm)
+    return reference_pattern_candidates(tag, nn, mm)
 
 
 def test_rank_table_matches_signature_on_every_candidate():
@@ -296,8 +297,50 @@ def test_one_orientation_per_plane_changes_no_catalog():
         planes = Counter(frozenset(zip(*nf.matrix01))
                          for nf in pattern_candidates(tag, nn, mm))
         assert set(planes.values()) == {1}
-        nonzero = 2 ** nn.n - 1
-        assert len(planes) == nonzero * (nonzero - 1) // 2, (nn, mm)
+        assert len(planes) == 445, (nn, mm)
+
+
+def _pruned_pairs():
+    """Every case II pair with n <= 7 and every I' (m2 = 1) pair with
+    n <= 6."""
+    for tag, nn, mm in _catalog_pairs(7):
+        if tag.label == "II" or (tag.label == "I'" and tag.subcase == "m2=1"
+                                 and nn.n <= 6):
+            yield tag, nn, mm
+
+
+def test_pruned_candidates_leave_out_only_orbit_mates_with_smaller_keys():
+    counts = {}
+    for tag, nn, mm in _pruned_pairs():
+        fam = invariant_family(nn, mm)
+        listed = Counter(nf.serialize()
+                         for nf in pattern_candidates(tag, nn, mm))
+        reference = reference_pattern_candidates(tag, nn, mm)
+        keys = [nf.serialize() for nf in reference]
+        assert set(listed.values()) == {1} and set(listed) <= set(keys)
+        steps, kept = {}, {}
+        values_of = [rank_table(nf.rows, fam, steps) for nf in reference]
+        for nf, key, values in zip(reference, keys, values_of):
+            if values not in kept or key < kept[values][0]:
+                kept[values] = (key, nf)
+        # each candidate left out has an orbit-mate with a smaller key
+        for key, values in zip(keys, values_of):
+            if key not in listed:
+                assert kept[values][0] < key, (nn, mm, key)
+        expected = sorted((reference_orbit_dimension(nf.realize(QQ), nn),
+                           key, values)
+                          for values, (key, nf) in kept.items())
+        assert [(e.dim, e.nf.serialize(), e.sig.values)
+                for e in enumerate_orbits(nn, mm).entries] == expected, \
+            (nn, mm)
+        counts[nn.parts, mm.parts] = len(listed)
+    case2_n7 = [pair for pair in counts if sum(pair[0]) == 7]
+    assert len(case2_n7) == 6 and {counts[p] for p in case2_n7} == {1136}
+    for pair, count in [(((2, 2, 2), (2, 4)), 445),
+                        (((2, 2, 2), (4, 2)), 445),
+                        (((3, 2), (1, 1, 3)), 213),
+                        (((4, 2), (3, 1, 2)), 1076)]:
+        assert counts[pair] == count, pair
 
 
 def _inverse(perm):
