@@ -275,6 +275,14 @@ def _both_orientations(tag, nn, mm):
             for u in vecs for v in vecs if u != v]
 
 
+def _zero_one_span(u, v):
+    """The plane span{u, v} of two 0/1 columns, as the set of its nonzero
+    0/1 vectors a*u + b*v; for 0/1 u and v, a and b lie in {-1, 0, 1}."""
+    combos = (tuple(a * x + b * y for x, y in zip(u, v))
+              for a in (-1, 0, 1) for b in (-1, 0, 1))
+    return frozenset(w for w in combos if any(w) and set(w) <= {0, 1})
+
+
 def test_one_orientation_per_plane_changes_no_catalog():
     # three row blocks of at least two rows: no case II pair has n < 6
     pairs = [(tag, nn, mm) for tag, nn, mm in _catalog_pairs(6)
@@ -294,7 +302,7 @@ def test_one_orientation_per_plane_changes_no_catalog():
         assert [(e.dim, e.nf.serialize(), e.sig.values)
                 for e in enumerate_orbits(nn, mm).entries] == expected, \
             (nn, mm)
-        planes = Counter(frozenset(zip(*nf.matrix01))
+        planes = Counter(_zero_one_span(*zip(*nf.matrix01))
                          for nf in pattern_candidates(tag, nn, mm))
         assert set(planes.values()) == {1}
         assert len(planes) == 445, (nn, mm)
