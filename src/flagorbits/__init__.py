@@ -1,7 +1,7 @@
 """Exact computation of block-Borel double coset orbits on flag varieties."""
 
 from .linalg import GF, Matrix, QQ, gf, parse_matrix_literal
-from .flags import (Composition, Flag, ParabolicSpec, act, dual,
+from .flags import (Composition, Flag, ParabolicSpec, act,
                     flag_from_permutation, flags_equal, parse_flag_literal,
                     project, qfamily, subcomposition_witness)
 from .invariants import (JFamily, Signature, bruhat_rij, bruhat_vector,

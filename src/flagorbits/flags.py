@@ -8,7 +8,8 @@ differ by the right action of the block-upper-triangular group, so every
 is entry-wise equality.
 
 ``_canonical_rep`` states the convention that picks the canonical
-representative.
+representative.  Dual flags are built on integer rows, by
+``linalg.integer_dual``, and realized over a field only then.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import (Field, Matrix, QQ, _col_axpy, _col_scale, _row_reduce,
-                     gf, parse_matrix_literal)
+from .linalg import (Field, Matrix, QQ, _col_axpy, _col_scale, gf,
+                     parse_matrix_literal)
 
 
 @dataclass(frozen=True)
@@ -302,37 +303,6 @@ def project(f: Flag, target: Composition) -> Flag:
         raise ValueError(f"{target} is not a subcomposition of {f.typ}")
     stored = target.n - target.parts[-1]
     return Flag.from_matrix(target, f.rep.col_submatrix(range(stored)))
-
-
-def complete_to_invertible(mat: Matrix) -> Matrix:
-    """Deterministic greedy completion to an invertible square matrix:
-    the input's columns, which must be independent, then each standard
-    basis vector that enlarges the span, in index order.  These are the
-    pivot columns of the reduced (A | I).
-    """
-    F, n, k = mat.field, mat.rows, mat.cols
-    eye = Matrix.identity(F, n).data
-    _, pivots = _row_reduce([list(a + e) for a, e in zip(mat.data, eye)], F)
-    if pivots[:k] != list(range(k)):
-        raise ValueError("columns are not independent")
-    return Matrix.from_columns(
-        F, mat.columns() + [eye[p - k] for p in pivots[k:]], n)
-
-
-def dual(f: Flag) -> Flag:
-    """Orthogonal-complement flag: type ``(m_1..m_l)`` to ``(m_l..m_1)``.
-
-    Each subspace becomes its annihilator under the standard dot product
-    (no conjugation), mirroring the chain.  With g the completion of the
-    representative, the rows of g^{-1} from m_1+...+m_s on span the
-    annihilator of the s-th subspace (g^{-1} g = I, and the first
-    m_1+...+m_s columns of g span it), so the rows from m_1 on, read
-    bottom up, represent the dual flag.
-    """
-    target = Composition(tuple(reversed(f.typ.parts)))
-    ginv = complete_to_invertible(f.rep).inverse()
-    return Flag.from_matrix(target, Matrix.from_columns(
-        f.field, ginv.data[:f.typ.parts[0] - 1:-1], f.n))
 
 
 # -- maximal parabolics over B' and P ---------------------------------------

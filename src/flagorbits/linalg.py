@@ -14,11 +14,14 @@ reducers, runs on four elementary operations on a list of columns,
 defined here once.  Integer matrices over Q need no ``Fraction``:
 ``echelon_extend`` adds one integer row to an echelon basis by
 cross-multiplication and content division, and ``integer_rank`` and
-``integer_kernel`` are folds of it.  No floating point is used anywhere.
+``integer_kernel`` are folds of it.  ``integer_dual`` builds the rows of a
+dual flag from the kernels of its column prefixes, with no completion and
+no inverse.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -279,22 +282,10 @@ class Matrix:
         )
         return Matrix(F, self.rows, other.cols, out)
 
-    # -- rank / inverse ------------------------------------------------
+    # -- rank ----------------------------------------------------------
 
     def rank(self) -> int:
         return len(_row_reduce([list(r) for r in self.data], self.field)[1])
-
-    def inverse(self) -> "Matrix":
-        """The right half of the reduced (A | I)."""
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        eye = Matrix.identity(self.field, n).data
-        aug = [list(a + e) for a, e in zip(self.data, eye)]
-        reduced, pivots = _row_reduce(aug, self.field)
-        if pivots != list(range(n)):
-            raise ValueError("matrix is singular")
-        return Matrix(self.field, n, n, tuple(tuple(r[n:]) for r in reduced))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -442,6 +433,35 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
         g = math.gcd(*y)
         kernel.append([x // g for x in y])
     return kernel
+
+
+def integer_dual(rows: Sequence[Sequence[int]],
+                 parts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Integer rows of the dual flag, of type m_l..m_1: the annihilators,
+    under the standard dot product, of the column prefixes of ``rows``, an
+    integer flag of type ``parts`` = (m_1..m_l), l >= 2, with its
+    m_1+...+m_{l-1} stored columns.
+
+    For s from l - 1 down to 1, each vector of ``integer_kernel`` of the
+    first m_1+...+m_s columns that grows an ``echelon_extend`` basis is
+    appended; the largest cut's kernel is independent, so the echelon
+    pass runs only when a smaller cut follows.
+
+    Modulo a prime p the rows are exact when they stay independent (and
+    ``rows`` keeps full column rank): each annihilates its prefix over the
+    integers.  ``Flag.from_matrix`` raises on rows that fall dependent.
+    """
+    cols = list(zip(*rows))
+    kept = integer_kernel(cols)
+    if len(parts) > 2:
+        basis = _echelon_basis(kept)
+        for cut in reversed(list(itertools.accumulate(parts[:-2]))):
+            for y in integer_kernel(cols[:cut]):
+                grown = echelon_extend(basis, y)
+                if len(grown) > len(basis):
+                    basis = grown
+                    kept.append(y)
+    return tuple(zip(*kept))
 
 
 def parse_matrix_literal(text: str) -> Matrix:

@@ -54,10 +54,10 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .flags import Composition, Flag, dual, flags_equal, group_generators
+from .flags import Composition, Flag, flags_equal, group_generators
 from .invariants import Signature, invariant_family, rank_table, signature
 from .linalg import (GF, Field, Matrix, QQ, _col_axpy, _col_scale, _row_axpy,
-                     _row_scale, gf, integer_kernel, integer_rank)
+                     _row_scale, gf, integer_dual, integer_rank)
 
 
 class InfinitePairError(ValueError):
@@ -342,22 +342,19 @@ class NFPattern:
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """``matrix01`` relabeled by ``row_perm``; for a dual pattern, an
-        integer basis of V^perp, V the span of the block-reversed columns
-        of ``matrix01``, as n rows.
+        """``matrix01`` relabeled by ``row_perm``; for a dual pattern, the
+        ``integer_dual`` rows of the block-reversed ``matrix01``: an integer
+        basis of V^perp, V the span of the block-reversed columns.
 
-        Both dual subcases have two column blocks, so the flag is V^perp
-        alone and the order of its columns is free.  Each basis vector
-        of ``integer_kernel`` is +-1 at its own free column and 0 at the
-        other free columns, since the echelon pivots of at most two 0/1
-        rows are +-1: the rows stay independent modulo every prime.
-        ``Flag.from_matrix`` and the oracle's ``canonicalize_batch``
-        raise on rank deficiency all the same.
+        Both dual subcases have two column blocks, so these are one
+        ``integer_kernel``, each vector +-1 at its own free column and 0 at
+        the others (the echelon pivots of at most two 0/1 rows are +-1):
+        the rows stay independent modulo every prime.
         """
         rows = self.matrix01
         if self.dualize:
-            reversed_cols = zip(*_relabel(rows, _block_reversal_perm(self.nn)))
-            return tuple(zip(*integer_kernel(list(reversed_cols))))
+            return integer_dual(_relabel(rows, _block_reversal_perm(self.nn)),
+                                self.mm.parts[::-1])
         if self.row_perm:
             rows = _relabel(rows, self.row_perm)
         return rows
@@ -902,18 +899,18 @@ class WitnessPair:
     mm: Composition
 
 
-# (nn, mm) -> (type the rows are read in, whether the flags are dualized,
-# the rows of the two flags)
+# (nn, mm) -> (whether the flags are dualized, the rows of the two flags,
+# read in type mm, or in mm reversed when they are dualized)
 _WITNESSES = {
-    ((3, 2), (1, 2, 2)): ((1, 2, 2), False, (
+    ((3, 2), (1, 2, 2)): (False, (
         ((0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 0, 1), (1, 1, 0)),
         ((0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0)),
     )),
-    ((3, 2), (2, 2, 1)): ((1, 2, 2), True, (
+    ((3, 2), (2, 2, 1)): (True, (
         ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
         ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0), (0, 1, 1)),
     )),
-    ((4, 2), (2, 2, 2)): ((2, 2, 2), False, (
+    ((4, 2), (2, 2, 2)): (False, (
         ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
          (0, 1, 0, 0), (0, 0, 0, 1), (0, 1, 1, 0)),
         ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
@@ -924,16 +921,17 @@ _WITNESSES = {
 
 def _witness_flags(nn: Composition, mm: Composition,
                    fld: Field) -> tuple[Flag, Flag]:
-    """The two witness flags of a supported shape, built over ``fld``."""
+    """The two witness flags of a supported shape, built over ``fld``; a
+    dualized pair's annihilator rows are computed on the integers."""
     try:
-        typ, dualize, pair = _WITNESSES[nn.parts, mm.parts]
+        dualize, pair = _WITNESSES[nn.parts, mm.parts]
     except KeyError:
         raise UnsupportedCaseError(
             f"no witness construction implemented for ({nn}, {mm})") from None
-    flags = tuple(Flag.from_matrix(Composition(typ),
-                                   Matrix.from_rows(fld, rows))
-                  for rows in pair)
-    return tuple(map(dual, flags)) if dualize else flags
+    if dualize:
+        pair = [integer_dual(rows, mm.parts[::-1]) for rows in pair]
+    return tuple(Flag.from_matrix(mm, Matrix.from_rows(fld, rows))
+                 for rows in pair)
 
 
 def counterexample_pair(nn: Composition, mm: Composition) -> WitnessPair:

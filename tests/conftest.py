@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from scratch (naive elimination,
 minor expansion, subword products) so that tests never validate the
-library against itself.
+library against itself.  The field references (``complete_to_invertible``,
+``inverse``, ``dual`` and ``reference_orbit_dimension``) run on
+``linalg._row_reduce``, which no integer path of the library uses.
 """
 
 import itertools
@@ -12,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from flagorbits import Composition
-from flagorbits.flags import act, complete_to_invertible, random_borel_prime
-from flagorbits.linalg import QQ, Matrix, gf, integer_rank
+from flagorbits.flags import Flag, act, random_borel_prime
+from flagorbits.linalg import QQ, Matrix, _row_reduce, gf, integer_rank
 from flagorbits.normalforms import (NFPattern, _column_terms,
                                     case0_normal_forms, pattern_candidates)
 
@@ -67,6 +69,52 @@ def _gcd(a, b):
     return a
 
 
+def complete_to_invertible(mat):
+    """Deterministic greedy completion to an invertible square matrix:
+    the input's columns, which must be independent, then each standard
+    basis vector that enlarges the span, in index order.  These are the
+    pivot columns of the reduced (A | I).
+    """
+    F, n, k = mat.field, mat.rows, mat.cols
+    eye = Matrix.identity(F, n).data
+    _, pivots = _row_reduce([list(a + e) for a, e in zip(mat.data, eye)], F)
+    if pivots[:k] != list(range(k)):
+        raise ValueError("columns are not independent")
+    return Matrix.from_columns(
+        F, mat.columns() + [eye[p - k] for p in pivots[k:]], n)
+
+
+def inverse(mat):
+    """The right half of the reduced (A | I)."""
+    if mat.rows != mat.cols:
+        raise ValueError("inverse of non-square matrix")
+    n = mat.rows
+    eye = Matrix.identity(mat.field, n).data
+    aug = [list(a + e) for a, e in zip(mat.data, eye)]
+    reduced, pivots = _row_reduce(aug, mat.field)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return Matrix(mat.field, n, n, tuple(tuple(r[n:]) for r in reduced))
+
+
+def dual(f):
+    """Orthogonal-complement flag over any field: type ``(m_1..m_l)`` to
+    ``(m_l..m_1)``, each subspace replaced by its annihilator under the
+    standard dot product.
+
+    With g the completion of the representative, the rows of g^{-1} from
+    m_1+...+m_s on span the annihilator of the s-th subspace
+    (g^{-1} g = I, and the first m_1+...+m_s columns of g span it), so
+    the rows from m_1 on, read bottom up, represent the dual flag.  The
+    library builds duals on integer rows (``linalg.integer_dual``); this
+    reference completes and inverts over the flag's field instead.
+    """
+    target = Composition(tuple(reversed(f.typ.parts)))
+    ginv = inverse(complete_to_invertible(f.rep))
+    return Flag.from_matrix(target, Matrix.from_columns(
+        f.field, ginv.data[:f.typ.parts[0] - 1:-1], f.n))
+
+
 def reference_orbit_dimension(f, nn):
     """dim of the block-Borel orbit through a rational flag ``f``.
 
@@ -82,7 +130,7 @@ def reference_orbit_dimension(f, nn):
         raise ValueError("orbit dimensions are computed over Q")
     n = f.n
     g = complete_to_invertible(f.rep)
-    ginv = g.inverse()
+    ginv = inverse(g)
     mm = f.typ
 
     coords = [(a, b) for blk in range(len(nn))

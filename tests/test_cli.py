@@ -228,8 +228,8 @@ def test_reader_closing_the_pipe_ends_the_verb_quietly(argv, limit):
 
 
 def test_counterexample_verb():
-    # m3 is the dualized witness: dual reads it off the inverse of the
-    # completed representative, one row reduction of (A | I) each
+    # m3 is the dualized witness: its rows are the nested integer
+    # annihilators of linalg.integer_dual, realized over Q
     for argv, nn, mm in [(["--case", "Iprime"], "3,2", "1,2,2"),
                          (["--case", "Iprime", "--variant", "m3"],
                           "3,2", "2,2,1"),

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from flagorbits.flags import Composition, Flag, complete_to_invertible
-from flagorbits.linalg import (GF, Matrix, QQ, gf, integer_kernel,
-                               integer_rank, parse_matrix_literal)
+from flagorbits.flags import Composition, Flag
+from flagorbits.linalg import (GF, Matrix, QQ, gf, integer_dual,
+                               integer_kernel, integer_rank,
+                               parse_matrix_literal)
 
-from conftest import bareiss_rank, gf2_minor_rank
+from conftest import (bareiss_rank, complete_to_invertible, dual,
+                      gf2_minor_rank, inverse)
 
 
 def rand_matrix(field, rows, cols, rng, lo=-4, hi=4):
@@ -88,7 +90,7 @@ def test_completion_inverse_rows_annihilate_the_columns():
                 a = rand_matrix(fld, 4, k, rng)
                 while a.rank() != k:
                     a = rand_matrix(fld, 4, k, rng)
-                rest = complete_to_invertible(a).inverse().row_submatrix(
+                rest = inverse(complete_to_invertible(a)).row_submatrix(
                     range(k, 4))
                 assert rest * a == Matrix.zero(fld, 4 - k, k)
                 assert rest.rank() == 4 - k
@@ -109,9 +111,9 @@ def test_inverse_rejects_singular_matrices():
                 (gf(3), [[1, 2], [2, 1]])]
     for fld, rows in singular:
         with pytest.raises(ValueError, match="singular"):
-            Matrix.from_rows(fld, rows).inverse()
+            inverse(Matrix.from_rows(fld, rows))
     with pytest.raises(ValueError, match="non-square"):
-        Matrix.zero(QQ, 2, 3).inverse()
+        inverse(Matrix.zero(QQ, 2, 3))
 
 
 def test_solve_substitute_exactness():
@@ -121,7 +123,7 @@ def test_solve_substitute_exactness():
         m = rand_matrix(QQ, 4, 4, rng)
         if not m.is_invertible():
             continue
-        assert m * m.inverse() == Matrix.identity(QQ, 4)
+        assert m * inverse(m) == Matrix.identity(QQ, 4)
 
 
 def _low_rank_integer_matrix(rng, rows, cols):
@@ -201,6 +203,30 @@ def test_integer_kernel_edge_cases():
                                                       [[1, 1, -2]])
     with pytest.raises(ValueError):
         integer_kernel([])
+
+
+def test_integer_dual_matches_reference_dual_on_nested_types():
+    # three and four column blocks take the echelon pass past the largest
+    # cut, which the two-block dual patterns never reach
+    rng = random.Random(59)
+    checked = {3: 0, 4: 0}
+    for trial in range(160):
+        l = 3 + trial % 2
+        n = rng.randint(l, 7)
+        cuts = sorted(rng.sample(range(1, n), l - 1))
+        parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+        entries = (0, 0, 1, -1, 2) if trial % 3 else range(-3, 4)
+        rows = [[rng.choice(entries) for _ in range(cuts[-1])]
+                for _ in range(n)]
+        if integer_rank(rows) < cuts[-1]:
+            continue
+        f = Flag.from_matrix(Composition(parts), Matrix.from_rows(QQ, rows))
+        d = integer_dual(rows, parts)
+        assert all(isinstance(x, int) for row in d for x in row)
+        assert Flag.from_matrix(Composition(parts[::-1]),
+                                Matrix.from_rows(QQ, d)) == dual(f)
+        checked[l] += 1
+    assert min(checked.values()) >= 40, checked
 
 
 def test_matrix_literal_round_trip():

@@ -11,7 +11,7 @@ from flagorbits.flags import (Composition, Flag, act, flags_equal,
                               random_borel_prime, random_flag,
                               random_parabolic, standard_flag)
 from flagorbits.invariants import invariant_family, signature
-from flagorbits.linalg import Matrix, QQ, gf
+from flagorbits.linalg import Matrix, QQ, gf, integer_dual
 import flagorbits.normalforms as normalforms_mod
 from flagorbits.normalforms import (CaseTag, InconsistentSignatureError,
                                     InfinitePairError, NFCase0, NFChain,
@@ -28,7 +28,7 @@ from flagorbits.normalforms import (CaseTag, InconsistentSignatureError,
                                     witness_pair_over)
 from flagorbits.orbits import enumerate_orbits
 
-from conftest import borel_translates, compositions
+from conftest import borel_translates, compositions, dual
 
 
 def test_classify_table_rows():
@@ -336,6 +336,29 @@ def test_counterexample_pairs_verified():
         assert signature(pair.d1, fam).values == signature(pair.d2, fam).values
         assert transporter_empty(*witness_pair_over(nn, mm, 2), nn)
         assert transporter_empty(*witness_pair_over(nn, mm, 3), nn)
+
+
+@pytest.mark.parametrize("q", [None, 2, 3, 5, 7])
+def test_witness_flags_equal_the_reference_dual(q):
+    # a dualized witness is realized over each field only after its
+    # annihilator rows are computed on the integers; the flags equal those
+    # of the reference dual, which completes and inverts over that field
+    fld = QQ if q is None else gf(q)
+    for (nn_parts, mm_parts), (dualize, pair) in \
+            normalforms_mod._WITNESSES.items():
+        nn, mm = Composition(nn_parts), Composition(mm_parts)
+        typ = Composition(mm_parts[::-1]) if dualize else mm
+        primal = [Flag.from_matrix(typ, Matrix.from_rows(fld, rows))
+                  for rows in pair]
+        for rows, f in zip(pair, primal):
+            d = Matrix.from_rows(fld, integer_dual(rows, typ.parts))
+            assert Flag.from_matrix(Composition(typ.parts[::-1]), d) == dual(f)
+        if q is None:
+            witness = counterexample_pair(nn, mm)
+            built = [witness.d1, witness.d2]
+        else:
+            built = list(witness_pair_over(nn, mm, q))
+        assert built == ([dual(f) for f in primal] if dualize else primal)
 
 
 def test_transporter_to_a_translate_is_not_empty():

@@ -10,8 +10,8 @@ from collections import Counter
 import pytest
 
 import flagorbits
-from flagorbits.flags import (Composition, Flag, act, dual,
-                              permutation_matrix, standard_flag)
+from flagorbits.flags import (Composition, Flag, act, permutation_matrix,
+                              standard_flag)
 from flagorbits.invariants import invariant_family, rank_table, signature
 from flagorbits.linalg import Matrix, QQ, gf
 from flagorbits.normalforms import (InfinitePairError, NFCase0, NFChain,
@@ -27,7 +27,7 @@ from flagorbits.orbits import (DominanceDimensionError,
                                hasse_candidate, is_closed_flag,
                                orbit_dimension)
 
-from conftest import (compositions, dominates, pairwise_covers,
+from conftest import (compositions, dominates, dual, pairwise_covers,
                       reference_orbit_dimension, reference_pattern_candidates)
 
 
@@ -426,11 +426,10 @@ def test_realize_matches_permutation_matrix_reference():
 def test_catalog_build_applies_no_group_element(monkeypatch, nn_parts,
                                                 mm_parts):
     """A build ranks and dimensions every normal form on its own integer
-    rows: it calls neither ``act`` nor ``Matrix.__mul__``, and realizes,
-    dualizes and canonicalizes no flag, nor tests one for closedness,
-    except inside the randomized family-invariance probe, which moves
-    random flags by B' on purpose."""
-    import flagorbits.flags as flags_mod
+    rows: it calls neither ``act`` nor ``Matrix.__mul__``, and realizes
+    and canonicalizes no flag, nor tests one for closedness, except
+    inside the randomized family-invariance probe, which moves random
+    flags by B' on purpose."""
     import flagorbits.orbits as orbits_mod
 
     calls, probing = [], []
@@ -441,12 +440,9 @@ def test_catalog_build_applies_no_group_element(monkeypatch, nn_parts,
             return fn(*args, **kwargs)
         return wrapped
 
-    for attr in ("act", "dual"):
-        fn = getattr(flags_mod, attr)
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("flagorbits") and \
-                    getattr(mod, attr, None) is fn:
-                monkeypatch.setattr(mod, attr, counting(attr, fn))
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("flagorbits") and getattr(mod, "act", None) is act:
+            monkeypatch.setattr(mod, "act", counting("act", act))
     monkeypatch.setattr(Matrix, "__mul__", counting("mul", Matrix.__mul__))
     monkeypatch.setattr(Flag, "from_matrix", staticmethod(
         counting("from_matrix", Flag.from_matrix)))
@@ -554,28 +550,19 @@ def test_catalog_build_keeps_one_memo_without_its_last_level(monkeypatch):
     assert [r for r in gc.get_referrers(memo) if r is not memos] == []
 
 
-def test_catalog_dimensions_need_no_completion_or_inverse(monkeypatch):
+def test_catalog_dimensions_need_no_completion_or_inverse():
     import flagorbits.flags as flags_mod
 
-    calls = []
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(flags_mod, "complete_to_invertible", counting(
-        "complete_to_invertible", flags_mod.complete_to_invertible))
-    monkeypatch.setattr(Matrix, "inverse",
-                        counting("inverse", Matrix.inverse))
+    # the library has no completion, no inverse and no field dual to call
+    for attr in ("complete_to_invertible", "dual"):
+        assert not hasattr(flags_mod, attr)
+    assert not hasattr(Matrix, "inverse")
     nn, mm = Composition.of(2, 2, 2), Composition.of(2, 4)
     cat = enumerate_orbits.__wrapped__(nn, mm)
     assert len(cat.entries) == 172
     # per-flag dimensions take the catalog's path too
     assert [orbit_dimension(e.flag, nn) for e in cat.entries] == \
         [e.dim for e in cat.entries]
-    assert calls == []
 
     fam = invariant_family(nn, mm)
     steps = {}
@@ -584,19 +571,36 @@ def test_catalog_dimensions_need_no_completion_or_inverse(monkeypatch):
     assert steps
 
 
+def test_unclassified_pair_has_equal_signatures_on_orbits_of_two_dimensions():
+    # (2,2)/(1,2,1): the signatures of A and B agree over Q, GF(3) and
+    # GF(5), yet their orbits have dimensions 5 and 4 over Q
+    nn, mm = Composition.of(2, 2), Composition.of(1, 2, 1)
+    a = ((1, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1))
+    b = ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))
+    fam = invariant_family(nn, mm)
+    for fld in (QQ, gf(3), gf(5)):
+        fa, fb = (Flag.from_matrix(mm, Matrix.from_rows(fld, rows))
+                  for rows in (a, b))
+        assert signature(fa, fam).values == signature(fb, fam).values, fld
+    flags = [Flag.from_matrix(mm, Matrix.from_rows(QQ, rows))
+             for rows in (a, b)]
+    assert [orbit_dimension(f, nn) for f in flags] == [5, 4]
+    assert [reference_orbit_dimension(f, nn) for f in flags] == [5, 4]
+
+
 def test_catalog_build_computes_each_dual_kernel_once(monkeypatch):
     import flagorbits.normalforms as normalforms_mod
 
     nn, mm = Composition.of(2, 2, 2), Composition.of(4, 2)
     duals = sum(nf.dualize for nf in
                 pattern_candidates(classify_pair(nn, mm), nn, mm))
-    kernel, calls = normalforms_mod.integer_kernel, []
+    dual_rows, calls = normalforms_mod.integer_dual, []
 
-    def counting(rows):
+    def counting(rows, parts):
         calls.append(rows)
-        return kernel(rows)
+        return dual_rows(rows, parts)
 
-    monkeypatch.setattr(normalforms_mod, "integer_kernel", counting)
+    monkeypatch.setattr(normalforms_mod, "integer_dual", counting)
     cat = enumerate_orbits.__wrapped__(nn, mm)
     assert len(cat.entries) == 172
     assert duals > 0 and len(calls) == duals
