@@ -209,17 +209,6 @@ def parse_flag_literal(text: str) -> Flag:
 # -- permutations -----------------------------------------------------------
 
 
-def permutation_matrix(field: Field, perm: Sequence[int]) -> Matrix:
-    """Matrix sending e_j to e_{perm(j)}; ``perm`` is 1-based one-line."""
-    n = len(perm)
-    cols = []
-    for j in range(n):
-        v = [field.zero] * n
-        v[perm[j] - 1] = field.one
-        cols.append(v)
-    return Matrix.from_columns(field, cols, n)
-
-
 def flag_from_permutation(perm: Sequence[int], typ: Composition,
                           field: Field = QQ) -> Flag:
     stored = typ.n - typ.parts[-1]
@@ -231,22 +220,7 @@ def flag_from_permutation(perm: Sequence[int], typ: Composition,
     return Flag.from_matrix(typ, Matrix.from_columns(field, cols, typ.n))
 
 
-def standard_flag(typ: Composition, field: Field = QQ) -> Flag:
-    return flag_from_permutation(list(range(1, typ.n + 1)), typ, field)
-
-
 # -- group elements ----------------------------------------------------------
-
-
-def is_borel_prime(mat: Matrix, nn: Composition) -> bool:
-    """Membership in B': block diagonal with upper-triangular blocks."""
-    F = mat.field
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            if mat[i, j] != F.zero:
-                if nn.block_of(i) != nn.block_of(j) or i > j:
-                    return False
-    return all(mat[i, i] != F.zero for i in range(mat.rows))
 
 
 def _primitive_root(q: int) -> int:
@@ -319,18 +293,6 @@ class ParabolicSpec:
         if sorted(self.perm) != list(range(1, self.shape.n + 1)):
             raise ValueError("perm is not a permutation")
 
-    def contains(self, mat: Matrix) -> bool:
-        F = mat.field
-        inv = [0] * len(self.perm)
-        for j, pj in enumerate(self.perm):
-            inv[pj - 1] = j
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                if mat[i, j] != F.zero and \
-                        self.shape.block_of(inv[i]) > self.shape.block_of(inv[j]):
-                    return False
-        return True
-
 
 def invariant_row_sets(nn: Composition) -> list[tuple[int, ...]]:
     """All nonempty row sets J fixed by B': unions of per-block suffixes.
@@ -399,27 +361,6 @@ def random_borel_prime(nn: Composition, field: Field, rng: random.Random) -> Mat
             for j in rng_rows:
                 if j > i:
                     rows[i][j] = _random_scalar(field, rng)
-    return Matrix.from_rows(field, rows)
-
-
-def random_parabolic(mm: Composition, field: Field, rng: random.Random) -> Matrix:
-    """Random element of the standard block-upper parabolic of shape mm."""
-    n = mm.n
-    rows = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if mm.block_of(i) < mm.block_of(j):
-                rows[i][j] = _random_scalar(field, rng)
-    # invertible blocks on the diagonal
-    for b in range(len(mm)):
-        block = list(mm.block_range(b))
-        while True:
-            sub = [[_random_scalar(field, rng) for _ in block] for _ in block]
-            if Matrix.from_rows(field, sub).is_invertible():
-                break
-        for bi, i in enumerate(block):
-            for bj, j in enumerate(block):
-                rows[i][j] = sub[bi][bj]
     return Matrix.from_rows(field, rows)
 
 

@@ -287,9 +287,6 @@ class Matrix:
     def rank(self) -> int:
         return len(_row_reduce([list(r) for r in self.data], self.field)[1])
 
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
     # -- serialization ---------------------------------------------------
 
     def to_literal(self) -> str:

@@ -42,9 +42,10 @@ pivot column on the swept rows above it.
 Non-injective shapes (I' with an outer block of size 1 and n >= 5, and
 all of II') refuse reduction and instead expose an explicit witness pair:
 two flags with identical signatures in different orbits.  Each pair is
-certified exactly: equal signatures over Q, and over GF(2) the second
-flag lies outside the orbit of the first, which ``transporter_empty``
-grows by breadth-first search from the generators of B'.
+certified exactly over Q: equal signatures, and orbit dimensions that
+differ.  The dimension is that of a rational linear system, so it is the
+same over Q, R and C, and two flags of different dimensions lie in
+different orbits over each of them.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .flags import Composition, Flag, flags_equal, group_generators
+from .flags import Composition, Flag
 from .invariants import Signature, invariant_family, rank_table, signature
-from .linalg import (GF, Field, Matrix, QQ, _col_axpy, _col_scale, _row_axpy,
+from .linalg import (Field, Matrix, QQ, _col_axpy, _col_scale, _row_axpy,
                      _row_scale, gf, integer_dual, integer_rank)
 
 
@@ -940,8 +941,11 @@ def counterexample_pair(nn: Composition, mm: Composition) -> WitnessPair:
     Supported shapes: the minimal non-injective configurations
     ((3,2)/(1,2,2), (3,2)/(2,2,1) through the orthogonal swap, and
     (4,2)/(2,2,2)).  The pair is checked on construction: exact signature
-    equality, and emptiness of the GF(2) transporter by an orbit search.
+    equality, and orbit dimensions over Q that differ, so the flags lie in
+    different orbits over Q and over R.
     """
+    from .orbits import orbit_dimension  # deferred to avoid a cycle
+
     tag = classify_pair(nn, mm)
     if tag is None:
         raise InfinitePairError(f"pair ({nn}, {mm}) is infinite")
@@ -951,8 +955,8 @@ def counterexample_pair(nn: Composition, mm: Composition) -> WitnessPair:
     fam = invariant_family(nn, mm)
     if signature(pair.d1, fam).values != signature(pair.d2, fam).values:
         raise AssertionError("witness flags have different signatures")
-    if not transporter_empty(*witness_pair_over(nn, mm, 2), nn):
-        raise AssertionError("witness flags lie in the same GF(2) orbit")
+    if orbit_dimension(pair.d1, nn) == orbit_dimension(pair.d2, nn):
+        raise AssertionError("witness flags have equal orbit dimensions")
     return pair
 
 
@@ -961,33 +965,3 @@ def witness_pair_over(nn: Composition, mm: Composition,
     """The witness flags rebuilt intrinsically over GF(q)."""
     return _witness_flags(nn, mm, gf(q))
 
-
-def transporter_empty(d1: Flag, d2: Flag, nn: Composition) -> bool:
-    """Whether no element of B'(GF(q)) moves ``d1`` to ``d2``, two flags
-    of one type over GF(q): a breadth-first search of the orbit of ``d1``
-    under ``group_generators(nn, q)``.
-
-    B'(GF(q)) is finite and generated by these matrices, so closing {d1}
-    under them alone, with no inverses, gives the whole orbit; ``d2`` lies
-    outside it exactly when the transporter is empty.  The search keeps
-    one entry per orbit flag, at most the number of flags of the type.
-    """
-    if not isinstance(d1.field, GF):
-        raise ValueError("transporters are searched over GF(q)")
-    if flags_equal(d1, d2):
-        return False
-    gens = group_generators(nn, d1.field.p)
-    seen = {d1.rep.data}
-    layer = [d1.rep]
-    while layer:
-        next_layer = []
-        for rep in layer:
-            for g in gens:
-                image = Flag.from_matrix(d1.typ, g * rep).rep
-                if image.data == d2.rep.data:
-                    return False
-                if image.data not in seen:
-                    seen.add(image.data)
-                    next_layer.append(image)
-        layer = next_layer
-    return True

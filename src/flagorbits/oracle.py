@@ -90,13 +90,6 @@ def check_budget(n: int, mm: Composition, q: int, budget: int) -> int:
     return total
 
 
-def borel_order(nn: Composition, q: int) -> int:
-    order = 1
-    for p in nn.parts:
-        order *= (q - 1) ** p * q ** (p * (p - 1) // 2)
-    return order
-
-
 # ---------------------------------------------------------------------------
 # vectorized canonical representatives
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ minor expansion, subword products) so that tests never validate the
 library against itself.  The field references (``complete_to_invertible``,
 ``inverse``, ``dual`` and ``reference_orbit_dimension``) run on
 ``linalg._row_reduce``, which no integer path of the library uses.
+``transporter_empty`` searches B'-orbits over GF(q) and is the reference
+for the library's witness certificate, which compares orbit dimensions
+over Q.  The helpers at the end build and check test data (group
+elements, permutation matrices, the standard flag); the library needs
+none of them.
 """
 
 import itertools
@@ -14,8 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from flagorbits import Composition
-from flagorbits.flags import Flag, act, random_borel_prime
-from flagorbits.linalg import QQ, Matrix, _row_reduce, gf, integer_rank
+from flagorbits.flags import (Flag, _random_scalar, act, flag_from_permutation,
+                              flags_equal, group_generators,
+                              random_borel_prime)
+from flagorbits.linalg import GF, QQ, Matrix, _row_reduce, gf, integer_rank
 from flagorbits.normalforms import (NFPattern, _column_terms,
                                     case0_normal_forms, pattern_candidates)
 
@@ -370,3 +377,111 @@ def parabolic_generators(spec, q):
              if i != j and
              spec.shape.block_of(inv[i]) <= spec.shape.block_of(inv[j])]
     return gens
+
+
+def transporter_empty(d1, d2, nn):
+    """Whether no element of B'(GF(q)) moves ``d1`` to ``d2``, two flags
+    of one type over GF(q): a breadth-first search of the orbit of ``d1``
+    under ``group_generators(nn, q)``.
+
+    B'(GF(q)) is finite and generated by these matrices, so closing {d1}
+    under them alone, with no inverses, gives the whole orbit; ``d2`` lies
+    outside it exactly when the transporter is empty.  The search keeps
+    one entry per orbit flag, at most the number of flags of the type.
+    """
+    if not isinstance(d1.field, GF):
+        raise ValueError("transporters are searched over GF(q)")
+    if flags_equal(d1, d2):
+        return False
+    gens = group_generators(nn, d1.field.p)
+    seen = {d1.rep.data}
+    layer = [d1.rep]
+    while layer:
+        next_layer = []
+        for rep in layer:
+            for g in gens:
+                image = Flag.from_matrix(d1.typ, g * rep).rep
+                if image.data == d2.rep.data:
+                    return False
+                if image.data not in seen:
+                    seen.add(image.data)
+                    next_layer.append(image)
+        layer = next_layer
+    return True
+
+
+# -- group and flag helpers for building test data ----------------------------
+
+
+def borel_order(nn, q):
+    """Order of B'(GF(q)): per block of size p, (q - 1)**p torus elements
+    times q**(p(p-1)/2) unipotents."""
+    order = 1
+    for p in nn.parts:
+        order *= (q - 1) ** p * q ** (p * (p - 1) // 2)
+    return order
+
+
+def is_invertible(mat):
+    return mat.rows == mat.cols and mat.rank() == mat.rows
+
+
+def permutation_matrix(field, perm):
+    """Matrix sending e_j to e_{perm(j)}; ``perm`` is 1-based one-line."""
+    n = len(perm)
+    cols = []
+    for j in range(n):
+        v = [field.zero] * n
+        v[perm[j] - 1] = field.one
+        cols.append(v)
+    return Matrix.from_columns(field, cols, n)
+
+
+def standard_flag(typ, field=QQ):
+    return flag_from_permutation(list(range(1, typ.n + 1)), typ, field)
+
+
+def is_borel_prime(mat, nn):
+    """Membership in B': block diagonal with upper-triangular blocks."""
+    F = mat.field
+    for i in range(mat.rows):
+        for j in range(mat.cols):
+            if mat[i, j] != F.zero:
+                if nn.block_of(i) != nn.block_of(j) or i > j:
+                    return False
+    return all(mat[i, i] != F.zero for i in range(mat.rows))
+
+
+def parabolic_contains(spec, mat):
+    """Membership of ``mat`` in the parabolic of a ``ParabolicSpec``."""
+    F = mat.field
+    inv = [0] * len(spec.perm)
+    for j, pj in enumerate(spec.perm):
+        inv[pj - 1] = j
+    for i in range(mat.rows):
+        for j in range(mat.cols):
+            if mat[i, j] != F.zero and \
+                    spec.shape.block_of(inv[i]) > spec.shape.block_of(inv[j]):
+                return False
+    return True
+
+
+def random_parabolic(mm, field, rng):
+    """Random element of the standard block-upper parabolic of shape mm."""
+    n = mm.n
+    rows = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if mm.block_of(i) < mm.block_of(j):
+                rows[i][j] = _random_scalar(field, rng)
+    # invertible blocks on the diagonal
+    for b in range(len(mm)):
+        block = list(mm.block_range(b))
+        while True:
+            sub = [[_random_scalar(field, rng) for _ in block] for _ in block]
+            if is_invertible(Matrix.from_rows(field, sub)):
+                break
+        for bi, i in enumerate(block):
+            for bj, j in enumerate(block):
+                rows[i][j] = sub[bi][bj]
+    return Matrix.from_rows(field, rows)

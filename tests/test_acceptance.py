@@ -11,8 +11,7 @@ import time
 import pytest
 
 from flagorbits.flags import (Composition, Flag, act, flags_equal,
-                              random_borel_prime, random_flag,
-                              random_parabolic)
+                              random_borel_prime, random_flag)
 from flagorbits.invariants import (bruhat_vector, invariant_family, rank_js,
                                    signature)
 from flagorbits.linalg import Matrix, QQ, gf
@@ -30,7 +29,8 @@ from flagorbits.orbits import (count_multiplicity_free, enumerate_orbits,
                                orbit_dimension)
 
 from conftest import (FIGURE1_EDGES, FIGURE1_NODES, FIGURE2_EDGES,
-                      FIGURE2_NODES, bruhat_le_subword, compositions)
+                      FIGURE2_NODES, bruhat_le_subword, compositions,
+                      random_parabolic)
 
 
 def _match_figure(cat, nodes, field=QQ):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import sys
@@ -227,6 +228,18 @@ def test_reader_closing_the_pipe_ends_the_verb_quietly(argv, limit):
     assert out.closed
 
 
+# sha256 of each counterexample verb's stdout: any change to the witness
+# flags, their signature listing or the verdict line shows here
+_TRANSCRIPT_SHA256 = {
+    "3,2/1,2,2":
+        "b61ec69ec68221eb2464db1925ae6e03626dbcc73027031ddca72a252f860ba6",
+    "3,2/2,2,1":
+        "7ed0dbefbb7bcd79528e008f9686ca0f41ca461424aad46be4fd5e0380df9b52",
+    "4,2/2,2,2":
+        "78713a6afd8aecd46ddc113be1ed21fd3da9111b44c227fcdf3677e5ae50c3f2",
+}
+
+
 def test_counterexample_verb():
     # m3 is the dualized witness: its rows are the nested integer
     # annihilators of linalg.integer_dual, realized over Q
@@ -236,6 +249,8 @@ def test_counterexample_verb():
                          (["--case", "IIprime"], "4,2", "2,2,2")]:
         code, out, _ = run_cli(["counterexample"] + argv)
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            _TRANSCRIPT_SHA256[f"{nn}/{mm}"]
         assert "signatures equal: 1" in out
         pair = counterexample_pair(Composition.parse(nn),
                                    Composition.parse(mm))

@@ -13,7 +13,8 @@ from flagorbits.invariants import (JFamily, bruhat_rij, bruhat_vector,
 from flagorbits.linalg import Matrix, QQ, gf
 from flagorbits.orbits import _integer_rows, enumerate_orbits, orbit_dimension
 
-from conftest import bruhat_le_subword, dominates, reference_orbit_dimension
+from conftest import (bruhat_le_subword, dominates, permutation_matrix,
+                      reference_orbit_dimension)
 
 
 PAPER_FLAG = Matrix.from_rows(QQ, [[1, 1], [2, 0], [0, 1], [0, 0]])
@@ -233,7 +234,6 @@ def test_bruhat_rij_basics():
 
 
 def test_bruhat_rij_equals_corner_rank():
-    from flagorbits.flags import permutation_matrix
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randint(2, 5)

@@ -8,8 +8,7 @@ import pytest
 
 import flagorbits
 from flagorbits.flags import (Composition, Flag, act, flags_equal,
-                              random_borel_prime, random_flag,
-                              random_parabolic, standard_flag)
+                              random_borel_prime, random_flag)
 from flagorbits.invariants import invariant_family, signature
 from flagorbits.linalg import Matrix, QQ, gf, integer_dual
 import flagorbits.normalforms as normalforms_mod
@@ -24,11 +23,12 @@ from flagorbits.normalforms import (CaseTag, InconsistentSignatureError,
                                     decode_signature_case0, has_catalog,
                                     reduce_by_catalog, reduce_case0,
                                     reduce_case3prime, reduce_flag,
-                                    transporter_empty, triangular_reduce,
-                                    witness_pair_over)
-from flagorbits.orbits import enumerate_orbits
+                                    triangular_reduce, witness_pair_over)
+from flagorbits.orbits import enumerate_orbits, orbit_dimension
 
-from conftest import borel_translates, compositions, dual
+from conftest import (borel_translates, compositions, dual, is_invertible,
+                      reference_orbit_dimension, standard_flag,
+                      transporter_empty)
 
 
 def test_classify_table_rows():
@@ -90,8 +90,8 @@ def test_triangular_reduce_multiply_back():
             for i in range(rows):
                 for j in range(i):
                     assert red.left[i, j] == fld.zero
-            assert red.left.is_invertible()
-            assert red.right.is_invertible()
+            assert is_invertible(red.left)
+            assert is_invertible(red.right)
             assert list(red.indices) == sorted(red.indices)
             assert len(red.indices) == a.rank()
             for t, idx in enumerate(red.indices):
@@ -334,8 +334,34 @@ def test_counterexample_pairs_verified():
         pair = counterexample_pair(nn, mm)  # construction re-verifies
         fam = invariant_family(nn, mm)
         assert signature(pair.d1, fam).values == signature(pair.d2, fam).values
+        # the certificate: orbit dimensions over Q, by the library's
+        # integer annihilator conditions and by the completion reference
+        assert (orbit_dimension(pair.d1, nn),
+                orbit_dimension(pair.d2, nn)) == (7, 8)
+        assert (reference_orbit_dimension(pair.d1, nn),
+                reference_orbit_dimension(pair.d2, nn)) == (7, 8)
         assert transporter_empty(*witness_pair_over(nn, mm, 2), nn)
         assert transporter_empty(*witness_pair_over(nn, mm, 3), nn)
+
+
+_D1_3_2 = ((0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 0, 1), (1, 1, 0))
+
+
+@pytest.mark.parametrize("d2, message", [
+    # row 2 added to row 1, an element of B': one orbit, one dimension
+    (((0, 1, 1), (0, 0, 1), (1, 0, 0), (0, 0, 1), (1, 1, 0)),
+     "equal orbit dimensions"),
+    # a coordinate flag, whose signature differs
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0), (0, 0, 0)),
+     "different signatures"),
+])
+def test_counterexample_pair_rejects_forged_witnesses(monkeypatch, d2,
+                                                      message):
+    nn, mm = Composition.of(3, 2), Composition.of(1, 2, 2)
+    monkeypatch.setitem(normalforms_mod._WITNESSES, (nn.parts, mm.parts),
+                        (False, (_D1_3_2, d2)))
+    with pytest.raises(AssertionError, match=message):
+        counterexample_pair(nn, mm)
 
 
 @pytest.mark.parametrize("q", [None, 2, 3, 5, 7])
@@ -380,8 +406,9 @@ def test_transporter_rejects_flags_over_q():
 
 
 def test_witness_certification_imports_no_numpy():
-    # the transporter search takes B''s generators from flagorbits.flags,
-    # so certifying all three shapes loads neither the oracle nor numpy
+    # the certificate compares orbit dimensions from integer annihilator
+    # conditions, so certifying all three shapes loads neither the oracle
+    # nor numpy
     src = os.path.dirname(os.path.dirname(flagorbits.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

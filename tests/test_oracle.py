@@ -14,11 +14,10 @@ from flagorbits.flags import (Composition, Flag, ParabolicSpec, act,
                               flags_equal, random_flag)
 from flagorbits.invariants import invariant_family, rank_js, signature
 from flagorbits.linalg import QQ, Matrix, gf
-from flagorbits.normalforms import (counterexample_pair, transporter_empty,
-                                    witness_pair_over)
+from flagorbits.normalforms import counterexample_pair, witness_pair_over
 from flagorbits.oracle import (CHUNK, BudgetExceededError, _decode_flag,
                                _generator_image, _hook, _signature_vectors,
-                               _torus_image, _work_dtype, borel_order,
+                               _torus_image, _work_dtype,
                                canonicalize_batch, cross_validate,
                                enumerate_flag_array, flag_count,
                                gaussian_binomial, group_generators,
@@ -27,8 +26,8 @@ from flagorbits.oracle import (CHUNK, BudgetExceededError, _decode_flag,
                                validate_witnesses)
 from flagorbits.orbits import enumerate_orbits
 
-from conftest import (borel_translates, compositions, parabolic_generators,
-                      rank_batch)
+from conftest import (borel_order, borel_translates, compositions,
+                      parabolic_generators, rank_batch, transporter_empty)
 
 
 def test_gaussian_binomial_and_flag_counts():

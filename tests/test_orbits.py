@@ -10,8 +10,7 @@ from collections import Counter
 import pytest
 
 import flagorbits
-from flagorbits.flags import (Composition, Flag, act, permutation_matrix,
-                              standard_flag)
+from flagorbits.flags import Composition, Flag, act
 from flagorbits.invariants import invariant_family, rank_table, signature
 from flagorbits.linalg import Matrix, QQ, gf
 from flagorbits.normalforms import (InfinitePairError, NFCase0, NFChain,
@@ -28,7 +27,8 @@ from flagorbits.orbits import (DominanceDimensionError,
                                orbit_dimension)
 
 from conftest import (compositions, dominates, dual, pairwise_covers,
-                      reference_orbit_dimension, reference_pattern_candidates)
+                      permutation_matrix, reference_orbit_dimension,
+                      reference_pattern_candidates, standard_flag)
 
 
 def test_enumerate_small_grassmannian():
