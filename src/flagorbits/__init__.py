@@ -9,7 +9,8 @@ from .invariants import (JFamily, Signature, bruhat_rij, bruhat_vector,
 from .normalforms import (CaseTag, CatalogLookupError, InfinitePairError,
                           NonInjectiveError, UnsupportedCaseError,
                           WitnessPair, classify_pair, counterexample_pair,
-                          decode_signature_case0, reduce_by_catalog,
+                          decode_signature_case0,
+                          decode_signature_case3prime, reduce_by_catalog,
                           reduce_case0, reduce_case3prime, reduce_flag,
                           triangular_reduce)
 from .orbits import (OrbitCatalog, catalog_to_text, count_multiplicity_free,

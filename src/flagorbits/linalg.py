@@ -9,8 +9,8 @@ offers two scalar domains and nothing else:
   with inverses by Fermat's little theorem.
 
 Matrices are immutable row-major tuples.  Elimination over a field, in
-``Matrix`` row reduction, the canonical flag form and the normal-form
-reducers, runs on four elementary operations on a list of columns,
+``Matrix`` row reduction, the canonical flag form and triangular
+reduction, runs on three elementary operations on a list of columns,
 defined here once.  Integer matrices over Q need no ``Fraction``:
 ``echelon_extend`` adds one integer row to an echelon basis by
 cross-multiplication and content division, and ``integer_rank`` and
@@ -326,11 +326,6 @@ def _row_axpy(F: Field, cols: Sequence[list], dst: int, src: int, c) -> None:
     """Row ``dst`` += c * row ``src``."""
     for col in cols:
         col[dst] = F.add(col[dst], F.mul(c, col[src]))
-
-
-def _row_scale(F: Field, cols: Sequence[list], i: int, c) -> None:
-    for col in cols:
-        col[i] = F.mul(c, col[i])
 
 
 def _row_reduce(rows: list[list], F: Field):

@@ -6,11 +6,11 @@ matching row names the case.  Each case with a classification gets a
 normal-form data type, a realization from its integer rows, and a
 reducer:
 
-* case 0 (two blocks on both sides) -- a constructive triangular
-  reduction plus an independent decoder that rebuilds the normal form
-  from rank differences alone;
-* case III' (one row block of size one) -- Gauss-Jordan without row
-  permutations, a pivot block, and a decreasing chain of marked rows;
+* case 0 (two blocks on both sides) and case III' (one row block of
+  size one, normal forms with a pivot block and a decreasing chain of
+  marked rows) -- read off the signature: a decoder rebuilds the normal
+  form from rank differences alone, and the reducer decodes the flag's
+  signature;
 * cases I, II, III and I' with middle block 1 -- catalogs of 0/1
   representatives deduplicated by signature (sound because the rank
   signature separates orbits in these cases), reduced by signature
@@ -24,20 +24,19 @@ pattern, whose rows are an integer basis of V^perp, V the span of its
 builds rank and dimension the same rows as integers and realize none of
 them.
 
-The three elimination reducers (``triangular_reduce``, ``reduce_case0``,
-``reduce_case3prime``) hold their matrix as a list of columns, each a
-mutable list of field elements, and change it only through the four
-elementary operations of ``linalg``, which also serve the canonical flag
-form (``flags._canonical_rep``) and ``Matrix`` row reduction
+``triangular_reduce`` holds its matrix as a list of columns, each a
+mutable list of field elements, and changes it only through elementary
+operations of ``linalg``, which also serve the canonical flag form
+(``flags._canonical_rep``) and ``Matrix`` row reduction
 (``linalg._row_reduce``): ``_col_axpy`` and ``_col_scale`` act on whole
-columns, ``_row_axpy`` and ``_row_scale`` on one entry of every column.
-Row operations only ever add a row to one above it (a smaller index),
-so the row transformations they compose stay upper triangular.  Their
-common step is ``_sweep_up``: for each row of a range, from the bottom
-up, the first still-unused column of a pool that is nonzero there
-becomes its pivot column, scaled to 1 at the row; column operations
-clear the row from every other column, and row operations clear the
-pivot column on the swept rows above it.
+columns, ``_row_axpy`` on one entry of every column.  Row operations
+only ever add a row to one above it (a smaller index), so the row
+transformations they compose stay upper triangular.  Its step is
+``_sweep_up``: for each row of a range, from the bottom up, the first
+still-unused column of a pool that is nonzero there becomes its pivot
+column, scaled to 1 at the row; column operations clear the row from
+every other column, and row operations clear the pivot column on the
+swept rows above it.
 
 Non-injective shapes (I' with an outer block of size 1 and n >= 5, and
 all of II') refuse reduction and instead expose an explicit witness pair:
@@ -57,8 +56,8 @@ from typing import Iterable, Optional, Sequence
 
 from .flags import Composition, Flag
 from .invariants import Signature, invariant_family, rank_table, signature
-from .linalg import (Field, Matrix, QQ, _col_axpy, _col_scale, _row_axpy,
-                     _row_scale, gf, integer_dual, integer_rank)
+from .linalg import (Field, Matrix, QQ, _col_axpy, _col_scale, _row_axpy, gf,
+                     integer_dual, integer_rank)
 
 
 class InfinitePairError(ValueError):
@@ -135,8 +134,8 @@ def has_catalog(tag: CaseTag) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the reducers' shared pivot sweep, and triangular reduction (upper-triangular
-# x general linear orbits)
+# the pivot sweep and triangular reduction (upper-triangular x general linear
+# orbits)
 # ---------------------------------------------------------------------------
 
 
@@ -398,81 +397,41 @@ def _case1_row_perm(nn: Composition) -> tuple[tuple[int, ...], Composition]:
 
 
 # ---------------------------------------------------------------------------
-# case 0: constructive reduction and signature decoding
+# cases 0 and III': normal forms decoded from the signature
 # ---------------------------------------------------------------------------
 
 
 def reduce_case0(f: Flag, nn: Composition) -> NFCase0:
-    """Unique two-block normal form by triangular elimination.
-
-    Stages: canonicalize the lower (f-)rows bottom-up, reduce the f-free
-    columns' upper parts, then peel paired columns off largest upper row
-    first.  The result is verified against the flag's signature.
-    """
+    """Unique two-block normal form, decoded from the flag's signature."""
     if len(nn) != 2 or len(f.typ) != 2:
         raise ValueError(f"pair ({nn}, {f.typ}) is not a two-block pair")
-    F = f.field
-    n1 = nn.parts[0]
-    n = nn.n
-    m1 = f.typ.parts[0]
-    cols = [list(f.rep.column(j)) for j in range(m1)]
+    return decode_signature_case0(signature(f, invariant_family(nn, f.typ)))
 
-    # stage 1: bottom-up pivots on the f-rows
-    f_pivot = _sweep_up(F, cols, range(n1, n), range(m1))
-    # stage 2: bottom-up pivots on the e-rows of the f-free columns
-    free = [c for c in range(m1) if c not in f_pivot]
-    tail_pivot = _sweep_up(F, cols, range(n1), free)
-    if len(tail_pivot) < len(free):
-        raise ValueError("flag representative is rank deficient")
 
-    # stage 3: peel paired columns, largest e-row first
-    active = sorted(f_pivot, key=lambda c: f_pivot[c])
-    pair_e: dict[int, int] = {}
-    while True:
-        m_row = -1
-        for i in range(n1 - 1, -1, -1):
-            if any(cols[c][i] != F.zero for c in active):
-                m_row = i
-                break
-        if m_row < 0:
-            break
-        j0 = next(c for c in active if cols[c][m_row] != F.zero)
-        _row_scale(F, cols, m_row, F.inv(cols[j0][m_row]))
-        # clear the marked row from the other carriers (this changes their
-        # f-rows, which stage 3 never reads), then clean up above the mark
-        # inside j0
-        for c in active:
-            if c != j0 and cols[c][m_row] != F.zero:
-                _col_axpy(F, cols, c, j0, F.sub(F.zero, cols[c][m_row]))
-        for i in range(m_row - 1, -1, -1):
-            if cols[j0][i] != F.zero:
-                _row_axpy(F, cols, i, m_row, F.sub(F.zero, cols[j0][i]))
-        pair_e[j0] = m_row
-        active.remove(j0)
+def reduce_case3prime(f: Flag, nn: Composition) -> NFChain:
+    """Pivot-block normal form, decoded from the flag's signature."""
+    # row predicate, not first-match: pairs matching several table rows
+    # must stay reducible by each matching row's reducer
+    if len(nn) != 2 or min(nn.parts) != 1:
+        raise ValueError(f"pair ({nn}, {f.typ}) is not a one-line-block pair")
+    return decode_signature_case3prime(
+        signature(f, invariant_family(nn, f.typ)))
 
-    carriers = sorted(f_pivot, key=lambda c: f_pivot[c])
-    out_cols: list[tuple[Optional[int], Optional[int]]] = []
-    for c in carriers:
-        fi = f_pivot[c] - n1 + 1
-        e = pair_e.get(c)
-        out_cols.append((None if e is None else e + 1, fi))
-    for c in sorted(tail_pivot, key=lambda c: tail_pivot[c]):
-        out_cols.append((tail_pivot[c] + 1, None))
-    nf = NFCase0(nn, f.typ, tuple(out_cols))
-    _check_signature(nf, f, nn, "case 0 reduction")
+
+def _check_signature(nf: NormalForm, sig: Signature) -> NormalForm:
+    """``nf``, when its rows span a flag with the values of ``sig``;
+    raises ``InconsistentSignatureError`` otherwise.
+
+    The decoders build independent columns, so ``n - m_l`` of them span a
+    flag of the signature's type.  Ranking the rows over Q serves every
+    field: an ``NFCase0``'s columns have disjoint supports, and an
+    ``NFChain``'s columns other than the pivot column are distinct unit
+    vectors, so supports fix every rank."""
+    mm, rows = sig.family.mm, nf.rows
+    if len(rows[0]) != mm.n - mm.parts[-1] or \
+            rank_table(rows, sig.family) != sig.values:
+        raise InconsistentSignatureError("no normal form has this signature")
     return nf
-
-
-def _check_signature(nf: NormalForm, f: Flag, nn: Composition,
-                     reducer: str) -> None:
-    """Raise unless the normal form's rows have the signature of ``f``.
-
-    Ranking the rows over Q serves every field: an ``NFCase0``'s columns
-    have disjoint supports, and an ``NFChain``'s columns other than the
-    pivot column are distinct unit vectors, so supports fix every rank."""
-    fam = invariant_family(nn, f.typ)
-    if rank_table(nf.rows, fam) != signature(f, fam).values:
-        raise AssertionError(f"{reducer} does not preserve the signature")
 
 
 def decode_signature_case0(sig: Signature) -> NFCase0:
@@ -480,7 +439,6 @@ def decode_signature_case0(sig: Signature) -> NFCase0:
     nn, mm = sig.family.nn, sig.family.mm
     n1, n2 = nn.parts
     n = nn.n
-    m1 = mm.parts[0]
     idx = sig.family.index()
 
     def val(J: tuple[int, ...]) -> int:
@@ -494,114 +452,68 @@ def decode_signature_case0(sig: Signature) -> NFCase0:
     def f_suffix(p):  # rows n1+p..n
         return tuple(range(n1 + p, n + 1))
 
-    s = val(f_suffix(1))
-    r = m1 - val(e_suffix(1))
     i_list = [p for p in range(1, n2 + 1)
               if val(f_suffix(p)) - val(f_suffix(p + 1)) == 1]
     j_list = [p for p in range(1, n1 + 1)
               if val(e_suffix(p)) - val(e_suffix(p + 1)) == 1]
-    if len(i_list) != s or len(j_list) != m1 - r or not 0 <= r <= s <= m1:
-        raise InconsistentSignatureError("rank profile matches no normal form")
 
     def joint(j, i):
         return tuple(sorted(set(e_suffix(j)) | set(f_suffix(i))))
 
     pair_of_i: dict[int, int] = {}
-    used_j: set[int] = set()
     for i in i_list:
         for j in j_list:
             c1 = val(joint(j, i)) - val(joint(j + 1, i))
             c2 = val(joint(j, i + 1)) - val(joint(j + 1, i + 1))
             if c1 == 0 and c2 == 1:
-                if i in pair_of_i or j in used_j:
-                    raise InconsistentSignatureError("ambiguous pairing")
                 pair_of_i[i] = j
-                used_j.add(j)
-    if len(pair_of_i) != s - r:
-        raise InconsistentSignatureError(
-            f"expected {s - r} paired columns, found {len(pair_of_i)}")
-    cols: list[tuple[Optional[int], Optional[int]]] = []
-    for i in i_list:
-        cols.append((pair_of_i.get(i), i))
-    for j in sorted(set(j_list) - used_j):
-        cols.append((j, None))
-    return NFCase0(nn, mm, tuple(cols))
+    used_j = set(pair_of_i.values())
+    cols = [(pair_of_i.get(i), i) for i in i_list] + \
+        [(j, None) for j in j_list if j not in used_j]
+    return _check_signature(NFCase0(nn, mm, tuple(cols)), sig)
 
 
-# ---------------------------------------------------------------------------
-# case III': Gauss-Jordan without row permutations
-# ---------------------------------------------------------------------------
+def decode_signature_case3prime(sig: Signature) -> NFChain:
+    """Rebuild the III' normal form from rank differences alone.
 
-
-def reduce_case3prime(f: Flag, nn: Composition) -> NFChain:
-    # row predicate, not first-match: pairs matching several table rows
-    # must stay reducible by each matching row's reducer
-    if len(nn) != 2 or min(nn.parts) != 1:
-        raise ValueError(f"pair ({nn}, {f.typ}) is not a one-line-block pair")
-    F = f.field
-    n = nn.n
-    mm = f.typ
-    work = f
+    In the (n-1, 1) orientation, with a_s = rank({n}, s): j0 is the first
+    s with a_s = 1, or l if there is none.  c(r, s) = rank({r..n}, s) - a_s
+    counts the marked rows >= r of the blocks <= s, so row r is marked in
+    the first block s with c(r, s) > c(r + 1, s).  For s >= j0,
+    rank({r..n-1}, s) - c(r, s) is 1 exactly when a chain row >= r lies in
+    a block past s; the largest such r is the row of the next chain
+    element, whose block is 1 + the last s at which it is that r.  The
+    (1, n-1) orientation, n > 2, reads rows 1..n-1 as its rows 2..n and
+    row n as its row 1.
+    """
+    nn, mm = sig.family.nn, sig.family.mm
+    n, l = nn.n, len(mm)
+    idx = sig.family.index()
+    label = list(range(n + 1))  # row i of the (n-1, 1) orientation
     if nn.parts[0] == 1 and n > 2:
-        # row 1 moves to the bottom: the (n-1, 1) orientation
-        work = Flag.from_matrix(
-            mm, Matrix.from_rows(F, f.rep.data[1:] + f.rep.data[:1]))
+        label = [0] + label[2:] + [1]
 
-    l = len(mm)
-    stored = n - mm.parts[-1]
-    cols = [list(work.rep.column(j)) for j in range(stored)]
-    block_of_col = [mm.block_of(c) for c in range(stored)]
+    def rank(r: int, s: int, last: bool = True) -> int:
+        """rank of rows r..n-1, and of row n if ``last``, at prefix s"""
+        J = tuple(sorted(label[i] for i in range(r, n + 1 if last else n)))
+        return sig.values[idx[s, J]] if J else 0
 
-    # locate the pivot block and its distinguished column
-    special = next(iter(_sweep_up(F, cols, range(n - 1, n), range(stored))),
-                   None)
-    j0 = l if special is None else block_of_col[special] + 1
+    def count(r: int, s: int) -> int:
+        return rank(r, s) - rank(n, s)
 
-    # reduce every non-special column to a distinct basis vector
-    finished: dict[int, int] = {}        # column -> pivot row (0-based)
-    row_block: dict[int, int] = {}       # pivot row -> 1-based block
-    for c in range(stored):
-        if c == special:
-            continue
-        for pc, pr in finished.items():
-            if cols[c][pr] != F.zero:
-                _col_axpy(F, cols, c, pc, F.sub(F.zero, cols[c][pr]))
-        pivot = next((i for i in range(n - 2, -1, -1)
-                      if cols[c][i] != F.zero), None)
-        if pivot is None:
-            raise ValueError("flag representative is rank deficient")
-        _col_scale(F, cols, c, F.inv(cols[c][pivot]))
-        for i in range(pivot - 1, -1, -1):
-            if cols[c][i] != F.zero:
-                _row_axpy(F, cols, i, pivot, F.sub(F.zero, cols[c][i]))
-        finished[c] = pivot
-        row_block[pivot] = block_of_col[c] + 1
-
-    chain: list[tuple[int, int]] = []
-    if special is not None:
-        # clear the marked rows of blocks up to j0 from the special column
-        for pc, pr in finished.items():
-            if block_of_col[pc] + 1 <= j0 and cols[special][pr] != F.zero:
-                _col_axpy(F, cols, special, pc,
-                          F.sub(F.zero, cols[special][pr]))
-        support = [i for i in range(n - 1) if cols[special][i] != F.zero]
-        # rows unused by stored blocks belong to the dropped block l
-        blk = {i: row_block.get(i, l) for i in support}
-        best = 0
-        for i in sorted(support, reverse=True):
-            if blk[i] > best:
-                chain.append((blk[i], i + 1))
-                best = blk[i]
-        chain.sort()
-
-    blocks = []
-    for b in range(l - 1):
-        rows = sorted(finished[c] + 1 for c in range(stored)
-                      if c != special and block_of_col[c] == b)
-        blocks.append(tuple(rows))
-    nf = NFChain(nn, mm, j0, tuple(blocks), tuple(chain))
-    _check_signature(nf, f, nn, "pivot-block reduction")
-    return nf
+    j0 = next((s for s in range(1, l) if rank(n, s) == 1), l)
+    block = {r: next((s for s in range(1, l) if count(r, s) > count(r + 1, s)),
+                     None) for r in range(1, n)}
+    blocks = tuple(tuple(r for r in range(1, n) if block[r] == b)
+                   for b in range(1, l))
+    chain_block: dict[int, int] = {}
+    for s in range(j0, l):
+        top = max((r for r in range(1, n)
+                   if rank(r, s, False) - count(r, s) == 1), default=None)
+        if top is not None:
+            chain_block[top] = s + 1
+    chain = tuple(sorted((b, r) for r, b in chain_block.items()))
+    return _check_signature(NFChain(nn, mm, j0, blocks, chain), sig)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,17 @@ library against itself.  The field references (``complete_to_invertible``,
 ``linalg._row_reduce``, which no integer path of the library uses.
 ``transporter_empty`` searches B'-orbits over GF(q) and is the reference
 for the library's witness certificate, which compares orbit dimensions
-over Q.  The helpers at the end build and check test data (group
-elements, permutation matrices, the standard flag); the library needs
-none of them.
+over Q.  ``reference_reduce_case0`` and ``reference_reduce_case3prime``
+reduce a flag by field elimination; the library reads the same normal
+forms off the signature.  The helpers at the end build and check test
+data (group elements, permutation matrices, the standard flag); the
+library needs none of them.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -22,9 +25,11 @@ from flagorbits import Composition
 from flagorbits.flags import (Flag, _random_scalar, act, flag_from_permutation,
                               flags_equal, group_generators,
                               random_borel_prime)
-from flagorbits.linalg import GF, QQ, Matrix, _row_reduce, gf, integer_rank
-from flagorbits.normalforms import (NFPattern, _column_terms,
-                                    case0_normal_forms, pattern_candidates)
+from flagorbits.linalg import (GF, QQ, Matrix, _col_axpy, _col_scale,
+                               _row_axpy, _row_reduce, gf, integer_rank)
+from flagorbits.normalforms import (NFCase0, NFChain, NFPattern, _column_terms,
+                                    _sweep_up, case0_normal_forms,
+                                    pattern_candidates)
 
 
 def compositions(n):
@@ -408,6 +413,142 @@ def transporter_empty(d1, d2, nn):
                     next_layer.append(image)
         layer = next_layer
     return True
+
+
+# -- field eliminations, references for the case 0 and III' decoders ---------
+
+
+def _row_scale(F, cols, i, c):
+    for col in cols:
+        col[i] = F.mul(c, col[i])
+
+
+def reference_reduce_case0(f: Flag, nn: Composition) -> NFCase0:
+    """Unique two-block normal form by triangular elimination.
+
+    Stages: canonicalize the lower (f-)rows bottom-up, reduce the f-free
+    columns' upper parts, then peel paired columns off largest upper row
+    first.
+    """
+    if len(nn) != 2 or len(f.typ) != 2:
+        raise ValueError(f"pair ({nn}, {f.typ}) is not a two-block pair")
+    F = f.field
+    n1 = nn.parts[0]
+    n = nn.n
+    m1 = f.typ.parts[0]
+    cols = [list(f.rep.column(j)) for j in range(m1)]
+
+    # stage 1: bottom-up pivots on the f-rows
+    f_pivot = _sweep_up(F, cols, range(n1, n), range(m1))
+    # stage 2: bottom-up pivots on the e-rows of the f-free columns
+    free = [c for c in range(m1) if c not in f_pivot]
+    tail_pivot = _sweep_up(F, cols, range(n1), free)
+    if len(tail_pivot) < len(free):
+        raise ValueError("flag representative is rank deficient")
+
+    # stage 3: peel paired columns, largest e-row first
+    active = sorted(f_pivot, key=lambda c: f_pivot[c])
+    pair_e: dict[int, int] = {}
+    while True:
+        m_row = -1
+        for i in range(n1 - 1, -1, -1):
+            if any(cols[c][i] != F.zero for c in active):
+                m_row = i
+                break
+        if m_row < 0:
+            break
+        j0 = next(c for c in active if cols[c][m_row] != F.zero)
+        _row_scale(F, cols, m_row, F.inv(cols[j0][m_row]))
+        # clear the marked row from the other carriers (this changes their
+        # f-rows, which stage 3 never reads), then clean up above the mark
+        # inside j0
+        for c in active:
+            if c != j0 and cols[c][m_row] != F.zero:
+                _col_axpy(F, cols, c, j0, F.sub(F.zero, cols[c][m_row]))
+        for i in range(m_row - 1, -1, -1):
+            if cols[j0][i] != F.zero:
+                _row_axpy(F, cols, i, m_row, F.sub(F.zero, cols[j0][i]))
+        pair_e[j0] = m_row
+        active.remove(j0)
+
+    carriers = sorted(f_pivot, key=lambda c: f_pivot[c])
+    out_cols: list[tuple[Optional[int], Optional[int]]] = []
+    for c in carriers:
+        fi = f_pivot[c] - n1 + 1
+        e = pair_e.get(c)
+        out_cols.append((None if e is None else e + 1, fi))
+    for c in sorted(tail_pivot, key=lambda c: tail_pivot[c]):
+        out_cols.append((tail_pivot[c] + 1, None))
+    return NFCase0(nn, f.typ, tuple(out_cols))
+
+
+def reference_reduce_case3prime(f: Flag, nn: Composition) -> NFChain:
+    # row predicate, not first-match: pairs matching several table rows
+    # must stay reducible by each matching row's reducer
+    if len(nn) != 2 or min(nn.parts) != 1:
+        raise ValueError(f"pair ({nn}, {f.typ}) is not a one-line-block pair")
+    F = f.field
+    n = nn.n
+    mm = f.typ
+    work = f
+    if nn.parts[0] == 1 and n > 2:
+        # row 1 moves to the bottom: the (n-1, 1) orientation
+        work = Flag.from_matrix(
+            mm, Matrix.from_rows(F, f.rep.data[1:] + f.rep.data[:1]))
+
+    l = len(mm)
+    stored = n - mm.parts[-1]
+    cols = [list(work.rep.column(j)) for j in range(stored)]
+    block_of_col = [mm.block_of(c) for c in range(stored)]
+
+    # locate the pivot block and its distinguished column
+    special = next(iter(_sweep_up(F, cols, range(n - 1, n), range(stored))),
+                   None)
+    j0 = l if special is None else block_of_col[special] + 1
+
+    # reduce every non-special column to a distinct basis vector
+    finished: dict[int, int] = {}        # column -> pivot row (0-based)
+    row_block: dict[int, int] = {}       # pivot row -> 1-based block
+    for c in range(stored):
+        if c == special:
+            continue
+        for pc, pr in finished.items():
+            if cols[c][pr] != F.zero:
+                _col_axpy(F, cols, c, pc, F.sub(F.zero, cols[c][pr]))
+        pivot = next((i for i in range(n - 2, -1, -1)
+                      if cols[c][i] != F.zero), None)
+        if pivot is None:
+            raise ValueError("flag representative is rank deficient")
+        _col_scale(F, cols, c, F.inv(cols[c][pivot]))
+        for i in range(pivot - 1, -1, -1):
+            if cols[c][i] != F.zero:
+                _row_axpy(F, cols, i, pivot, F.sub(F.zero, cols[c][i]))
+        finished[c] = pivot
+        row_block[pivot] = block_of_col[c] + 1
+
+    chain: list[tuple[int, int]] = []
+    if special is not None:
+        # clear the marked rows of blocks up to j0 from the special column
+        for pc, pr in finished.items():
+            if block_of_col[pc] + 1 <= j0 and cols[special][pr] != F.zero:
+                _col_axpy(F, cols, special, pc,
+                          F.sub(F.zero, cols[special][pr]))
+        support = [i for i in range(n - 1) if cols[special][i] != F.zero]
+        # rows unused by stored blocks belong to the dropped block l
+        blk = {i: row_block.get(i, l) for i in support}
+        best = 0
+        for i in sorted(support, reverse=True):
+            if blk[i] > best:
+                chain.append((blk[i], i + 1))
+                best = blk[i]
+        chain.sort()
+
+    blocks = []
+    for b in range(l - 1):
+        rows = sorted(finished[c] + 1 for c in range(stored)
+                      if c != special and block_of_col[c] == b)
+        blocks.append(tuple(rows))
+    return NFChain(nn, mm, j0, tuple(blocks), tuple(chain))
 
 
 # -- group and flag helpers for building test data ----------------------------

@@ -19,14 +19,12 @@ from flagorbits.normalforms import (case0_normal_forms, classify_pair,
                                     counterexample_pair,
                                     decode_signature_case0, has_catalog,
                                     reduce_by_catalog, reduce_case0,
-                                    reduce_case3prime, reduce_flag,
-                                    witness_pair_over)
+                                    reduce_case3prime)
 from flagorbits.oracle import (cross_validate, oracle_partition,
                                validate_witnesses, _signature_labels,
                                _partitions_equal)
 from flagorbits.orbits import (count_multiplicity_free, enumerate_orbits,
-                               enumeration_count, hasse_candidate,
-                               orbit_dimension)
+                               enumeration_count, hasse_candidate)
 
 from conftest import (FIGURE1_EDGES, FIGURE1_NODES, FIGURE2_EDGES,
                       FIGURE2_NODES, bruhat_le_subword, compositions,

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from flagorbits.flags import (Composition, Flag, act, flag_from_permutation,
-                              group_generators, qfamily, random_borel_prime,
+                              group_generators, random_borel_prime,
                               random_flag)
 from flagorbits.invariants import (JFamily, bruhat_rij, bruhat_vector,
                                    invariant_family, rank_js, rank_table,
@@ -113,6 +113,7 @@ def test_verify_family_invariance_guard():
 @pytest.mark.parametrize("nn_parts, mm_parts, J", [
     ((2, 2), (1, 3), (1,)),
     ((3, 2), (1, 1, 3), (2,)),
+    ((2, 2, 2), (2, 4), (1,)),
 ])
 def test_verify_family_invariance_rejects_a_row_set_that_is_no_suffix(
         nn_parts, mm_parts, J):

@@ -9,25 +9,26 @@ import pytest
 import flagorbits
 from flagorbits.flags import (Composition, Flag, act, flags_equal,
                               random_borel_prime, random_flag)
-from flagorbits.invariants import invariant_family, signature
+from flagorbits.invariants import Signature, invariant_family, signature
 from flagorbits.linalg import Matrix, QQ, gf, integer_dual
 import flagorbits.normalforms as normalforms_mod
-from flagorbits.normalforms import (CaseTag, InconsistentSignatureError,
-                                    InfinitePairError, NFCase0, NFChain,
-                                    NFPattern, NonInjectiveError,
-                                    UnsupportedCaseError,
+from flagorbits.normalforms import (InconsistentSignatureError,
+                                    InfinitePairError, NFChain, NFPattern,
+                                    NonInjectiveError,
                                     _column_move_lowers, _row_move_lowers,
                                     case0_normal_forms,
                                     case3prime_normal_forms,
                                     classify_pair, counterexample_pair,
-                                    decode_signature_case0, has_catalog,
+                                    decode_signature_case0,
+                                    decode_signature_case3prime, has_catalog,
                                     reduce_by_catalog, reduce_case0,
                                     reduce_case3prime, reduce_flag,
                                     triangular_reduce, witness_pair_over)
 from flagorbits.orbits import enumerate_orbits, orbit_dimension
 
 from conftest import (borel_translates, compositions, dual, is_invertible,
-                      reference_orbit_dimension, standard_flag,
+                      reference_orbit_dimension, reference_reduce_case0,
+                      reference_reduce_case3prime, standard_flag,
                       transporter_empty)
 
 
@@ -185,6 +186,67 @@ def test_decode_rejects_inconsistent_signature():
     broken = type(sig)(fam, tuple(v + 3 for v in sig.values))
     with pytest.raises(InconsistentSignatureError):
         decode_signature_case0(broken)
+
+
+def _one_line_block_pairs(n_max):
+    """III' pairs with n <= n_max in both orientations, (1,1) and the
+    single-block types included."""
+    for n in range(2, n_max + 1):
+        for nn in [Composition.of(n - 1, 1)] + \
+                ([Composition.of(1, n - 1)] if n > 2 else []):
+            for mm in compositions(n):
+                yield nn, mm
+
+
+def test_decode_signature_case3prime_round_trip():
+    count = 0
+    for nn, mm in _one_line_block_pairs(5):
+        fam = invariant_family(nn, mm)
+        for nf in case3prime_normal_forms(nn, mm):
+            sig = signature(nf.realize(), fam)
+            assert decode_signature_case3prime(sig) == nf
+            count += 1
+    assert count == 4136
+
+
+@pytest.mark.parametrize("fld", [QQ, gf(2), gf(3)], ids=["Q", "GF2", "GF3"])
+def test_reducers_equal_their_eliminations(fld):
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        n1, m1 = rng.randint(1, n - 1), rng.randint(1, n - 1)
+        nn, mm = Composition.of(n1, n - n1), Composition.of(m1, n - m1)
+        f = random_flag(mm, fld, rng)
+        assert reduce_case0(f, nn) == reference_reduce_case0(f, nn)
+    pairs = list(_one_line_block_pairs(6))
+    for _ in range(60):
+        nn, mm = rng.choice(pairs)
+        f = random_flag(mm, fld, rng)
+        assert reduce_case3prime(f, nn) == reference_reduce_case3prime(f, nn)
+
+
+@pytest.mark.parametrize("decode, nn_parts, mm_parts", [
+    (decode_signature_case0, (2, 2), (2, 2)),
+    (decode_signature_case0, (1, 3), (3, 1)),
+    (decode_signature_case3prime, (2, 1), (1, 1, 1)),
+    (decode_signature_case3prime, (1, 3), (2, 1, 1)),
+    (decode_signature_case3prime, (3, 1), (1, 1, 1, 1)),
+])
+def test_decoders_reject_every_value_moved_by_one(decode, nn_parts, mm_parts):
+    # a moved value that is another form's signature decodes to that form;
+    # any other raises
+    nn, mm = Composition(nn_parts), Composition(mm_parts)
+    fam = invariant_family(nn, mm)
+    forms = {e.sig.values: e.nf for e in enumerate_orbits(nn, mm).entries}
+    for values in forms:
+        for k, step in itertools.product(range(len(values)), (-1, 1)):
+            moved = values[:k] + (values[k] + step,) + values[k + 1:]
+            sig = Signature(fam, moved)
+            if moved in forms:
+                assert decode(sig) == forms[moved]
+            else:
+                with pytest.raises(InconsistentSignatureError):
+                    decode(sig)
 
 
 FIGURE1_MATRICES = [

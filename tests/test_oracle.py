@@ -12,7 +12,7 @@ import pytest
 import flagorbits
 from flagorbits.flags import (Composition, Flag, ParabolicSpec, act,
                               flags_equal, random_flag)
-from flagorbits.invariants import invariant_family, rank_js, signature
+from flagorbits.invariants import invariant_family, signature
 from flagorbits.linalg import QQ, Matrix, gf
 from flagorbits.normalforms import counterexample_pair, witness_pair_over
 from flagorbits.oracle import (CHUNK, BudgetExceededError, _decode_flag,
