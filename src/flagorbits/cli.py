@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from functools import lru_cache
 
 from .flags import Composition, Flag, parse_flag_literal
 from .invariants import invariant_family, signature
@@ -19,7 +20,7 @@ from .normalforms import (InfinitePairError, NonInjectiveError,
                           UnsupportedCaseError, classify_pair,
                           counterexample_pair, reduce_flag)
 from .orbits import (catalog_to_text, count_multiplicity_free, emit_dot,
-                     enumerate_orbits, hasse_candidate, orbit_dimension)
+                     enumerate_orbits, orbit_dimension)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,11 +93,10 @@ def cmd_count(args) -> int:
 
 def cmd_hasse(args) -> int:
     cat = enumerate_orbits(_comp(args.nn), _comp(args.mm))
-    covers = hasse_candidate(cat)
     if args.dot:
-        sys.stdout.write(emit_dot(covers, cat))
+        sys.stdout.write(emit_dot(cat.covers, cat))
     else:
-        for a, b in covers:
+        for a, b in cat.covers:
             print(f"{a} < {b}")
     return EXIT_OK
 
@@ -155,7 +155,10 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` keeps
+    no state in it, so ``main`` reuses it on every call."""
     top = argparse.ArgumentParser(
         prog="flagorbits",
         description="double coset orbits of a block Borel on flag varieties")

@@ -711,6 +711,14 @@ def _signature_labels(part: OrbitPartition, fam,
 
 
 def _partitions_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two labelings of the same flags have the same classes: they
+    do when each has as many classes as the pairs (a, b) of labels."""
+
+    def distinct(x: np.ndarray) -> int:
+        # sort and diff: plain np.unique imports numpy.ma on its first call
+        s = np.sort(x)
+        return int(np.count_nonzero(s[1:] != s[:-1])) + 1
+
     # labels are below N < 2**31, so the pair key stays below 2**62
     pairs = a.astype(np.int64) * (int(b.max()) + 1) + b
-    return len(np.unique(pairs)) == len(np.unique(a)) == len(np.unique(b))
+    return distinct(pairs) == distinct(a) == distinct(b)

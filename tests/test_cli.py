@@ -1,13 +1,20 @@
+import functools
 import hashlib
 import io
 import itertools
+import os
+import re
+import subprocess
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flagorbits.cli import main
+import flagorbits
+from flagorbits import cli
+from flagorbits import orbits as orbits_mod
+from flagorbits.cli import build_parser, main
 from flagorbits.flags import Composition, parse_flag_literal
 from flagorbits.normalforms import counterexample_pair
 
@@ -70,6 +77,56 @@ def test_hasse_dot():
     assert code == 0
     assert out.count("->") == 23
     assert out.startswith("//")
+
+
+def test_enumerate_then_hasse_reduce_dominance_once(monkeypatch):
+    # the catalog is built afresh for this test, and its covers are
+    # computed by the enumerate verb and read again by the hasse verb
+    monkeypatch.setattr(cli, "enumerate_orbits", functools.lru_cache(
+        orbits_mod.enumerate_orbits.__wrapped__))
+    calls = []
+    hasse = orbits_mod.hasse_candidate
+
+    def counting(cat):
+        calls.append(cat)
+        return hasse(cat)
+
+    # every binding of the function, as the benchmark's tracer counts it
+    for mod in (cli, orbits_mod):
+        if hasattr(mod, "hasse_candidate"):
+            monkeypatch.setattr(mod, "hasse_candidate", counting)
+    pair = ["--nn", "1,5", "--mm", "2,2,2"]
+    code1, text, _ = run_cli(["enumerate"] + pair)
+    code2, dot, _ = run_cli(["hasse", "--dot"] + pair)
+    assert code1 == code2 == 0
+    assert len(calls) == 1
+    covers = re.findall(r"^cover (\d+) (\d+)$", text, re.M)
+    assert len(covers) == 1230
+    assert re.findall(r"^  n(\d+) -> n(\d+);$", dot, re.M) == covers
+
+
+def test_reused_parser_keeps_no_state(tmp_path):
+    # each call through main in this process prints what a fresh process
+    # prints and exits with its code
+    assert build_parser() is build_parser()
+    src = os.path.dirname(os.path.dirname(flagorbits.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    pair = ["--nn", "2,1", "--mm", "1,1,1"]
+    runs = [["enumerate", *pair, "--out", "{}.txt"], ["no-such-verb"],
+            ["classify", *pair], ["hasse", *pair]]
+    for argv in runs:
+        here = [a.format(tmp_path / "here") for a in argv]
+        fresh = [a.format(tmp_path / "fresh") for a in argv]
+        code, out, _ = run_cli(here)
+        proc = subprocess.run([sys.executable, "-m", "flagorbits.cli", *fresh],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+    text = (tmp_path / "here.txt").read_text()
+    assert text.startswith("case=III' nn=2,1 mm=1,1,1 count=13\n")
+    assert text == (tmp_path / "fresh.txt").read_text()
 
 
 def test_signature_normalize_dimension(tmp_path):

@@ -281,6 +281,18 @@ def test_witness_configuration_breaks_level_sets():
     assert not _partitions_equal(labels, part.labels)
 
 
+def test_partitions_equal_compares_classes_not_labels():
+    from flagorbits.oracle import _partitions_equal
+    a = np.array([0, 0, 1, 2, 1, 2])
+    assert _partitions_equal(a, np.array([5, 5, 3, 0, 3, 0]))
+    assert _partitions_equal(np.array([0]), np.array([7]))
+    merged = np.array([0, 0, 1, 1, 1, 1])
+    split = np.array([0, 3, 1, 2, 1, 2])
+    for other in (merged, split):
+        assert not _partitions_equal(a, other)
+        assert not _partitions_equal(other, a)
+
+
 def test_index_of_unknown_flag_raises():
     nn, mm = Composition.of(1, 1), Composition.of(1, 1)
     part = oracle_partition(nn, mm, 2)
@@ -749,7 +761,10 @@ def test_oracle_run_imports_no_scipy():
               " '--q', '5'])\n"
               "assert code == 0\n"
               "assert 'numpy' in sys.modules\n"
-              "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+              "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+              # the exhaustive level-set check counts classes without
+              # plain np.unique, whose first call imports numpy.ma
+              "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
