@@ -15,11 +15,10 @@ representative.  Dual flags are built on integer rows, by
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .linalg import (Field, Matrix, QQ, _col_axpy, _col_scale, gf,
+from .linalg import (Field, Matrix, _col_axpy, _col_scale, gf,
                      parse_matrix_literal)
 
 
@@ -81,31 +80,6 @@ class Composition:
 
     def __str__(self):
         return ",".join(str(p) for p in self.parts)
-
-
-def subcomposition_witness(m: Composition, n: Composition) -> Optional[tuple[int, ...]]:
-    """Grouping witness ``(i_1, ..., i_l)`` when consecutive blocks of ``n``
-    merge into ``m``; ``None`` when no grouping exists.
-
-    Raises ``ValueError`` when the totals differ.
-    """
-    if m.n != n.n:
-        raise ValueError("compositions of different integers")
-    witness = []
-    pos = 0
-    for target in m.parts:
-        count = 0
-        acc = 0
-        while acc < target and pos < len(n.parts):
-            acc += n.parts[pos]
-            pos += 1
-            count += 1
-        if acc != target:
-            return None
-        witness.append(count)
-    if pos != len(n.parts):
-        return None
-    return tuple(witness)
 
 
 def _canonical_rep(mat: Matrix, boundaries: Sequence[int]) -> Matrix:
@@ -179,14 +153,6 @@ class Flag:
         return self.to_literal()
 
 
-def flags_equal(a: Flag, b: Flag) -> bool:
-    if a.typ != b.typ:
-        raise ValueError(f"flag type mismatch: {a.typ} vs {b.typ}")
-    if a.field != b.field:
-        raise ValueError("flag field mismatch")
-    return a.rep.data == b.rep.data
-
-
 def parse_flag_literal(text: str) -> Flag:
     """Parse ``m: <type> of n=<n>`` followed by a matrix literal.
 
@@ -204,20 +170,6 @@ def parse_flag_literal(text: str) -> Flag:
         raise ValueError("composition does not sum to the declared n")
     mat = parse_matrix_literal("\n".join(lines[1:]))
     return Flag.from_matrix(typ, mat)
-
-
-# -- permutations -----------------------------------------------------------
-
-
-def flag_from_permutation(perm: Sequence[int], typ: Composition,
-                          field: Field = QQ) -> Flag:
-    stored = typ.n - typ.parts[-1]
-    cols = []
-    for j in range(stored):
-        v = [field.zero] * typ.n
-        v[perm[j] - 1] = field.one
-        cols.append(v)
-    return Flag.from_matrix(typ, Matrix.from_columns(field, cols, typ.n))
 
 
 # -- group elements ----------------------------------------------------------
@@ -268,15 +220,6 @@ def act(g: Matrix, f: Flag) -> Flag:
     if f.rep.cols == 0:
         return f
     return Flag.from_matrix(f.typ, g * f.rep)
-
-
-def project(f: Flag, target: Composition) -> Flag:
-    """Natural projection onto a coarser flag type (block merging)."""
-    witness = subcomposition_witness(target, f.typ)
-    if witness is None:
-        raise ValueError(f"{target} is not a subcomposition of {f.typ}")
-    stored = target.n - target.parts[-1]
-    return Flag.from_matrix(target, f.rep.col_submatrix(range(stored)))
 
 
 # -- maximal parabolics over B' and P ---------------------------------------
@@ -346,43 +289,3 @@ def qfamily(kind: str, comp: Composition) -> list[ParabolicSpec]:
                                    tuple(perm)))
     return specs
 
-
-# -- random elements for property checks ------------------------------------
-
-
-def random_borel_prime(nn: Composition, field: Field, rng: random.Random) -> Matrix:
-    """Random element of B' over the given field."""
-    n = nn.n
-    rows = [[field.zero] * n for _ in range(n)]
-    for b in range(len(nn)):
-        rng_rows = nn.block_range(b)
-        for i in rng_rows:
-            rows[i][i] = _random_nonzero(field, rng)
-            for j in rng_rows:
-                if j > i:
-                    rows[i][j] = _random_scalar(field, rng)
-    return Matrix.from_rows(field, rows)
-
-
-def random_flag(typ: Composition, field: Field, rng: random.Random) -> Flag:
-    n = typ.n
-    stored = n - typ.parts[-1]
-    while True:
-        mat = Matrix.from_rows(
-            field, [[_random_scalar(field, rng) for _ in range(stored)]
-                    for _ in range(n)])
-        if stored == 0 or mat.rank() == stored:
-            return Flag.from_matrix(typ, mat)
-
-
-def _random_scalar(field: Field, rng: random.Random):
-    if field is QQ:
-        return field.coerce(rng.randint(-3, 3))
-    return rng.randrange(field.p)  # type: ignore[attr-defined]
-
-
-def _random_nonzero(field: Field, rng: random.Random):
-    while True:
-        x = _random_scalar(field, rng)
-        if x != field.zero:
-            return x

@@ -8,10 +8,10 @@ offers two scalar domains and nothing else:
 * ``GF(p)`` -- canonical residues ``0..p-1`` for a prime ``p < 2**31``,
   with inverses by Fermat's little theorem.
 
-Matrices are immutable row-major tuples.  Elimination over a field, in
-``Matrix`` row reduction, the canonical flag form and triangular
-reduction, runs on three elementary operations on a list of columns,
-defined here once.  Integer matrices over Q need no ``Fraction``:
+Matrices are immutable row-major tuples.  Elimination over a field has
+two callers, ``Matrix`` row reduction and the canonical flag form, and
+both run on two elementary operations on a list of columns, defined
+here once.  Integer matrices over Q need no ``Fraction``:
 ``echelon_extend`` adds one integer row to an echelon basis by
 cross-multiplication and content division, and ``integer_rank`` and
 ``integer_kernel`` are folds of it.  ``integer_dual`` builds the rows of a
@@ -322,12 +322,6 @@ def _col_scale(F: Field, cols: list[list], j: int, c) -> None:
     cols[j] = [F.mul(c, x) for x in cols[j]]
 
 
-def _row_axpy(F: Field, cols: Sequence[list], dst: int, src: int, c) -> None:
-    """Row ``dst`` += c * row ``src``."""
-    for col in cols:
-        col[dst] = F.add(col[dst], F.mul(c, col[src]))
-
-
 def _row_reduce(rows: list[list], F: Field):
     """In-place RREF with first-nonzero pivots; returns (rows, pivot
     columns), the rank being the number of pivots.  A column is a pivot
@@ -461,15 +455,20 @@ def parse_matrix_literal(text: str) -> Matrix:
 
     The field tag is ``Q`` or ``Fp`` (e.g. ``F5``); entries are integers or
     ``a/b`` fractions, whitespace-separated, with ``|`` separators ignored.
+    The result has the declared shape, a 0 x c literal keeping its c
+    columns; a negative size raises ``ValueError``.
     """
     tokens = text.replace("|", " ").split()
     if len(tokens) < 3:
         raise ValueError("matrix literal needs a 'rows cols field' header")
     rows, cols = int(tokens[0]), int(tokens[1])
+    if rows < 0 or cols < 0:
+        raise ValueError(
+            f"negative size in matrix literal header {' '.join(tokens[:3])!r}")
     F = field_by_name(tokens[2])
     entries = tokens[3:]
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-    data = [[F.parse(entries[i * cols + j]) for j in range(cols)]
-            for i in range(rows)]
-    return Matrix.from_rows(F, data)
+    return Matrix(F, rows, cols,
+                  tuple(tuple(F.parse(entries[i * cols + j])
+                              for j in range(cols)) for i in range(rows)))

@@ -24,20 +24,6 @@ pattern, whose rows are an integer basis of V^perp, V the span of its
 builds rank and dimension the same rows as integers and realize none of
 them.
 
-``triangular_reduce`` holds its matrix as a list of columns, each a
-mutable list of field elements, and changes it only through elementary
-operations of ``linalg``, which also serve the canonical flag form
-(``flags._canonical_rep``) and ``Matrix`` row reduction
-(``linalg._row_reduce``): ``_col_axpy`` and ``_col_scale`` act on whole
-columns, ``_row_axpy`` on one entry of every column.  Row operations
-only ever add a row to one above it (a smaller index), so the row
-transformations they compose stay upper triangular.  Its step is
-``_sweep_up``: for each row of a range, from the bottom up, the first
-still-unused column of a pool that is nonzero there becomes its pivot
-column, scaled to 1 at the row; column operations clear the row from
-every other column, and row operations clear the pivot column on the
-swept rows above it.
-
 Non-injective shapes (I' with an outer block of size 1 and n >= 5, and
 all of II') refuse reduction and instead expose an explicit witness pair:
 two flags with identical signatures in different orbits.  Each pair is
@@ -52,12 +38,11 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .flags import Composition, Flag
 from .invariants import Signature, invariant_family, rank_table, signature
-from .linalg import (Field, Matrix, QQ, _col_axpy, _col_scale, _row_axpy, gf,
-                     integer_dual, integer_rank)
+from .linalg import Field, Matrix, QQ, gf, integer_dual, integer_rank
 
 
 class InfinitePairError(ValueError):
@@ -131,75 +116,6 @@ def has_catalog(tag: CaseTag) -> bool:
     if tag.label in ("0", "I", "II", "III", "III'"):
         return True
     return tag.label == "I'" and tag.subcase == "m2=1"
-
-
-# ---------------------------------------------------------------------------
-# the pivot sweep and triangular reduction (upper-triangular x general linear
-# orbits)
-# ---------------------------------------------------------------------------
-
-
-def _sweep_up(F: Field, cols: list[list], rows: range, pool: Iterable[int],
-              track: Sequence[list] = ()) -> dict[int, int]:
-    """Bottom-up pivots on ``rows``; returns {pivot column: pivot row}.
-
-    For each row r of ``rows``, in descending order, the first column of
-    ``pool`` that is nonzero at r is scaled to 1 there and leaves the pool;
-    r is cleared from every other column, and rows ``rows.start..r-1`` of
-    the pivot column by row operations, which the columns of ``track``
-    receive too.
-    """
-    pool = list(pool)
-    pivots: dict[int, int] = {}
-    for r in reversed(rows):
-        c0 = next((c for c in pool if cols[c][r] != F.zero), None)
-        if c0 is None:
-            continue
-        _col_scale(F, cols, c0, F.inv(cols[c0][r]))
-        for c in range(len(cols)):
-            if c != c0 and cols[c][r] != F.zero:
-                _col_axpy(F, cols, c, c0, F.sub(F.zero, cols[c][r]))
-        for i in range(r - 1, rows.start - 1, -1):
-            if cols[c0][i] != F.zero:
-                y = F.sub(F.zero, cols[c0][i])
-                _row_axpy(F, cols, i, r, y)
-                _row_axpy(F, track, i, r, y)
-        pivots[c0] = r
-        pool.remove(c0)
-    return pivots
-
-
-@dataclass(frozen=True)
-class TriangularReduction:
-    indices: tuple[int, ...]       # 1-based pivot rows, strictly increasing
-    canonical: Matrix              # (e_{i_1} ... e_{i_r} 0 ... 0)
-    left: Matrix                   # upper triangular
-    right: Matrix                  # invertible; left * a * right == canonical
-
-
-def triangular_reduce(a: Matrix) -> TriangularReduction:
-    """Canonical form of ``a`` under upper-triangular rows x arbitrary columns.
-
-    Returns strictly increasing pivot rows ``i_1 < ... < i_r`` with the
-    canonical matrix ``(e_{i_1} ... e_{i_r} 0 ... 0)`` and certifying
-    transformations.
-    """
-    F = a.field
-    p, q = a.rows, a.cols
-    # rows p.. of each column carry that column of the right factor; the
-    # identity columns of ``left`` see the row operations only
-    right = Matrix.identity(F, q).data
-    cols = [list(a.column(j)) + list(right[j]) for j in range(q)]
-    left = [list(r) for r in Matrix.identity(F, p).data]
-    pivots = _sweep_up(F, cols, range(p), range(q), track=left)
-    # order pivot columns by pivot row, zero columns last
-    order = sorted(pivots, key=pivots.get) + \
-        [c for c in range(q) if c not in pivots]
-    return TriangularReduction(
-        tuple(r + 1 for r in sorted(pivots.values())),
-        Matrix.from_columns(F, [cols[c][:p] for c in order], p),
-        Matrix.from_columns(F, left, p),
-        Matrix.from_columns(F, [cols[c][p:] for c in order], q))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ import numpy as np
 
 from .flags import Composition, Flag, group_generators
 from .invariants import invariant_family, signature
-from .linalg import Matrix, gf
+from .linalg import gf
 from .normalforms import WitnessPair
 from .orbits import OrbitCatalog
 
@@ -253,12 +253,6 @@ def enumerate_flag_array(n: int, mm: Composition, q: int,
     return out
 
 
-def _decode_flag(mat: np.ndarray, mm: Composition, q: int) -> Flag:
-    fld = gf(q)
-    rows = [[int(x) for x in row] for row in mat]
-    return Flag(mm, Matrix.from_rows(fld, rows))
-
-
 def _encode_keys(A: np.ndarray, p: int):
     """One sort key per matrix of a stack of residues.  While p**digits
     <= 2**63 the key is the int64 whose base-p digits are the entries,
@@ -339,9 +333,6 @@ class OrbitPartition:
         mat = np.array([[int(x) for x in row] for row in f.rep.data],
                        dtype=np.int64).reshape(1, n, C)
         return int(self.labels[self.locate(mat)[0]])
-
-    def representative(self, cid: int) -> Flag:
-        return _decode_flag(self.reps[self.first_index[cid]], self.mm, self.q)
 
 
 def _torus_image(A: np.ndarray, d: np.ndarray, q: int) -> np.ndarray:

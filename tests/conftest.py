@@ -8,10 +8,14 @@ library against itself.  The field references (``complete_to_invertible``,
 ``transporter_empty`` searches B'-orbits over GF(q) and is the reference
 for the library's witness certificate, which compares orbit dimensions
 over Q.  ``reference_reduce_case0`` and ``reference_reduce_case3prime``
-reduce a flag by field elimination; the library reads the same normal
-forms off the signature.  The helpers at the end build and check test
-data (group elements, permutation matrices, the standard flag); the
-library needs none of them.
+reduce a flag by field elimination, with the pivot sweep ``_sweep_up``
+and the row operation ``_row_axpy``; the library reads the same normal
+forms off the signature.  ``decode_flag`` and ``representative`` turn
+the oracle's GF(q) arrays back into flags one at a time, the reference
+for its batched signatures.  The helpers at the end build and check
+test data: ``flags_equal``, permutation flags and matrices, random
+flags and group elements (``random_flag``, ``random_borel_prime``), and
+the standard flag.  The library needs none of them.
 """
 
 import itertools
@@ -22,14 +26,11 @@ from typing import Optional
 import numpy as np
 
 from flagorbits import Composition
-from flagorbits.flags import (Flag, _random_scalar, act, flag_from_permutation,
-                              flags_equal, group_generators,
-                              random_borel_prime)
+from flagorbits.flags import Flag, act, group_generators
 from flagorbits.linalg import (GF, QQ, Matrix, _col_axpy, _col_scale,
-                               _row_axpy, _row_reduce, gf, integer_rank)
+                               _row_reduce, gf, integer_rank)
 from flagorbits.normalforms import (NFCase0, NFChain, NFPattern, _column_terms,
-                                    _sweep_up, case0_normal_forms,
-                                    pattern_candidates)
+                                    case0_normal_forms, pattern_candidates)
 
 
 def compositions(n):
@@ -423,6 +424,39 @@ def _row_scale(F, cols, i, c):
         col[i] = F.mul(c, col[i])
 
 
+def _row_axpy(F, cols, dst, src, c):
+    """Row ``dst`` += c * row ``src``."""
+    for col in cols:
+        col[dst] = F.add(col[dst], F.mul(c, col[src]))
+
+
+def _sweep_up(F, cols, rows, pool):
+    """Bottom-up pivots on ``rows``; returns {pivot column: pivot row}.
+
+    For each row r of ``rows``, in descending order, the first column of
+    ``pool`` that is nonzero at r is scaled to 1 there and leaves the pool;
+    r is cleared from every other column, and rows ``rows.start..r-1`` of
+    the pivot column by row operations.  Row operations only add a row to
+    one above it, so they compose to an upper-triangular transformation.
+    """
+    pool = list(pool)
+    pivots = {}
+    for r in reversed(rows):
+        c0 = next((c for c in pool if cols[c][r] != F.zero), None)
+        if c0 is None:
+            continue
+        _col_scale(F, cols, c0, F.inv(cols[c0][r]))
+        for c in range(len(cols)):
+            if c != c0 and cols[c][r] != F.zero:
+                _col_axpy(F, cols, c, c0, F.sub(F.zero, cols[c][r]))
+        for i in range(r - 1, rows.start - 1, -1):
+            if cols[c0][i] != F.zero:
+                _row_axpy(F, cols, i, r, F.sub(F.zero, cols[c0][i]))
+        pivots[c0] = r
+        pool.remove(c0)
+    return pivots
+
+
 def reference_reduce_case0(f: Flag, nn: Composition) -> NFCase0:
     """Unique two-block normal form by triangular elimination.
 
@@ -551,7 +585,78 @@ def reference_reduce_case3prime(f: Flag, nn: Composition) -> NFChain:
     return NFChain(nn, mm, j0, tuple(blocks), tuple(chain))
 
 
+# -- decoding the oracle's arrays, the reference for its batched signatures ---
+
+
+def decode_flag(mat, mm, q):
+    """The flag over GF(q) of one canonical matrix of an oracle stack."""
+    rows = [[int(x) for x in row] for row in mat]
+    return Flag(mm, Matrix.from_rows(gf(q), rows))
+
+
+def representative(part, cid):
+    """The first enumerated flag of class ``cid`` of an ``OrbitPartition``."""
+    return decode_flag(part.reps[part.first_index[cid]], part.mm, part.q)
+
+
 # -- group and flag helpers for building test data ----------------------------
+
+
+def flags_equal(a, b):
+    if a.typ != b.typ:
+        raise ValueError(f"flag type mismatch: {a.typ} vs {b.typ}")
+    if a.field != b.field:
+        raise ValueError("flag field mismatch")
+    return a.rep.data == b.rep.data
+
+
+def flag_from_permutation(perm, typ, field=QQ):
+    stored = typ.n - typ.parts[-1]
+    cols = []
+    for j in range(stored):
+        v = [field.zero] * typ.n
+        v[perm[j] - 1] = field.one
+        cols.append(v)
+    return Flag.from_matrix(typ, Matrix.from_columns(field, cols, typ.n))
+
+
+def _random_scalar(field, rng):
+    if field is QQ:
+        return field.coerce(rng.randint(-3, 3))
+    return rng.randrange(field.p)
+
+
+def _random_nonzero(field, rng):
+    while True:
+        x = _random_scalar(field, rng)
+        if x != field.zero:
+            return x
+
+
+def random_borel_prime(nn, field, rng):
+    """Random element of B' over the given field."""
+    n = nn.n
+    rows = [[field.zero] * n for _ in range(n)]
+    for b in range(len(nn)):
+        rng_rows = nn.block_range(b)
+        for i in rng_rows:
+            rows[i][i] = _random_nonzero(field, rng)
+            for j in rng_rows:
+                if j > i:
+                    rows[i][j] = _random_scalar(field, rng)
+    return Matrix.from_rows(field, rows)
+
+
+def random_flag(typ, field, rng):
+    n = typ.n
+    stored = n - typ.parts[-1]
+    while True:
+        mat = Matrix.from_rows(
+            field, [[_random_scalar(field, rng) for _ in range(stored)]
+                    for _ in range(n)])
+        if stored == 0 or mat.rank() == stored:
+            return Flag.from_matrix(typ, mat)
+
 
 
 def borel_order(nn, q):

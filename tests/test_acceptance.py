@@ -10,8 +10,7 @@ import time
 
 import pytest
 
-from flagorbits.flags import (Composition, Flag, act, flags_equal,
-                              random_borel_prime, random_flag)
+from flagorbits.flags import Composition, Flag, act
 from flagorbits.invariants import (bruhat_vector, invariant_family, rank_js,
                                    signature)
 from flagorbits.linalg import Matrix, QQ, gf
@@ -28,6 +27,7 @@ from flagorbits.orbits import (count_multiplicity_free, enumerate_orbits,
 
 from conftest import (FIGURE1_EDGES, FIGURE1_NODES, FIGURE2_EDGES,
                       FIGURE2_NODES, bruhat_le_subword, compositions,
+                      flags_equal, random_borel_prime, random_flag,
                       random_parabolic)
 
 
@@ -182,8 +182,8 @@ def test_criterion_7_parabolic_level_sets():
     import numpy as np
     from flagorbits.flags import ParabolicSpec
     from flagorbits.oracle import (canonicalize_batch, enumerate_flag_array,
-                                   orbit_partition_from_arrays, _decode_flag)
-    from conftest import parabolic_generators
+                                   orbit_partition_from_arrays)
+    from conftest import decode_flag, parabolic_generators
     q = 2
     checked = 0
     for n in range(2, 5):
@@ -204,7 +204,7 @@ def test_criterion_7_parabolic_level_sets():
                         arr.copy(), gens, Composition.of(n), mm, q)
                     by_rank = {}
                     for idx in range(part.size):
-                        f = _decode_flag(part.reps[idx], mm, q)
+                        f = decode_flag(part.reps[idx], mm, q)
                         by_rank.setdefault(rank_js(f, J, 1), set()).add(
                             int(part.labels[idx]))
                     sets = list(by_rank.values())

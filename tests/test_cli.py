@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,6 +29,31 @@ def run_cli(args):
     finally:
         sys.stdout, sys.stderr = old
     return code, out.getvalue(), err.getvalue()
+
+
+# every name the package exports, submodules aside; the benchmark worker
+# (perfbench/worker.py) reads Composition, parse_flag_literal,
+# reduce_flag, signature, invariant_family and orbit_dimension
+PACKAGE_SURFACE = [
+    "CaseTag", "CatalogLookupError", "Composition", "Flag", "GF",
+    "InfinitePairError", "JFamily", "Matrix", "NonInjectiveError",
+    "OrbitCatalog", "ParabolicSpec", "QQ", "Signature",
+    "UnsupportedCaseError", "WitnessPair", "act", "bruhat_rij",
+    "bruhat_vector", "catalog_to_text", "classify_pair",
+    "count_multiplicity_free", "counterexample_pair",
+    "decode_signature_case0", "decode_signature_case3prime", "emit_dot",
+    "enumerate_orbits", "gf", "hasse_candidate", "invariant_family",
+    "orbit_dimension", "parse_flag_literal", "parse_matrix_literal",
+    "qfamily", "rank_js", "reduce_by_catalog", "reduce_case0",
+    "reduce_case3prime", "reduce_flag", "signature",
+]
+
+
+def test_package_surface_is_pinned():
+    exported = sorted(name for name in flagorbits.__all__
+                      if not isinstance(getattr(flagorbits, name),
+                                        types.ModuleType))
+    assert exported == PACKAGE_SURFACE
 
 
 def test_classify_outputs():
@@ -194,6 +220,16 @@ def test_bad_flag_file_is_usage_error(verb, text, tmp_path):
     flag_file.write_text(text)
     _assert_one_line_error(*run_cli([verb, "--nn", "2,1", "--mm", "1,1,1",
                                      "--flag", str(flag_file)]))
+
+
+@pytest.mark.parametrize("verb", FLAG_VERBS)
+def test_flag_file_with_a_negative_size_names_it(verb, tmp_path):
+    flag_file = tmp_path / "flag.txt"
+    flag_file.write_text("m: 1,1 of n=2\n-1 -2 Q\n1 1\n")
+    code, out, err = run_cli([verb, "--nn", "1,1", "--mm", "1,1",
+                              "--flag", str(flag_file)])
+    _assert_one_line_error(code, out, err)
+    assert "negative size" in err and "-1 -2 Q" in err
 
 
 @pytest.mark.parametrize("verb", FLAG_VERBS)

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagorbits.flags import (Composition, Flag, act, flag_from_permutation,
-                              flags_equal,
-                              group_generators, invariant_row_sets,
-                              parse_flag_literal, project, qfamily,
-                              random_borel_prime, random_flag,
-                              subcomposition_witness)
+from flagorbits.flags import (Composition, Flag, act, group_generators,
+                              invariant_row_sets, parse_flag_literal, qfamily)
 from flagorbits.linalg import Matrix, QQ, gf
 
-from conftest import (compositions, complete_to_invertible, dual, inverse,
+from conftest import (compositions, complete_to_invertible, dual,
+                      flag_from_permutation, flags_equal, inverse,
                       is_borel_prime, is_invertible, parabolic_contains,
-                      permutation_matrix, random_parabolic, standard_flag)
+                      permutation_matrix, random_borel_prime, random_flag,
+                      random_parabolic, standard_flag)
 
 
 def test_composition_basics():
@@ -25,40 +23,6 @@ def test_composition_basics():
     assert c.block_of(1) == 1
     with pytest.raises(ValueError):
         Composition.of(0, 2)
-
-
-def test_subcomposition_witness_examples():
-    assert subcomposition_witness(Composition.of(1, 2, 1),
-                                  Composition.of(1, 1, 1, 1)) == (1, 2, 1)
-    c = Composition.of(2, 3)
-    assert subcomposition_witness(c, c) == (1, 1)
-    assert subcomposition_witness(Composition.of(2, 2),
-                                  Composition.of(1, 2, 1)) is None
-    with pytest.raises(ValueError):
-        subcomposition_witness(Composition.of(2), Composition.of(1, 2))
-
-
-def test_subcomposition_witness_matches_exhaustive_search():
-    # independent oracle: try all groupings of consecutive blocks
-    def exhaustive(m, n):
-        k = len(n.parts)
-        for cuts in itertools.combinations(range(1, k), len(m.parts) - 1):
-            bounds = [0] + list(cuts) + [k]
-            groups = [sum(n.parts[bounds[i]:bounds[i + 1]])
-                      for i in range(len(m.parts))]
-            if tuple(groups) == m.parts:
-                return True
-        return False
-
-    rng = random.Random(2)
-    for _ in range(200):
-        n_total = rng.randint(2, 7)
-        n = random_comp(n_total, rng)
-        m = random_comp(n_total, rng)
-        got = subcomposition_witness(m, n)
-        assert (got is not None) == exhaustive(m, n)
-        if got is not None:
-            assert len(got) == len(m.parts) and sum(got) == len(n.parts)
 
 
 def random_comp(n, rng):
@@ -148,32 +112,6 @@ def test_six_permutation_flags_distinct_over_gf2():
              for p in itertools.permutations([1, 2, 3])]
     reps = {f.rep.data for f in flags}
     assert len(reps) == 6
-
-
-def test_project_example_and_identity():
-    typ = Composition.of(1, 1, 1, 1)
-    d = Flag.from_matrix(typ, Matrix.from_rows(
-        QQ, [[1, 1, 0], [2, 0, 0], [0, 1, 1], [0, 0, 0]]))
-    target = Composition.of(1, 2, 1)
-    pd = project(d, target)
-    shown = Flag.from_matrix(target, Matrix.from_rows(
-        QQ, [[1, 1, 0], [2, 0, 0], [0, 1, 1], [0, 0, 0]]))
-    assert flags_equal(pd, shown)
-    assert flags_equal(project(d, typ), d)
-    with pytest.raises(ValueError):
-        project(pd, Composition.of(2, 2))  # (2,2) does not group (1,2,1)
-
-
-def test_project_is_equivariant():
-    rng = random.Random(29)
-    typ = Composition.of(1, 1, 2)
-    target = Composition.of(2, 2)
-    for fld in (QQ, gf(3)):
-        for _ in range(50):
-            f = random_flag(typ, fld, rng)
-            g = _random_invertible(4, fld, rng)
-            assert flags_equal(project(act(g, f), target),
-                               act(g, project(f, target)))
 
 
 def _random_invertible(n, fld, rng):

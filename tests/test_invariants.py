@@ -4,16 +4,15 @@ import re
 
 import pytest
 
-from flagorbits.flags import (Composition, Flag, act, flag_from_permutation,
-                              group_generators, random_borel_prime,
-                              random_flag)
+from flagorbits.flags import Composition, Flag, act, group_generators
 from flagorbits.invariants import (JFamily, bruhat_rij, bruhat_vector,
                                    invariant_family, rank_js, rank_table,
                                    signature, verify_family_invariance)
 from flagorbits.linalg import Matrix, QQ, gf
 from flagorbits.orbits import _integer_rows, enumerate_orbits, orbit_dimension
 
-from conftest import (bruhat_le_subword, dominates, permutation_matrix,
+from conftest import (bruhat_le_subword, dominates, flag_from_permutation,
+                      permutation_matrix, random_borel_prime, random_flag,
                       reference_orbit_dimension)
 
 

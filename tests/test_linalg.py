@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagorbits.flags import Composition, Flag
 from flagorbits.linalg import (GF, Matrix, QQ, gf, integer_dual,
@@ -236,6 +238,33 @@ def test_matrix_literal_round_trip():
     f3 = parse_matrix_literal("2 2 F3\n1 2\n0 1")
     assert f3.field == gf(3)
     assert f3[0, 1] == 2
+
+
+def test_matrix_literal_with_a_negative_size_is_rejected():
+    # rows * cols = 2 entries would otherwise parse to a 0 x 0 matrix
+    with pytest.raises(ValueError, match="negative size.*'-1 -2 Q'"):
+        parse_matrix_literal("-1 -2 Q 1 1")
+
+
+def test_matrix_literal_with_no_rows_keeps_its_columns():
+    m = parse_matrix_literal("0 3 Q")
+    assert (m.rows, m.cols) == (0, 3)
+    assert m == Matrix.zero(QQ, 0, 3)
+    assert parse_matrix_literal(m.to_literal()) == m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.integers(-2, 4), cols=st.integers(-2, 4),
+       count=st.integers(0, 20), field=st.sampled_from(["Q", "F5"]))
+def test_matrix_literal_has_its_declared_shape_or_raises(rows, cols, count,
+                                                         field):
+    text = f"{rows} {cols} {field}\n" + " ".join(["1"] * count)
+    try:
+        m = parse_matrix_literal(text)
+    except ValueError:
+        return
+    assert (m.rows, m.cols) == (rows, cols)
+    assert len(m.data) == rows and all(len(row) == cols for row in m.data)
 
 
 def test_mixed_field_rejected():

@@ -7,8 +7,7 @@ import sys
 import pytest
 
 import flagorbits
-from flagorbits.flags import (Composition, Flag, act, flags_equal,
-                              random_borel_prime, random_flag)
+from flagorbits.flags import Composition, Flag, act
 from flagorbits.invariants import Signature, invariant_family, signature
 from flagorbits.linalg import Matrix, QQ, gf, integer_dual
 import flagorbits.normalforms as normalforms_mod
@@ -23,10 +22,11 @@ from flagorbits.normalforms import (InconsistentSignatureError,
                                     decode_signature_case3prime, has_catalog,
                                     reduce_by_catalog, reduce_case0,
                                     reduce_case3prime, reduce_flag,
-                                    triangular_reduce, witness_pair_over)
+                                    witness_pair_over)
 from flagorbits.orbits import enumerate_orbits, orbit_dimension
 
-from conftest import (borel_translates, compositions, dual, is_invertible,
+from conftest import (borel_translates, compositions, dual, flags_equal,
+                      random_borel_prime, random_flag,
                       reference_orbit_dimension, reference_reduce_case0,
                       reference_reduce_case3prime, standard_flag,
                       transporter_empty)
@@ -56,49 +56,6 @@ def test_classify_table_rows():
     # first-match: a two-block pair with M = 1 is still case 0
     assert classify_pair(Composition.of(3, 1),
                          Composition.of(1, 3)).label == "0"
-
-
-def test_triangular_reduce_zero_and_identity():
-    z = Matrix.zero(QQ, 3, 2)
-    red = triangular_reduce(z)
-    assert red.indices == ()
-    ident = Matrix.identity(QQ, 3)
-    red = triangular_reduce(ident)
-    assert red.indices == (1, 2, 3)
-    assert red.canonical == ident
-    for p, q in [(3, 0), (0, 2), (0, 0)]:
-        z = Matrix.zero(QQ, p, q)
-        red = triangular_reduce(z)
-        assert red.indices == ()
-        assert red.canonical == z
-        assert red.left == Matrix.identity(QQ, p)
-        assert red.right == Matrix.identity(QQ, q)
-        assert red.left * z * red.right == red.canonical
-
-
-def test_triangular_reduce_multiply_back():
-    rng = random.Random(5)
-    for fld in (QQ, gf(3)):
-        for _ in range(40):
-            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-            data = [[rng.randrange(3) if fld is not QQ
-                     else rng.randint(-3, 3) for _ in range(cols)]
-                    for _ in range(rows)]
-            a = Matrix.from_rows(fld, data)
-            red = triangular_reduce(a)
-            assert red.left * a * red.right == red.canonical
-            # left factor is upper triangular and invertible
-            for i in range(rows):
-                for j in range(i):
-                    assert red.left[i, j] == fld.zero
-            assert is_invertible(red.left)
-            assert is_invertible(red.right)
-            assert list(red.indices) == sorted(red.indices)
-            assert len(red.indices) == a.rank()
-            for t, idx in enumerate(red.indices):
-                col = red.canonical.column(t)
-                assert col[idx - 1] == fld.one
-                assert sum(1 for x in col if x != fld.zero) == 1
 
 
 def test_reduce_case0_idempotent_on_catalog():

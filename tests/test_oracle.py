@@ -10,15 +10,13 @@ import numpy as np
 import pytest
 
 import flagorbits
-from flagorbits.flags import (Composition, Flag, ParabolicSpec, act,
-                              flags_equal, random_flag)
+from flagorbits.flags import Composition, Flag, ParabolicSpec, act
 from flagorbits.invariants import invariant_family, signature
 from flagorbits.linalg import QQ, Matrix, gf
 from flagorbits.normalforms import counterexample_pair, witness_pair_over
-from flagorbits.oracle import (CHUNK, BudgetExceededError, _decode_flag,
-                               _generator_image, _hook, _signature_vectors,
-                               _torus_image, _work_dtype,
-                               canonicalize_batch, cross_validate,
+from flagorbits.oracle import (CHUNK, BudgetExceededError, _generator_image,
+                               _hook, _signature_vectors, _torus_image,
+                               _work_dtype, canonicalize_batch, cross_validate,
                                enumerate_flag_array, flag_count,
                                gaussian_binomial, group_generators,
                                oracle_partition,
@@ -27,7 +25,9 @@ from flagorbits.oracle import (CHUNK, BudgetExceededError, _decode_flag,
 from flagorbits.orbits import enumerate_orbits
 
 from conftest import (borel_order, borel_translates, compositions,
-                      parabolic_generators, rank_batch, transporter_empty)
+                      decode_flag, flags_equal, parabolic_generators,
+                      random_flag, rank_batch, representative,
+                      transporter_empty)
 
 
 def test_gaussian_binomial_and_flag_counts():
@@ -43,7 +43,7 @@ def test_enumerate_flags_counts_and_uniqueness():
                            (4, (1, 3), 2), (3, (1, 2), 3)]:
         mm = Composition(mm_parts)
         arr = enumerate_flag_array(n, mm, q)
-        flags = [_decode_flag(mat, mm, q) for mat in arr]
+        flags = [decode_flag(mat, mm, q) for mat in arr]
         assert len(flags) == flag_count(n, mm, q)
         assert len({f.rep.data for f in flags}) == len(flags)
         # enumerated representatives are already canonical
@@ -165,7 +165,7 @@ def _classes(part):
     """The flags of each class of ``part``, decoded, in enumeration order."""
     out = [[] for _ in range(part.class_count)]
     for mat, cid in zip(part.reps, part.labels):
-        out[cid].append(_decode_flag(mat, part.mm, part.q))
+        out[cid].append(decode_flag(mat, part.mm, part.q))
     return out
 
 
@@ -346,7 +346,7 @@ def test_batched_representative_signatures_match_scalar():
         assert batched.dtype == np.uint8
         assert batched.shape == (part.class_count, len(fam.entries))
         for cid in range(part.class_count):
-            expect = signature(part.representative(cid), fam).values
+            expect = signature(representative(part, cid), fam).values
             assert tuple(batched[cid].tolist()) == expect, (nn, mm, q, cid)
         # the exhaustive path reads the same rows off all flags' vectors
         if part.size <= 25_000:
