@@ -166,7 +166,12 @@ class GF(Field):
         return (a * b) % self.p
 
     def parse(self, token):
-        return int(token) % self.p
+        """An integer or ``a/b`` fraction token, reduced mod p."""
+        try:
+            return self.coerce(Fraction(token))
+        except ZeroDivisionError:
+            raise ValueError(f"{token!r} has a denominator divisible by "
+                             f"{self.p}") from None
 
     def __eq__(self, other):
         return isinstance(other, GF) and other.p == self.p
@@ -190,11 +195,13 @@ def gf(p: int) -> GF:
 
 
 def field_by_name(name: str) -> Field:
+    """``QQ`` for the tag ``Q``, ``GF(p)`` for ``Fp``."""
     if name == "Q":
         return QQ
-    if name.startswith("F"):
-        return gf(int(name[1:]))
-    raise ValueError(f"unknown field tag {name!r}")
+    digits = name[1:]
+    if name.startswith("F") and digits.isascii() and digits.isdigit():
+        return gf(int(digits))
+    raise ValueError("expected Q or Fp for a prime p")
 
 
 @dataclass(frozen=True)
@@ -455,17 +462,32 @@ def parse_matrix_literal(text: str) -> Matrix:
 
     The field tag is ``Q`` or ``Fp`` (e.g. ``F5``); entries are integers or
     ``a/b`` fractions, whitespace-separated, with ``|`` separators ignored.
-    The result has the declared shape, a 0 x c literal keeping its c
-    columns; a negative size raises ``ValueError``.
+    Over ``Fp`` an entry a/b is a times the inverse of b mod p.  The result
+    has the declared shape, a 0 x c literal keeping its c columns.  A
+    negative or non-integer size, a field tag that names no field, and a
+    denominator that is 0 (or divisible by p over ``Fp``) raise
+    ``ValueError`` with a one-line message naming the header or the entry.
     """
     tokens = text.replace("|", " ").split()
     if len(tokens) < 3:
         raise ValueError("matrix literal needs a 'rows cols field' header")
-    rows, cols = int(tokens[0]), int(tokens[1])
+    header = f"matrix literal header {' '.join(tokens[:3])!r}"
+
+    def size(token: str, role: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise ValueError(f"{role} {token!r} in {header} is not an "
+                             f"integer") from None
+
+    rows, cols = size(tokens[0], "row count"), size(tokens[1], "column count")
     if rows < 0 or cols < 0:
-        raise ValueError(
-            f"negative size in matrix literal header {' '.join(tokens[:3])!r}")
-    F = field_by_name(tokens[2])
+        raise ValueError(f"negative size in {header}")
+    try:
+        F = field_by_name(tokens[2])
+    except ValueError as exc:
+        raise ValueError(f"field tag {tokens[2]!r} in {header}: {exc}") \
+            from None
     entries = tokens[3:]
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")

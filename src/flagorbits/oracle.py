@@ -22,8 +22,9 @@ generator is sent only to the flags it has to, by its shape:
 A torus element's images come in closed form, by rescaling rows and the
 columns that pivot there (``_torus_image``); only the others are
 canonicalized.  Signature vectors follow the family's rank plan, as
-catalog builds do: one batched GF(q) echelon step per row set, and each
-entry a count of pivots (``_signature_vectors``).  Cross-validation
+catalog builds do: one batched GF(q) echelon step per distinct
+(subspace, row) pair, and each entry a count of pivots
+(``_signature_vectors``).  Cross-validation
 realizes no catalog entry as a flag: every entry's integer rows are
 reduced mod q, canonicalized in one batch and found with one key search.
 Arithmetic is integer-only throughout, and numpy is the only dependency.
@@ -37,6 +38,17 @@ indices and images (8 bytes per flag each, the last two in a full
 sweep); and the hooking temporaries, one more forest, four index arrays
 over the edges and two masks (42 bytes per flag at most).  The rest is
 one chunk of working arrays and small objects.
+
+The signature vectors of N flags then peak below
+(E + 8*L + 3*C*C*s + 64)*N + 8*C*(C + 2)*w*CHUNK + 2**20 bytes, for E
+family entries, L the most slots of the rank plan alive at once and w
+bytes per working residue: the uint8 vectors (E bytes per flag) and one
+8-byte state per live slot; in a step, a key per flag and a sort's
+copies of it (57 bytes per flag at most), then, for each distinct
+(subspace, row) pair, at most one per flag, its new basis (C*C*s bytes)
+and that basis's key with a sort's copies (at most 65 bytes, or
+2*C*C*s + 41 when the keys are records).  The echelon step works on
+CHUNK pairs at a time.
 """
 
 from __future__ import annotations
@@ -632,10 +644,15 @@ def _signature_vectors(part: OrbitPartition, fam,
 
     Follows ``fam.rank_plan``, as ``invariants.rank_table`` does, batched
     over the flags and over GF(q): each step gives a row set J the echelon
-    basis of J[1:] (its parent slot) extended by the one row J[0]
-    (``_echelon_step``), and an entry's value is the number of pivots of
-    J's basis left of its cut.  A slot's basis is freed as soon as no
-    later step extends it.
+    basis of J[1:] (its parent slot) extended by the one row J[0], and an
+    entry's value is the number of pivots of J's basis left of its cut.
+    Flags share subspaces, so each slot keeps its distinct reduced echelon
+    bases, unique per subspace, in a table, and every flag's state there:
+    the id of its basis.  A step keys each flag by (parent state, row),
+    runs ``_echelon_step`` once per distinct key and numbers the new bases
+    by their entries (``_extend_states``); an entry's values are one
+    gather from the slot's pivot counts.  A slot's states and table are
+    freed as soon as no later step extends it.
     """
     reps = part.reps if idx is None else part.reps[idx]
     N, n, C = reps.shape
@@ -648,32 +665,86 @@ def _signature_vectors(part: OrbitPartition, fam,
     for step, (parent, _) in enumerate(extend, 1):
         last_use[parent] = step
     q, diag = part.q, np.arange(C)
-    for lo in range(0, N, CHUNK):
-        rows = np.ascontiguousarray(reps[lo:lo + CHUNK].transpose(1, 2, 0),
-                                    dtype=_work_dtype(q))
-        bases = {0: np.zeros((C, C, rows.shape[2]),
-                             dtype=_storage_dtype(q))}
-        for step in range(len(extend) + 1):
-            if step:
-                parent, r = extend[step - 1]
-                bases[step] = _echelon_step(bases[parent], rows[r], q)
-            if step in by_slot:
-                counts = np.cumsum(bases[step][diag, diag] != 0, axis=0)
-                for k, cut in by_slot[step]:
-                    out[lo:lo + CHUNK, k] = counts[cut - 1]
-            for slot in [s for s in bases if last_use[s] <= step]:
-                del bases[slot]
+    slots = {0: (np.zeros(N, dtype=np.intp),
+                 np.zeros((1, C, C), dtype=_storage_dtype(q)))}
+    for step in range(len(extend) + 1):
+        if step:
+            parent, r = extend[step - 1]
+            slots[step] = _extend_states(*slots[parent], reps[:, r:r + 1], q)
+        if step in by_slot:
+            states, table = slots[step]
+            counts = np.cumsum(table[:, diag, diag] != 0, axis=1,
+                               dtype=np.uint8)
+            for k, cut in by_slot[step]:
+                out[:, k] = counts[:, cut - 1][states]
+        for slot in [s for s in slots if last_use[s] <= step]:
+            del slots[slot]
     return out
 
 
+def _extend_states(states: np.ndarray, table: np.ndarray, row: np.ndarray,
+                   q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Extend every flag's subspace by one of its rows: the states and
+    table of the new slot from those of its parent.
+
+    ``states`` (shape (N,)) holds each flag's id in ``table`` (shape
+    (S, C, C)), the parent's distinct reduced echelon bases, and ``row``
+    (shape (N, 1, C)) the flags' rows.  A flag's key is state * q**C + the
+    row's code (``_encode_keys``), below S * q**C, and that bound is
+    checked against 2**63.  It holds while the type has M < 2**31 flags:
+    ids are below M, and a type with C stored columns (m_last >= 1) has
+    at least q**C flags, so keys stay below M**2.  Distinct keys are
+    numbered by direct address while the key space is at most N, else by
+    a sort, and only they go through ``_echelon_step``, CHUNK at a time;
+    the new bases are numbered by their entries, so equal subspaces share
+    one id.
+    """
+    N, C = len(states), table.shape[1]
+    width = q ** C
+    space = len(table) * width
+    if space > 2**63:
+        raise ValueError(f"GF({q}): {len(table)} subspaces times {width} "
+                         f"rows overflow int64 keys")
+    keys = _encode_keys(row, q)
+    keys += states * width
+    if space <= N:
+        seen = np.zeros(space, dtype=bool)
+        seen[keys] = True
+        pairs = np.flatnonzero(seen)
+        number = np.cumsum(seen)
+        number -= 1
+        inverse = number[keys]
+        del seen, number
+    else:
+        # with return_inverse, np.unique never imports numpy.ma
+        pairs, inverse = np.unique(keys, return_inverse=True)
+    del keys
+    grown = np.empty((len(pairs), C, C), dtype=table.dtype)
+    for lo in range(0, len(pairs), CHUNK):
+        codes = pairs[lo:lo + CHUNK] % width
+        v = np.empty((C, len(codes)), dtype=_work_dtype(q))
+        for c in range(C):
+            v[c] = codes % q
+            codes //= q
+        basis = table[pairs[lo:lo + CHUNK] // width].transpose(1, 2, 0)
+        grown[lo:lo + CHUNK] = _echelon_step(basis, v, q).transpose(2, 0, 1)
+    del pairs
+    _, first, ids = np.unique(_encode_keys(grown, q), return_index=True,
+                              return_inverse=True)
+    return ids[inverse], grown[first]
+
+
 def _echelon_step(basis: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
-    """Extend a stack of echelon bases over GF(q) by one row each.
+    """Extend a stack of reduced echelon bases over GF(q) by one row each,
+    and return the reduced echelon bases of the results.
 
     ``basis`` has shape (C, C, K): row c of basis k is its row pivoting at
-    column c, 1 there and 0 left of it, or all zero when no row pivots at
-    c.  ``v`` (shape (C, K), working dtype) is reduced against the rows in
-    column order; where something is left, it is scaled to 1 at its first
-    nonzero column and becomes the row pivoting there.
+    column c, 1 there and 0 left of it and in every other row's pivot
+    column, or all zero when no row pivots at c.  ``v`` (shape (C, K),
+    working dtype) is reduced against the rows in column order; where
+    something is left, it is scaled to 1 at its first nonzero column,
+    that column is cleared from the other rows, and it becomes the row
+    pivoting there.  The reduced echelon basis is unique to its subspace.
     """
     v = v.copy()
     for c in range(v.shape[0]):
@@ -683,8 +754,12 @@ def _echelon_step(basis: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
     nonzero = v != 0
     k = np.flatnonzero(nonzero.any(axis=0))
     lead = nonzero.argmax(axis=0)[k]
+    new = v[:, k] * _inverses(v[lead, k], q) % q
     out = basis.copy()
-    out[lead, :, k] = (v[:, k] * _inverses(v[lead, k], q) % q).T
+    # rows below the pivot, and the empty row at it, are 0 in its column
+    above = basis[:, lead, k].astype(v.dtype)
+    out[:, :, k] = (basis[:, :, k] - above[:, None, :] * new) % q
+    out[lead, :, k] = new.T
     return out
 
 

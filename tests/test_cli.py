@@ -232,6 +232,33 @@ def test_flag_file_with_a_negative_size_names_it(verb, tmp_path):
     assert "negative size" in err and "-1 -2 Q" in err
 
 
+def test_flag_file_over_a_prime_field_with_a_fraction(tmp_path):
+    # 1/2 is 3 in F5, so both files hold the same flag
+    runs = []
+    for entry in ("1/2", "3"):
+        flag_file = tmp_path / "flag.txt"
+        flag_file.write_text(f"m: 1,1 of n=2\n2 1 F5\n{entry}\n1\n")
+        runs.append(run_cli(["signature", "--nn", "1,1", "--mm", "1,1",
+                             "--flag", str(flag_file)]))
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1]
+
+
+@pytest.mark.parametrize("verb", FLAG_VERBS)
+@pytest.mark.parametrize("body,names", [
+    ("2 1 F5\n1/5\n0\n", "'1/5'"),
+    ("2 x Q\n1\n0\n", "'2 x Q'"),
+    ("2 1 F\n1\n0\n", "'2 1 F'"),
+    ("2 1 Fx\n1\n0\n", "'2 1 Fx'"),
+])
+def test_flag_file_with_a_bad_token_names_it(verb, body, names, tmp_path):
+    flag_file = tmp_path / "flag.txt"
+    flag_file.write_text("m: 1,1 of n=2\n" + body)
+    code, out, err = run_cli([verb, "--nn", "1,1", "--mm", "1,1",
+                              "--flag", str(flag_file)])
+    _assert_one_line_error(code, out, err)
+    assert names in err and "invalid literal for int()" not in err
+
+
 @pytest.mark.parametrize("verb", FLAG_VERBS)
 @pytest.mark.parametrize("nn,mm", [("2,1", "2,1"), ("2,1", "1,1,1,1"),
                                    ("2,2", "1,2"), ("1,1", "1,2")])

@@ -246,6 +246,38 @@ def test_matrix_literal_with_a_negative_size_is_rejected():
         parse_matrix_literal("-1 -2 Q 1 1")
 
 
+def test_finite_field_entries_may_be_fractions():
+    # a/b is a times the inverse of b mod p, as GF.coerce reduces it
+    F5 = gf(5)
+    assert F5.parse("1/2") == 3 and F5.parse("-3/4") == 3
+    assert F5.parse("7") == 2 and F5.parse("6/3") == 2
+    m = parse_matrix_literal("2 2 F5\n1/2 0\n2/3 -1/4")
+    assert m.data == ((3, 0), (4, 1))
+    assert m == Matrix.from_rows(F5, [[Fraction(1, 2), 0],
+                                      [Fraction(2, 3), Fraction(-1, 4)]])
+
+
+@pytest.mark.parametrize("token", ["1/5", "3/10", "1/0"])
+def test_finite_field_entry_with_a_denominator_divisible_by_p(token):
+    with pytest.raises(ValueError, match=f"'{token}'.*divisible by 5"):
+        parse_matrix_literal(f"1 1 F5 {token}")
+
+
+@pytest.mark.parametrize("text,match", [
+    ("2 x Q 1 1", "column count 'x' in matrix literal header '2 x Q'"),
+    ("y 1 F5 1", "row count 'y' in matrix literal header 'y 1 F5'"),
+    ("2 1 F 1 1", "field tag 'F' in matrix literal header '2 1 F'"),
+    ("2 1 Fx 1 1", "field tag 'Fx' in matrix literal header '2 1 Fx'"),
+    ("2 1 F4 1 1", "field tag 'F4' in matrix literal header '2 1 F4'"),
+    ("2 1 R 1 1", "field tag 'R' in matrix literal header '2 1 R'"),
+])
+def test_malformed_matrix_literal_header_names_it(text, match):
+    with pytest.raises(ValueError, match=match) as info:
+        parse_matrix_literal(text)
+    assert "\n" not in str(info.value)
+    assert "invalid literal for int()" not in str(info.value)
+
+
 def test_matrix_literal_with_no_rows_keeps_its_columns():
     m = parse_matrix_literal("0 3 Q")
     assert (m.rows, m.cols) == (0, 3)

@@ -14,9 +14,10 @@ from flagorbits.flags import Composition, Flag, ParabolicSpec, act
 from flagorbits.invariants import invariant_family, signature
 from flagorbits.linalg import QQ, Matrix, gf
 from flagorbits.normalforms import counterexample_pair, witness_pair_over
-from flagorbits.oracle import (CHUNK, BudgetExceededError, _generator_image,
-                               _hook, _signature_vectors, _torus_image,
-                               _work_dtype, canonicalize_batch, cross_validate,
+from flagorbits.oracle import (CHUNK, BudgetExceededError, _echelon_step,
+                               _generator_image, _hook, _signature_vectors,
+                               _torus_image, _work_dtype,
+                               canonicalize_batch, cross_validate,
                                enumerate_flag_array, flag_count,
                                gaussian_binomial, group_generators,
                                oracle_partition,
@@ -637,7 +638,11 @@ def _reference_vectors(reps, fam, q):
     return out
 
 
-# (nn, mm, q): at least one pair per q, q = 2 and q = 257 among them
+# (nn, mm, q): at least one pair per q, q = 2 and q = 257 among them.
+# (1,1,1)/(2,1) at q = 257 numbers its distinct (subspace, row) keys both
+# ways: the steps that extend the empty subspace, a key space of
+# 257**2 = 66,049 <= N = 66,307, by direct address; later steps extend up
+# to 259 subspaces and sort.
 PLAN_CASES = [((2, 1), (1, 1, 1), 2), ((1, 1, 1, 1, 1), (1, 1, 1, 1, 1), 2),
               ((2, 2, 1), (1, 2, 2), 2), ((4, 1), (1, 1, 2, 1), 3),
               ((1, 2, 1), (2, 1, 1), 3), ((2, 1, 2), (3, 2), 5),
@@ -659,6 +664,78 @@ def test_plan_vectors_match_reference_ranks(nn_parts, mm_parts, q):
     for idx in (part.first_index, rng.integers(0, part.size, 300),
                 np.arange(part.size)[::-7], np.zeros(0, dtype=np.intp)):
         assert np.array_equal(_signature_vectors(part, fam, idx), got[idx])
+
+
+def test_echelon_steps_run_once_per_distinct_pair(monkeypatch):
+    # 20,306 flags times 17 plan steps are 345,202 flag-steps, over only
+    # 5,762 distinct (subspace, row) pairs
+    import flagorbits.oracle as oracle_mod
+    nn, mm, q = Composition((2, 1, 2)), Composition((3, 2)), 5
+    part = oracle_partition(nn, mm, q)
+    fam = invariant_family(nn, mm)
+    rows = []
+    step = oracle_mod._echelon_step
+
+    def counted(basis, v, p):
+        rows.append(v.shape[1])
+        return step(basis, v, p)
+
+    monkeypatch.setattr(oracle_mod, "_echelon_step", counted)
+    _signature_vectors(part, fam)
+    assert part.size * len(fam.rank_plan[0]) == 345_202
+    assert sum(rows) <= 10_000, sum(rows)
+
+
+def test_plan_vectors_with_record_keys():
+    # a basis of 8 x 8 residues mod 2 exceeds int64 (2**64 > 2**63), so
+    # the new bases are numbered by their entries as records
+    nn, mm, q = Composition((4, 5)), Composition((8, 1)), 2
+    assert q ** 64 > 2**63
+    part = oracle_partition(nn, mm, q)
+    fam = invariant_family(nn, mm)
+    assert np.array_equal(_signature_vectors(part, fam),
+                          _reference_vectors(part.reps, fam, q))
+
+
+def _reduced_basis(rows, q, C):
+    """Fold _echelon_step over a stack of row lists, from empty bases."""
+    K = rows.shape[0]
+    basis = np.zeros((C, C, K), dtype=np.min_scalar_type(q - 1))
+    for r in range(rows.shape[1]):
+        basis = _echelon_step(basis, rows[:, r, :].T.astype(_work_dtype(q)),
+                              q)
+    return basis
+
+
+@pytest.mark.parametrize("q", [2, 5, 257])
+def test_echelon_step_returns_the_reduced_echelon_basis(q):
+    # one basis per span, whatever rows span it and in what order: each
+    # pivot 1 and alone in its column, one pivot per unit of rank
+    rng = np.random.default_rng(q)
+    C, K = 5, 400
+    rows = rng.integers(0, q, (K, 3, C))
+    rows[: K // 2, 2] = (rows[: K // 2, 0] * 2 + rows[: K // 2, 1]) % q
+    M = np.array([[1, 1, 0], [0, 1, 0], [0, 1, 1]])    # det 1
+    mixed = np.einsum("ij,kjc->kic", M, rows) % q
+    basis = _reduced_basis(rows, q, C)
+    assert np.array_equal(_reduced_basis(rows[:, ::-1], q, C), basis)
+    assert np.array_equal(_reduced_basis(mixed, q, C), basis)
+    for k in range(K):
+        piv = [c for c in range(C) if basis[c, c, k]]
+        assert len(piv) == Matrix.from_rows(gf(q), rows[k].tolist()).rank()
+        for c in piv:
+            assert basis[c, c, k] == 1 and not basis[:c, c, k].any()
+            assert not basis[c, :c, k].any()
+        assert not basis[[c for c in range(C) if c not in piv], :, k].any()
+
+
+def test_extend_states_checks_its_key_bound():
+    from flagorbits.oracle import _extend_states
+    q = 2**31 - 1       # q**3 > 2**63: no int64 key holds a subspace and row
+    with pytest.raises(ValueError, match="overflow int64"):
+        _extend_states(np.zeros(1, dtype=np.intp),
+                       np.zeros((1, 3, 3), dtype=np.uint32),
+                       np.ones((1, 1, 3), dtype=np.uint32), q)
 
 
 def test_work_dtype_bound():
@@ -747,6 +824,34 @@ def test_partition_peak_within_stated_bound(nn_parts, mm_parts, q):
     N, n, C = part.reps.shape
     assert part.reps.dtype == np.uint8
     bound = (n * C + 96) * N + 24 * n * C * CHUNK + 2**20
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("nn_parts,mm_parts,q", [
+    ((4, 1), (1, 1, 2, 1), 3),   # 62,920 flags, 4,983 distinct pairs
+    ((1, 1, 1), (2, 1), 257),    # 66,307 flags, one step with 66,049 pairs
+])
+def test_signature_vectors_peak_within_stated_bound(nn_parts, mm_parts, q):
+    # the bound in the flagorbits.oracle docstring
+    nn, mm = Composition(nn_parts), Composition(mm_parts)
+    part = oracle_partition(nn, mm, q)
+    fam = invariant_family(nn, mm)
+    extend, entries = fam.rank_plan
+    last = list(range(len(extend) + 1))
+    for step, (parent, _) in enumerate(extend, 1):
+        last[parent] = step
+    live = max(sum(s <= t <= last[s] for s in range(len(last)))
+               for t in range(len(last)))
+    tracemalloc.start()
+    try:
+        _signature_vectors(part, fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    N, n, C = part.reps.shape
+    s, w = part.reps.itemsize, np.dtype(_work_dtype(q)).itemsize
+    bound = ((len(entries) + 8 * live + 3 * C * C * s + 64) * N
+             + 8 * C * (C + 2) * w * CHUNK + 2**20)
     assert peak <= bound, (peak, bound)
 
 
