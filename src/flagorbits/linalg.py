@@ -24,11 +24,26 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+# an entry of a matrix literal: an integer or a fraction, ASCII digits only
+_ENTRY = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _parse_entry(token: str) -> Fraction:
+    """The value of an entry token ``[+-]?digits`` or
+    ``[+-]?digits/digits``.  Anything else (a decimal, an exponent, an
+    underscore) raises ``ValueError`` naming the token; a zero denominator
+    raises ``ZeroDivisionError``."""
+    if not _ENTRY.fullmatch(token):
+        raise ValueError(f"entry {token!r} is not an integer or a fraction "
+                         f"a/b")
+    return Fraction(token)
 
 
 def _is_prime(p: int) -> bool:
@@ -113,7 +128,7 @@ class _RationalField(Field):
 
     def parse(self, token):
         try:
-            return Fraction(token)
+            return _parse_entry(token)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {token!r}") from None
 
@@ -168,7 +183,7 @@ class GF(Field):
     def parse(self, token):
         """An integer or ``a/b`` fraction token, reduced mod p."""
         try:
-            return self.coerce(Fraction(token))
+            return self.coerce(_parse_entry(token))
         except ZeroDivisionError:
             raise ValueError(f"{token!r} has a denominator divisible by "
                              f"{self.p}") from None
@@ -461,12 +476,14 @@ def parse_matrix_literal(text: str) -> Matrix:
     """Parse the plain-text matrix format: ``rows cols field`` then entries.
 
     The field tag is ``Q`` or ``Fp`` (e.g. ``F5``); entries are integers or
-    ``a/b`` fractions, whitespace-separated, with ``|`` separators ignored.
+    ``a/b`` fractions of ASCII digits with an optional sign, whitespace-
+    separated, with ``|`` separators ignored.
     Over ``Fp`` an entry a/b is a times the inverse of b mod p.  The result
     has the declared shape, a 0 x c literal keeping its c columns.  A
-    negative or non-integer size, a field tag that names no field, and a
-    denominator that is 0 (or divisible by p over ``Fp``) raise
-    ``ValueError`` with a one-line message naming the header or the entry.
+    negative or non-integer size, a field tag that names no field, an
+    entry of another form (``0.5``, ``1e3``, ``1_0``) and a denominator
+    that is 0 (or divisible by p over ``Fp``) raise ``ValueError`` with a
+    one-line message naming the header or the entry.
     """
     tokens = text.replace("|", " ").split()
     if len(tokens) < 3:

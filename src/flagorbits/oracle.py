@@ -13,31 +13,40 @@ generator is sent only to the flags it has to, by its shape:
 1. a torus generator (diagonal, no zero on the diagonal) goes to one flag
    per current class, since torus generators are taken first and commute:
    g·(h·F) = h·(g·F).  After them the classes are the orbits of the torus
-   T they generate;
+   T they generate.  When their product is a scalar matrix, as for every
+   q > 2 with ``group_generators``, the last one is skipped: scalars fix
+   every flag, so it moves flags as the others' inverses do;
 2. a root element G = I + c·e_i e_jᵀ (i != j) sends G, G², ..., G^(q-1)
    to one flag per T-orbit, the roots as step 1 left them: for d in T,
-   G·(d·F) = d·(G^k·F) with k = d_j/d_i, since d⁻¹Gd = G^k;
+   G·(d·F) = d·(G^k·F) with k = d_j/d_i, since d⁻¹Gd = G^k.  No such
+   edge depends on another, so all powers of all root elements go out in
+   one batched sweep;
 3. any other generator goes to every flag.
 
 A torus element's images come in closed form, by rescaling rows and the
-columns that pivot there (``_torus_image``); only the others are
-canonicalized.  Signature vectors follow the family's rank plan, as
-catalog builds do: one batched GF(q) echelon step per distinct
-(subspace, row) pair, and each entry a count of pivots
-(``_signature_vectors``).  Cross-validation
-realizes no catalog entry as a flag: every entry's integer rows are
-reduced mod q, canonicalized in one batch and found with one key search.
+columns that pivot there (``_torus_image``), on pivot rows stored once
+per flag; only the others are canonicalized.  Signature vectors follow
+the family's rank plan, as catalog builds do: one batched GF(q) echelon
+step per distinct (subspace, row) pair, and each entry a count of pivots
+(``_signature_vectors``).  Cross-validation realizes no catalog entry as
+a flag: every entry's integer rows are reduced mod q, canonicalized in
+one batch and found with one key search.
 Arithmetic is integer-only throughout, and numpy is the only dependency.
 
 Memory: partitioning N flags of n x C stored entries, s bytes each (the
 storage dtype), peaks below (n*C*s + 96)*N + 24*n*C*CHUNK + 2**20 bytes
-of allocations: the flags are enumerated into one preallocated array and
-exist once; then a sorted key index (16 bytes per flag); the component
-forest, the snapshot of the T-orbits' roots, and one sweep's source
-indices and images (8 bytes per flag each, the last two in a full
-sweep); and the hooking temporaries, one more forest, four index arrays
-over the edges and two masks (42 bytes per flag at most).  The rest is
-one chunk of working arrays and small objects.
+of allocations.  The flags are enumerated into one preallocated array and
+exist once; a sorted key index takes 16 bytes per flag and the component
+forest 8.  While the torus sweeps run, the pivot rows take C bytes per
+flag, and a sweep's source indices and images 8 each.  Then the snapshot
+of the T-orbits' roots takes 8, and either a full sweep's sources and
+images or the batched sweep's two buffers of pending edges 16.  Hooking
+at most N edges adds two gathers and a mask, then four index arrays over
+the joining edges and the mask, and in pointer jumping one more forest
+and a mask: 33 bytes per flag at most.  So the sweeps hold 73 + C and 81
+bytes per flag, both within 96 while C <= 23, which every type with
+fewer than 2**24 flags meets (C stored columns mean at least q**C
+flags).  The rest is one chunk of working arrays and small objects.
 
 The signature vectors of N flags then peak below
 (E + 8*L + 3*C*C*s + 64)*N + 8*C*(C + 2)*w*CHUNK + 2**20 bytes, for E
@@ -223,6 +232,22 @@ def _pivot_paths(rows: list[int], widths: Sequence[int]):
             yield (newpiv,) + tail
 
 
+def _enumeration_groups(n: int, mm: Composition):
+    """The groups of ``enumerate_flag_array`` in order, one per choice of
+    pivot rows (``_pivot_paths``): its (row, column) pivots in column
+    order, and its free cells, least significant first."""
+    for path in _pivot_paths(list(range(n)), mm.parts[:-1]):
+        pivots, cells, col, used = [], [], 0, set()
+        for newpiv in path:
+            used.update(newpiv)
+            level = [(rr, col + k) for k, pk in enumerate(newpiv)
+                     for rr in range(pk + 1, n) if rr not in used]
+            pivots += [(pk, col + k) for k, pk in enumerate(newpiv)]
+            cells = level + cells     # least significant first
+            col += len(newpiv)
+        yield pivots, cells
+
+
 def enumerate_flag_array(n: int, mm: Composition, q: int,
                          budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """All flags of the type as one canonical array of shape (N, n, C),
@@ -244,15 +269,7 @@ def enumerate_flag_array(n: int, mm: Composition, q: int,
     # a group with a free cell holds q flags or more, so q <= total there
     digits = np.arange(min(q, total), dtype=out.dtype)[:, None]
     pos = 0
-    for path in _pivot_paths(list(range(n)), mm.parts[:-1]):
-        pivots, cells, col, used = [], [], 0, set()
-        for newpiv in path:
-            used.update(newpiv)
-            level = [(rr, col + k) for k, pk in enumerate(newpiv)
-                     for rr in range(pk + 1, n) if rr not in used]
-            pivots += [(pk, col + k) for k, pk in enumerate(newpiv)]
-            cells = level + cells     # least significant first
-            col += len(newpiv)
+    for pivots, cells in _enumeration_groups(n, mm):
         size = q ** len(cells)
         group = out[pos:pos + size]
         for r, c in pivots:
@@ -262,6 +279,29 @@ def enumerate_flag_array(n: int, mm: Composition, q: int,
                 :, :, :, r, c] = digits
         pos += size
     assert pos == total, (pos, total)
+    return out
+
+
+def _enumeration_pivots(n: int, mm: Composition, q: int) -> np.ndarray:
+    """The pivot row of every stored column of every flag of
+    ``enumerate_flag_array``, as an (N, C) array in its order (uint8 for
+    n <= 256): each group's pivot rows, repeated over the group's
+    q**cells flags."""
+    groups = list(_enumeration_groups(n, mm))
+    rows = np.array([[r for r, _ in pivots] for pivots, _ in groups],
+                    dtype=np.min_scalar_type(n - 1)
+                    ).reshape(len(groups), n - mm.parts[-1])
+    return np.repeat(rows, [q ** len(cells) for _, cells in groups], axis=0)
+
+
+def _pivot_rows(reps: np.ndarray) -> np.ndarray:
+    """The pivot row of every column of a stack of canonical matrices, its
+    first nonzero row, as an (N, C) array (uint8 for n <= 256), CHUNK
+    flags at a time."""
+    N, n, C = reps.shape
+    out = np.empty((N, C), dtype=np.min_scalar_type(n - 1))
+    for lo in range(0, N, CHUNK):
+        out[lo:lo + CHUNK] = (reps[lo:lo + CHUNK] != 0).argmax(axis=1)
     return out
 
 
@@ -347,7 +387,8 @@ class OrbitPartition:
         return int(self.labels[self.locate(mat)[0]])
 
 
-def _torus_image(A: np.ndarray, d: np.ndarray, q: int) -> np.ndarray:
+def _torus_image(A: np.ndarray, d: np.ndarray, q: int,
+                 pivots: Optional[np.ndarray] = None) -> np.ndarray:
     """Canonical forms of diag(d)·F for a stack ``A`` of canonical
     matrices F, for nonzero residues ``d``, with no elimination.
 
@@ -356,10 +397,12 @@ def _torus_image(A: np.ndarray, d: np.ndarray, q: int) -> np.ndarray:
     the factor its pivot row got: scale the non-pivot entries of row i by
     d_i, and the entries below row i of the columns pivoting there by
     1/d_i.  The result is canonical again, with the same pivots.
+    ``pivots`` (shape (K, C)) gives the pivot rows of ``A`` when they are
+    known; else they are found.
     """
     work = _work_dtype(q)
     out = A.copy()
-    pivot = (A != 0).argmax(axis=1)
+    pivot = _pivot_rows(A) if pivots is None else pivots
     for i in np.flatnonzero(d != 1):
         gamma = int(d[i])
         here = pivot == i
@@ -390,13 +433,15 @@ def _root_entry(G: np.ndarray) -> Optional[tuple[int, int, int]]:
 
 def _generator_image(part: OrbitPartition, G: np.ndarray,
                      boundaries: Sequence[int],
-                     src: Optional[np.ndarray] = None) -> np.ndarray:
+                     src: Optional[np.ndarray] = None,
+                     pivots: Optional[np.ndarray] = None) -> np.ndarray:
     """Index of G·F for every enumerated flag F at the indices ``src``, or
     for every flag (then a permutation of the flags).  A torus G acts in
-    closed form (``_torus_image``).  For any other G only the rows where
-    it differs from the identity change, each recomputed from the nonzero
-    entries of its row of G, and the result is canonicalized.  ``locate``
-    raises unless every image is enumerated."""
+    closed form (``_torus_image``), on the pivot rows of all flags
+    ``pivots`` (shape (N, C)) when they are given.  For any other G only
+    the rows where it differs from the identity change, each recomputed
+    from the nonzero entries of its row of G, and the result is
+    canonicalized.  ``locate`` raises unless every image is enumerated."""
     q, reps = part.q, part.reps
     G = np.mod(G, q, dtype=np.int64)
     torus = _is_torus(G)
@@ -409,8 +454,12 @@ def _generator_image(part: OrbitPartition, G: np.ndarray,
         chunk = (reps[lo:lo + CHUNK] if src is None
                  else reps[src[lo:lo + CHUNK]])
         if torus:
+            piv = None
+            if pivots is not None:
+                piv = (pivots[lo:lo + CHUNK] if src is None
+                       else pivots[src[lo:lo + CHUNK]])
             img[lo:lo + CHUNK] = part.locate(
-                _torus_image(chunk, np.diag(G), q))
+                _torus_image(chunk, np.diag(G), q, piv))
             continue
         moved = chunk.copy()
         for i in moved_rows:
@@ -448,9 +497,48 @@ def _hook(root: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
             root[:] = jumped
 
 
+def _root_sweep(part: OrbitPartition, root: np.ndarray,
+                moves: Sequence[tuple[int, int, int]], sources: np.ndarray,
+                boundaries: Sequence[int]) -> None:
+    """Join F and G·F in the forest ``root`` for every root element
+    G = I + e·e_i e_jᵀ, given as (i, j, e) in ``moves``, and every flag F
+    at the indices ``sources``: one sweep over the virtual list of
+    (move, source) pairs.  Each CHUNK of pairs gets row i plus e times
+    row j, is canonicalized and located in one batch; the edges wait in
+    two preallocated buffers of N, hooked whenever they are full."""
+    q, reps, N = part.q, part.reps, part.size
+    count = len(moves) * len(sources)
+    if not count:
+        return
+    work = _work_dtype(q)
+    rows_i, rows_j, entries = (np.array(x, dtype=work) for x in zip(*moves))
+    pending, src_buf, dst_buf = 0, np.empty(N, np.intp), np.empty(N, np.intp)
+    for lo in range(0, count, CHUNK):
+        move, at = np.divmod(np.arange(lo, min(lo + CHUNK, count)),
+                             len(sources))
+        src = sources[at]
+        A = reps[src]
+        k = np.arange(len(src))
+        i, j = rows_i[move], rows_j[move]
+        A[k, i] = (A[k, i] + entries[move, None] * A[k, j]) % q
+        dst = part.locate(canonicalize_batch(A, q, boundaries))
+        done = 0
+        while done < len(dst):
+            take = min(len(dst) - done, N - pending)
+            src_buf[pending:pending + take] = src[done:done + take]
+            dst_buf[pending:pending + take] = dst[done:done + take]
+            pending, done = pending + take, done + take
+            if pending == N:
+                _hook(root, src_buf, dst_buf)
+                pending = 0
+    _hook(root, src_buf[:pending], dst_buf[:pending])
+
+
 def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
                                 nn: Composition, mm: Composition,
-                                q: int) -> OrbitPartition:
+                                q: int,
+                                pivots: Optional[np.ndarray] = None
+                                ) -> OrbitPartition:
     """Split canonical flags (shape (N, n, C), residues in any integer
     dtype) into the orbits of the group the matrices ``gen_mats``
     generate: the components of the graph with an edge F -- g·F for every
@@ -462,13 +550,22 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
     1. Torus generators (diagonal, no zero on the diagonal; T is the group
        they generate) come first, each sent to one flag per current class.
        They commute, so g·(hF) = h·(gF) lies in the class of g·F.  After
-       them the classes are the T-orbits.
+       them the classes are the T-orbits.  When the product of all of
+       them is a scalar matrix, which fixes every flag, the last one
+       moves flags as the product of the others' inverses does and is
+       not sent at all; ``group_generators`` has this shape for every
+       q > 2.  A torus generator acts on the flags' pivot rows
+       ``pivots`` (shape (N, C), C bytes per flag for n <= 256), found
+       once here unless they are given, and freed after the torus
+       sweeps.
     2. A root element G = I + c·e_i e_jᵀ (i != j) sends its powers G^k
        (entry k·c) for k = 1..q-1 to one flag per T-orbit: the roots as
        step 1 left them, not as later merges leave them, since only a
        T-orbit's flags are all d·R for its root R and d in T.  Then
        G·(d·R) = d·(d⁻¹Gd)·R and d⁻¹Gd = G^k with k = d_j/d_i, so
-       G·(d·R) lies in the T-orbit of G^k·R.
+       G·(d·R) lies in the T-orbit of G^k·R.  These edges do not depend
+       on one another, so every power of every root element goes out in
+       one batched sweep (``_root_sweep``).
     3. Any other generator goes to every flag.
 
     Over GF(2) T is trivial, so every generator goes to every flag.
@@ -481,24 +578,32 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
     def class_roots() -> np.ndarray:
         return np.flatnonzero(root == np.arange(N))
 
-    def sweep(G: np.ndarray, src: np.ndarray) -> None:
-        _hook(root, src, _generator_image(part, G, boundaries, src))
-
     gens = [np.mod(G, q, dtype=np.int64) for G in gen_mats]
-    for G in filter(_is_torus, gens):
-        sweep(G, class_roots())
+    torus = [G for G in gens if _is_torus(G)]
+    # the diagonal of the torus generators' product; each int64 step
+    # multiplies two residues, below q**2 < 2**62
+    scale = functools.reduce(lambda x, y: x * y % q,
+                             (np.diag(G) for G in torus), 1)
+    if torus and (scale == scale[0]).all():
+        torus.pop()
+    if torus and pivots is None:
+        pivots = _pivot_rows(reps)
+    for G in torus:
+        src = class_roots()
+        _hook(root, src, _generator_image(part, G, boundaries, src, pivots))
+    del pivots
     torus_roots = class_roots()
+    moves = []
     for G in gens:
         if _is_torus(G):
             continue
         entry = _root_entry(G)
         if entry is None:
-            sweep(G, np.arange(N))
+            _hook(root, np.arange(N), _generator_image(part, G, boundaries))
             continue
         i, j, c = entry
-        for k in range(1, q):
-            G[i, j] = k * c % q     # G is now G^k
-            sweep(G, torus_roots)
+        moves += [(i, j, k * c % q) for k in range(1, q)]
+    _root_sweep(part, root, moves, torus_roots, boundaries)
     part.labels = (np.cumsum(root == np.arange(N)) - 1)[root]
     return part
 
@@ -506,11 +611,14 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
 def oracle_partition(nn: Composition, mm: Composition, q: int,
                      budget: int = DEFAULT_BUDGET) -> OrbitPartition:
     """Enumerate the variety and split it into block-Borel orbits; the
-    enumeration is already canonical, so it is partitioned as it is."""
+    enumeration is already canonical, so it is partitioned as it is.  Its
+    pivot rows come from its groups, for the torus generators, which
+    ``group_generators`` has for q > 2 only."""
     arr = enumerate_flag_array(nn.n, mm, q, budget)
     gen_mats = [np.array(g.data, dtype=np.int64)
                 for g in group_generators(nn, q)]
-    return orbit_partition_from_arrays(arr, gen_mats, nn, mm, q)
+    pivots = _enumeration_pivots(nn.n, mm, q) if q > 2 else None
+    return orbit_partition_from_arrays(arr, gen_mats, nn, mm, q, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -766,14 +874,16 @@ def _echelon_step(basis: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
 def _signature_labels(part: OrbitPartition, fam,
                       vectors: Optional[np.ndarray] = None) -> np.ndarray:
     """One id per signature level set: flags with equal rank vectors
-    share one.  Each vector is keyed as one record of its bytes."""
+    share one.  An entry is a rank of at most C, so each vector is keyed
+    by ``_encode_keys`` in base C + 1: an int64 while (C+1)**E <= 2**63
+    for E entries, a record beyond."""
     if vectors is None:
         vectors = _signature_vectors(part, fam)
     if vectors.shape[1] == 0:
         return np.zeros(vectors.shape[0], dtype=np.int64)
-    rows = np.ascontiguousarray(vectors).view(
-        np.dtype((np.void, vectors.shape[1])))
-    return np.unique(rows.ravel(), return_inverse=True)[1]
+    keys = _encode_keys(vectors[:, None, :], part.reps.shape[2] + 1)
+    # with return_inverse, np.unique never imports numpy.ma
+    return np.unique(keys, return_inverse=True)[1]
 
 
 def _partitions_equal(a: np.ndarray, b: np.ndarray) -> bool:

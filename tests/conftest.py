@@ -12,7 +12,10 @@ reduce a flag by field elimination, with the pivot sweep ``_sweep_up``
 and the row operation ``_row_axpy``; the library reads the same normal
 forms off the signature.  ``decode_flag`` and ``representative`` turn
 the oracle's GF(q) arrays back into flags one at a time, the reference
-for its batched signatures.  The helpers at the end build and check
+for its batched signatures.  ``reference_partition`` sweeps each
+generator and root power on its own, the reference for the oracle's
+batched partition, and ``reference_signature_labels`` keys level sets by
+their bytes.  The helpers at the end build and check
 test data: ``flags_equal``, permutation flags and matrices, random
 flags and group elements (``random_flag``, ``random_borel_prime``), and
 the standard flag.  The library needs none of them.
@@ -31,6 +34,8 @@ from flagorbits.linalg import (GF, QQ, Matrix, _col_axpy, _col_scale,
                                _row_reduce, gf, integer_rank)
 from flagorbits.normalforms import (NFCase0, NFChain, NFPattern, _column_terms,
                                     case0_normal_forms, pattern_candidates)
+from flagorbits.oracle import (OrbitPartition, _generator_image, _hook,
+                               _is_torus, _root_entry)
 
 
 def compositions(n):
@@ -597,6 +602,51 @@ def decode_flag(mat, mm, q):
 def representative(part, cid):
     """The first enumerated flag of class ``cid`` of an ``OrbitPartition``."""
     return decode_flag(part.reps[part.first_index[cid]], part.mm, part.q)
+
+
+def reference_partition(reps, gen_mats, nn, mm, q):
+    """Orbit labels of canonical flags by one sweep per generator and
+    power, the loop ``orbit_partition_from_arrays`` batches: every torus
+    generator, the scalar one too, to one flag per current class; then
+    each power G^k of a root element G, in its own sweep, to one flag per
+    torus orbit; any other generator to every flag."""
+    boundaries = mm.prefix_sums()[: max(len(mm) - 1, 0)]
+    part = OrbitPartition(q, nn, mm, reps, np.zeros(0, dtype=np.int64))
+    N = part.size
+    root = np.arange(N)
+
+    def class_roots():
+        return np.flatnonzero(root == np.arange(N))
+
+    def sweep(G, src):
+        _hook(root, src, _generator_image(part, G, boundaries, src))
+
+    gens = [np.mod(G, q, dtype=np.int64) for G in gen_mats]
+    for G in filter(_is_torus, gens):
+        sweep(G, class_roots())
+    torus_roots = class_roots()
+    for G in gens:
+        if _is_torus(G):
+            continue
+        entry = _root_entry(G)
+        if entry is None:
+            sweep(G, np.arange(N))
+            continue
+        i, j, c = entry
+        for k in range(1, q):
+            G[i, j] = k * c % q     # G is now G^k
+            sweep(G, torus_roots)
+    return (np.cumsum(root == np.arange(N)) - 1)[root]
+
+
+def reference_signature_labels(vectors):
+    """One id per distinct row of a uint8 array, each row keyed as one
+    record of its bytes: the level-set labels before integer keys."""
+    if vectors.shape[1] == 0:
+        return np.zeros(vectors.shape[0], dtype=np.int64)
+    rows = np.ascontiguousarray(vectors).view(
+        np.dtype((np.void, vectors.shape[1])))
+    return np.unique(rows.ravel(), return_inverse=True)[1]
 
 
 # -- group and flag helpers for building test data ----------------------------

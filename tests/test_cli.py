@@ -260,6 +260,21 @@ def test_flag_file_with_a_bad_token_names_it(verb, body, names, tmp_path):
 
 
 @pytest.mark.parametrize("verb", FLAG_VERBS)
+@pytest.mark.parametrize("field,token", [("Q", "0.5"), ("Q", "1e0"),
+                                         ("Q", "1_0"), ("F5", ".5")])
+def test_flag_file_with_a_decimal_entry_names_it(verb, field, token,
+                                                 tmp_path):
+    # the README flag with one entry written in a form Fraction() reads
+    flag_file = tmp_path / "flag.txt"
+    flag_file.write_text(f"m: 1,1,1 of n=3\n3 2 {field}\n1 0\n{token} 1\n"
+                         f"1 0\n")
+    code, out, err = run_cli([verb, "--nn", "2,1", "--mm", "1,1,1",
+                              "--flag", str(flag_file)])
+    _assert_one_line_error(code, out, err)
+    assert f"{token!r} is not an integer or a fraction" in err
+
+
+@pytest.mark.parametrize("verb", FLAG_VERBS)
 @pytest.mark.parametrize("nn,mm", [("2,1", "2,1"), ("2,1", "1,1,1,1"),
                                    ("2,2", "1,2"), ("1,1", "1,2")])
 def test_flag_verbs_check_the_pair(verb, nn, mm, tmp_path):

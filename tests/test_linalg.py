@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -261,6 +262,25 @@ def test_finite_field_entries_may_be_fractions():
 def test_finite_field_entry_with_a_denominator_divisible_by_p(token):
     with pytest.raises(ValueError, match=f"'{token}'.*divisible by 5"):
         parse_matrix_literal(f"1 1 F5 {token}")
+
+
+@pytest.mark.parametrize("field", [QQ, gf(5)])
+@pytest.mark.parametrize("token", ["0.5", ".5", "1.", "1e3", "1E0", "1_0",
+                                   "\u0663", "1/2.0", "1/-2", "+-1", "nan"])
+def test_entry_tokens_are_integers_or_fractions_only(field, token):
+    # Fraction() alone reads the first seven (the last an Arabic-Indic 3)
+    with pytest.raises(ValueError, match=re.escape(
+            f"entry {token!r} is not an integer or a fraction")):
+        field.parse(token)
+    with pytest.raises(ValueError, match=re.escape(repr(token))):
+        parse_matrix_literal(f"1 2 {field.name} 1 {token}")
+
+
+@pytest.mark.parametrize("field", [QQ, gf(5)])
+def test_entry_tokens_with_signs(field):
+    assert field.parse("+3") == field.parse("3") == field.coerce(3)
+    assert field.parse("-1/2") == field.coerce(Fraction(-1, 2))
+    assert field.parse("+007/2") == field.coerce(Fraction(7, 2))
 
 
 @pytest.mark.parametrize("text,match", [

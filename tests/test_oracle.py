@@ -15,8 +15,10 @@ from flagorbits.invariants import invariant_family, signature
 from flagorbits.linalg import QQ, Matrix, gf
 from flagorbits.normalforms import counterexample_pair, witness_pair_over
 from flagorbits.oracle import (CHUNK, BudgetExceededError, _echelon_step,
-                               _generator_image, _hook, _signature_vectors,
-                               _torus_image, _work_dtype,
+                               _encode_keys, _enumeration_pivots,
+                               _generator_image, _hook, _is_torus,
+                               _pivot_rows, _signature_labels,
+                               _signature_vectors, _torus_image, _work_dtype,
                                canonicalize_batch, cross_validate,
                                enumerate_flag_array, flag_count,
                                gaussian_binomial, group_generators,
@@ -27,7 +29,8 @@ from flagorbits.orbits import enumerate_orbits
 
 from conftest import (borel_order, borel_translates, compositions,
                       decode_flag, flags_equal, parabolic_generators,
-                      random_flag, rank_batch, representative,
+                      random_flag, rank_batch, reference_partition,
+                      reference_signature_labels, representative,
                       transporter_empty)
 
 
@@ -546,6 +549,61 @@ def test_partition_matches_full_sweep_dense_generators(q):
         assert got.labels.tolist() == _full_sweep_labels(part, gens)
 
 
+def test_partition_matches_reference_every_pair_n4_and_workload():
+    # every pair with n <= 4 at q in {2, 3, 5}, and the benchmark's runs
+    cases = [(nn, mm, q) for n in range(1, 5) for nn in compositions(n)
+             for mm in compositions(n) for q in (2, 3, 5)]
+    cases += [(Composition(a), Composition(b), q) for a, b, q in WORKLOAD_RUNS]
+    for nn, mm, q in cases:
+        part = oracle_partition(nn, mm, q)
+        gens = _matrices(group_generators(nn, q))
+        expect = reference_partition(part.reps, gens, nn, mm, q)
+        assert part.labels.tolist() == expect.tolist(), (nn, mm, q)
+    assert len(cases) == 258
+
+
+def _counting_torus_sweeps(monkeypatch):
+    """Wrap ``_generator_image`` and count its calls with a torus G."""
+    calls = []
+
+    def counted(part, G, *args):
+        calls.append(_is_torus(np.mod(G, part.q)))
+        return _generator_image(part, G, *args)
+
+    monkeypatch.setattr("flagorbits.oracle._generator_image", counted)
+    return calls
+
+
+@pytest.mark.parametrize("nn_parts,mm_parts,q", [
+    ((2, 2), (1, 2, 1), 3), ((3, 3), (1, 5), 7), ((1, 2, 1), (2, 1, 1), 5)])
+def test_scalar_torus_generator_is_skipped_only_when_scalar(
+        monkeypatch, nn_parts, mm_parts, q):
+    nn, mm = Composition(nn_parts), Composition(mm_parts)
+    reps = enumerate_flag_array(nn.n, mm, q)
+    gens = _matrices(group_generators(nn, q))
+    torus = [G for G in gens if _is_torus(G)]
+    assert len(torus) == nn.n
+    calls = _counting_torus_sweeps(monkeypatch)
+    # all n row scalings: their product is the scalar gamma·I
+    part = orbit_partition_from_arrays(reps, gens, nn, mm, q)
+    assert calls.count(True) == nn.n - 1
+    assert part.labels.tolist() == \
+        reference_partition(reps, gens, nn, mm, q).tolist()
+    # without the scaling of row 0 no product is scalar: every one is swept
+    lacking = [G for G in gens if not (_is_torus(G) and G[0, 0] != 1)]
+    assert len(lacking) == len(gens) - 1
+    calls.clear()
+    part = orbit_partition_from_arrays(reps, lacking, nn, mm, q)
+    assert calls.count(True) == nn.n - 1
+    assert part.labels.tolist() == \
+        reference_partition(reps, lacking, nn, mm, q).tolist()
+    # a lone scalar generator fixes every flag and is not swept
+    calls.clear()
+    scalar = [np.eye(nn.n, dtype=np.int64) * 2]
+    part = orbit_partition_from_arrays(reps, scalar, nn, mm, q)
+    assert calls == [] and part.class_count == part.size
+
+
 def test_generator_image_matches_dense_product():
     # dense invertible generators: rows with several nonzero entries,
     # including a row that is not moved and rows that move together
@@ -577,10 +635,13 @@ TORUS_PAIRS = [((2, 1), (1, 1, 1)), ((2, 2), (1, 3)), ((3, 1), (2, 2)),
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_torus_image_matches_dense_product_on_all_flags(q):
     # every torus generator: the closed-form image equals the canonical
-    # form of the dense product, and so locates to the same permutation
+    # form of the dense product, and so locates to the same permutation;
+    # stored pivot rows give the same images, on every flag or on some
     for nn_parts, mm_parts in TORUS_PAIRS:
         nn, mm = Composition(nn_parts), Composition(mm_parts)
         part = oracle_partition(nn, mm, q)
+        pivots = _enumeration_pivots(nn.n, mm, q)
+        some = np.arange(0, part.size, 3)
         boundaries = mm.prefix_sums()[: len(mm) - 1]
         torus = [np.array(g.data, dtype=np.int64)
                  for g in group_generators(nn, q)]
@@ -596,6 +657,11 @@ def test_torus_image_matches_dense_product_on_all_flags(q):
             img = _generator_image(part, G, boundaries)
             assert (img == part.locate(canon)).all()
             assert sorted(img.tolist()) == list(range(part.size))
+            assert np.array_equal(
+                _torus_image(part.reps, np.diag(G), q, pivots), got)
+            assert np.array_equal(
+                _generator_image(part, G, boundaries, some, pivots),
+                img[some])
 
 
 @pytest.mark.parametrize("q", [257, 46349])
@@ -627,6 +693,8 @@ def test_torus_image_on_random_canonical_matrices(q):
             assert got.dtype == np.min_scalar_type(q - 1)
             assert np.array_equal(got, canonicalize_batch(dense, q,
                                                           boundaries))
+            assert np.array_equal(_torus_image(A, d, q, _pivot_rows(A)),
+                                  got)
 
 
 def _reference_vectors(reps, fam, q):
@@ -695,6 +763,63 @@ def test_plan_vectors_with_record_keys():
     fam = invariant_family(nn, mm)
     assert np.array_equal(_signature_vectors(part, fam),
                           _reference_vectors(part.reps, fam, q))
+
+
+@pytest.mark.parametrize("nn_parts,mm_parts,q", PLAN_CASES + WORKLOAD_RUNS)
+def test_stored_pivots_are_the_first_nonzero_rows(nn_parts, mm_parts, q):
+    nn, mm = Composition(nn_parts), Composition(mm_parts)
+    reps = enumerate_flag_array(nn.n, mm, q)
+    expect = (reps != 0).argmax(axis=1)
+    for pivots in (_enumeration_pivots(nn.n, mm, q), _pivot_rows(reps)):
+        assert pivots.dtype == np.uint8
+        assert pivots.shape == expect.shape
+        assert np.array_equal(pivots, expect)
+
+
+def _same_classes(a, b):
+    return len(set(zip(a.tolist(), b.tolist()))) == len(set(a.tolist())) \
+        == len(set(b.tolist()))
+
+
+@pytest.mark.parametrize("nn_parts,mm_parts,q,records", [
+    ((2, 1, 2), (3, 2), 5, False),        # C = 3, E = 17: int64 keys
+    ((2, 2), (1, 2, 1), 3, False),        # level sets coarser than orbits
+    ((1, 1, 1, 1, 1), (1, 1, 3), 2, True),   # C = 2, E = 62: records
+])
+def test_signature_labels_match_byte_records(nn_parts, mm_parts, q, records):
+    nn, mm = Composition(nn_parts), Composition(mm_parts)
+    part = oracle_partition(nn, mm, q)
+    fam = invariant_family(nn, mm)
+    vectors = _signature_vectors(part, fam)
+    C, E = part.reps.shape[2], vectors.shape[1]
+    assert ((C + 1) ** E > 2**63) == records
+    assert (_encode_keys(vectors[:, None, :], C + 1).dtype
+            != np.int64) == records
+    got = _signature_labels(part, fam, vectors)
+    assert _same_classes(got, reference_signature_labels(vectors))
+    assert np.array_equal(got, _signature_labels(part, fam))
+
+
+def test_signature_labels_import_no_masked_arrays():
+    # both key paths: plain np.unique would import numpy.ma on first call
+    src = os.path.dirname(os.path.dirname(flagorbits.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys\n"
+              "from flagorbits import Composition\n"
+              "from flagorbits.invariants import invariant_family\n"
+              "from flagorbits.oracle import (_signature_labels,\n"
+              "                               oracle_partition)\n"
+              "for nn, mm, q in [((2, 1, 2), (3, 2), 5),\n"
+              "                  ((1, 1, 1, 1, 1), (1, 1, 3), 2)]:\n"
+              "    nn, mm = Composition(nn), Composition(mm)\n"
+              "    part = oracle_partition(nn, mm, q)\n"
+              "    _signature_labels(part, invariant_family(nn, mm))\n"
+              "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _reduced_basis(rows, q, C):
