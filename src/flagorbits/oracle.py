@@ -15,7 +15,8 @@ generator is sent only to the flags it has to, by its shape:
    g·(h·F) = h·(g·F).  After them the classes are the orbits of the torus
    T they generate.  When their product is a scalar matrix, as for every
    q > 2 with ``group_generators``, the last one is skipped: scalars fix
-   every flag, so it moves flags as the others' inverses do;
+   every flag, so it moves flags as the others' inverses do.  Its images
+   are index arithmetic on the enumeration, taken in its own order;
 2. a root element G = I + c·e_i e_jᵀ (i != j) sends G, G², ..., G^(q-1)
    to one flag per T-orbit, the roots as step 1 left them: for d in T,
    G·(d·F) = d·(G^k·F) with k = d_j/d_i, since d⁻¹Gd = G^k.  No such
@@ -23,30 +24,29 @@ generator is sent only to the flags it has to, by its shape:
    one batched sweep;
 3. any other generator goes to every flag.
 
-A torus element's images come in closed form, by rescaling rows and the
-columns that pivot there (``_torus_image``), on pivot rows stored once
-per flag; only the others are canonicalized.  Signature vectors follow
-the family's rank plan, as catalog builds do: one batched GF(q) echelon
-step per distinct (subspace, row) pair, and each entry a count of pivots
+Only the others' images are canonicalized.  Signature vectors follow the
+family's rank plan, as catalog builds do: one batched GF(q) echelon step
+per distinct (subspace, row) pair, and each entry a count of pivots
 (``_signature_vectors``).  Cross-validation realizes no catalog entry as
 a flag: every entry's integer rows are reduced mod q, canonicalized in
 one batch and found with one key search.
 Arithmetic is integer-only throughout, and numpy is the only dependency.
 
 Memory: partitioning N flags of n x C stored entries, s bytes each (the
-storage dtype), peaks below (n*C*s + 96)*N + 24*n*C*CHUNK + 2**20 bytes
-of allocations.  The flags are enumerated into one preallocated array and
-exist once; a sorted key index takes 16 bytes per flag and the component
-forest 8.  While the torus sweeps run, the pivot rows take C bytes per
-flag, and a sweep's source indices and images 8 each.  Then the snapshot
-of the T-orbits' roots takes 8, and either a full sweep's sources and
-images or the batched sweep's two buffers of pending edges 16.  Hooking
-at most N edges adds two gathers and a mask, then four index arrays over
-the joining edges and the mask, and in pointer jumping one more forest
-and a mask: 33 bytes per flag at most.  So the sweeps hold 73 + C and 81
-bytes per flag, both within 96 while C <= 23, which every type with
-fewer than 2**24 flags meets (C stored columns mean at least q**C
-flags).  The rest is one chunk of working arrays and small objects.
+storage dtype), peaks below (n*C*s + 81)*N + max(24*n*C, 80)*CHUNK +
+2**20 bytes of allocations, plus index tables of G*(D*q + q**(D//2) +
+q**(D - D//2)) items of at most n*C*s + 8 bytes, for G groups of at most
+D cells (``_half_tables``).  The flags exist once, enumerated and checked
+CHUNK at a time.  A sorted key index takes 16 bytes per flag and the
+component forest 8; a torus sweep's sources and images 8 each, and
+hooking at most N edges two gathers and a mask, then four index arrays
+over the joining edges and the mask, and in pointer jumping one more
+forest and a mask: 33 bytes per flag at most.  Then the snapshot of the
+T-orbits' roots takes 8, and either a full sweep's sources and images or
+the batched sweep's two buffers of pending edges 16.  So the torus sweeps
+hold 73 bytes per flag and the later ones 81.  The rest is one chunk of
+working arrays (80 bytes per flag of it in a torus sweep) and small
+objects.
 
 The signature vectors of N flags then peak below
 (E + 8*L + 3*C*C*s + 64)*N + 8*C*(C + 2)*w*CHUNK + 2**20 bytes, for E
@@ -232,20 +232,84 @@ def _pivot_paths(rows: list[int], widths: Sequence[int]):
             yield (newpiv,) + tail
 
 
-def _enumeration_groups(n: int, mm: Composition):
-    """The groups of ``enumerate_flag_array`` in order, one per choice of
-    pivot rows (``_pivot_paths``): its (row, column) pivots in column
-    order, and its free cells, least significant first."""
+@functools.lru_cache(maxsize=8)
+def _enumeration_table(n: int, mm: Composition, q: int):
+    """The G groups of ``enumerate_flag_array(n, mm, q)``, one per choice
+    of pivot rows (``_pivot_paths``): the first index of each, and N last;
+    the (row, column) of each cell, least significant first, as (G, D)
+    arrays padded with cells that are 0 in all the group's flags (a group
+    of k cells has n*C - C - k >= D - k); and the (G, C) pivot rows.
+    Flag i of group g has as cell digits those of i - offsets[g] in base q.
+    """
+    C, groups = n - mm.parts[-1], []
     for path in _pivot_paths(list(range(n)), mm.parts[:-1]):
         pivots, cells, col, used = [], [], 0, set()
         for newpiv in path:
             used.update(newpiv)
-            level = [(rr, col + k) for k, pk in enumerate(newpiv)
-                     for rr in range(pk + 1, n) if rr not in used]
+            cells = [(rr, col + k) for k, pk in enumerate(newpiv)
+                     for rr in range(pk + 1, n) if rr not in used] + cells
             pivots += [(pk, col + k) for k, pk in enumerate(newpiv)]
-            cells = level + cells     # least significant first
             col += len(newpiv)
-        yield pivots, cells
+        groups.append((pivots, cells))
+    D = max(len(cells) for _, cells in groups)
+    rows, cols = np.empty((2, len(groups), D), dtype=np.intp)
+    pivots = np.empty((len(groups), C), dtype=np.intp)
+    for g, (piv, cells) in enumerate(groups):
+        zeros = sorted(set(itertools.product(range(n), range(C)))
+                       - set(piv + cells))
+        rows[g], cols[g] = np.array(cells + zeros[:D - len(cells)],
+                                    dtype=np.intp).reshape(D, 2).T
+        pivots[g] = [r for r, _ in piv]
+    offsets = np.cumsum([0] + [q ** len(cells) for _, cells in groups])
+    for shared in (offsets, rows, cols, pivots):   # cached: read-only
+        shared.flags.writeable = False
+    return offsets, rows, cols, pivots
+
+
+def _half_tables(values: np.ndarray, q: int) -> list[np.ndarray]:
+    """Two tables that sum ``values[g, e, x]`` (shape (G, D, q) plus an
+    item shape), what digit e adds to a flag of group g when it is x, over
+    the low h = D // 2 digits (G * q**h items) and the rest (G * q**(D-h)
+    items), indexed by group and digits (``_halves``)."""
+    G, D, item = values.shape[0], values.shape[1], values.shape[3:]
+    tables = []
+    for lo, hi in ((0, D // 2), (D // 2, D)):
+        table = np.zeros((G,) + (q,) * (hi - lo) + item, dtype=values.dtype)
+        for e in range(lo, hi):
+            # the most significant digit is the first axis after the group
+            table += values[:, e].reshape(
+                (G,) + (1,) * (hi - 1 - e) + (q,) + (1,) * (e - lo) + item)
+        tables.append(table.reshape((G * q ** (hi - lo),) + item))
+    return tables
+
+
+def _halves(offsets: np.ndarray, D: int, q: int,
+            at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The items of the flags at the ascending indices ``at`` in the low
+    and the high table of ``_half_tables``."""
+    width = q ** (D // 2)
+    g = np.repeat(np.arange(len(offsets) - 1),
+                  np.diff(np.searchsorted(at, offsets)))
+    local = at - offsets[g]
+    high = local // width
+    return g * width + local - high * width, g * q ** (D - D // 2) + high
+
+
+def _enumeration_chunks(n: int, mm: Composition, q: int):
+    """``enumerate_flag_array(n, mm, q)`` as (first index, CHUNK flags)
+    pairs, each flag the sum of its rows in two ``_half_tables``."""
+    offsets, rows, cols, pivots = _enumeration_table(n, mm, q)
+    (G, D), C, N = rows.shape, pivots.shape[1], int(offsets[-1])
+    # digit x at its cell; a group with a cell holds q flags or more
+    x = np.arange(min(q, N), dtype=_storage_dtype(q))[:, None]
+    low, high = _half_tables(
+        x * ((rows * C + cols)[:, :, None, None] == np.arange(n * C)), q)
+    low.reshape(G, q ** (D // 2), n * C)[np.arange(G)[:, None], :,
+                                         pivots * C + np.arange(C)] = 1
+    for lo in range(0, N, CHUNK):
+        a, b = _halves(offsets, D, q, np.arange(lo, min(lo + CHUNK, N)))
+        yield lo, (np.take(low, a, 0) + np.take(high, b, 0)).reshape(
+            len(a), n, C)
 
 
 def enumerate_flag_array(n: int, mm: Composition, q: int,
@@ -259,49 +323,14 @@ def enumerate_flag_array(n: int, mm: Composition, q: int,
     an earlier block.  Inside a group the free cells count in base q: the
     first block's cells are the most significant digits, and inside a
     block a cell is more significant than those of earlier columns and,
-    in its column, of earlier rows.  Each cell is written in place,
-    through a reshaped view of its group, into one preallocated array, so
-    the flags exist once.
+    in its column, of earlier rows.  The flags are built CHUNK at a time
+    (``_enumeration_chunks``) into one preallocated array, so they exist
+    once.
     """
-    total = check_budget(n, mm, q, budget)
-    C = n - mm.parts[-1]
-    out = np.zeros((total, n, C), dtype=_storage_dtype(q))
-    # a group with a free cell holds q flags or more, so q <= total there
-    digits = np.arange(min(q, total), dtype=out.dtype)[:, None]
-    pos = 0
-    for pivots, cells in _enumeration_groups(n, mm):
-        size = q ** len(cells)
-        group = out[pos:pos + size]
-        for r, c in pivots:
-            group[:, r, c] = 1
-        for e, (r, c) in enumerate(cells):
-            group.reshape(size // q ** (e + 1), q, q ** e, n, C)[
-                :, :, :, r, c] = digits
-        pos += size
-    assert pos == total, (pos, total)
-    return out
-
-
-def _enumeration_pivots(n: int, mm: Composition, q: int) -> np.ndarray:
-    """The pivot row of every stored column of every flag of
-    ``enumerate_flag_array``, as an (N, C) array in its order (uint8 for
-    n <= 256): each group's pivot rows, repeated over the group's
-    q**cells flags."""
-    groups = list(_enumeration_groups(n, mm))
-    rows = np.array([[r for r, _ in pivots] for pivots, _ in groups],
-                    dtype=np.min_scalar_type(n - 1)
-                    ).reshape(len(groups), n - mm.parts[-1])
-    return np.repeat(rows, [q ** len(cells) for _, cells in groups], axis=0)
-
-
-def _pivot_rows(reps: np.ndarray) -> np.ndarray:
-    """The pivot row of every column of a stack of canonical matrices, its
-    first nonzero row, as an (N, C) array (uint8 for n <= 256), CHUNK
-    flags at a time."""
-    N, n, C = reps.shape
-    out = np.empty((N, C), dtype=np.min_scalar_type(n - 1))
-    for lo in range(0, N, CHUNK):
-        out[lo:lo + CHUNK] = (reps[lo:lo + CHUNK] != 0).argmax(axis=1)
+    out = np.empty((check_budget(n, mm, q, budget), n, n - mm.parts[-1]),
+                   dtype=_storage_dtype(q))
+    for lo, flags in _enumeration_chunks(n, mm, q):
+        out[lo:lo + CHUNK] = flags
     return out
 
 
@@ -387,33 +416,6 @@ class OrbitPartition:
         return int(self.labels[self.locate(mat)[0]])
 
 
-def _torus_image(A: np.ndarray, d: np.ndarray, q: int,
-                 pivots: Optional[np.ndarray] = None) -> np.ndarray:
-    """Canonical forms of diag(d)·F for a stack ``A`` of canonical
-    matrices F, for nonzero residues ``d``, with no elimination.
-
-    A canonical column's pivot is its first nonzero row.  Scaling row i by
-    d_i keeps every zero, so the only repair is to divide each column by
-    the factor its pivot row got: scale the non-pivot entries of row i by
-    d_i, and the entries below row i of the columns pivoting there by
-    1/d_i.  The result is canonical again, with the same pivots.
-    ``pivots`` (shape (K, C)) gives the pivot rows of ``A`` when they are
-    known; else they are found.
-    """
-    work = _work_dtype(q)
-    out = A.copy()
-    pivot = _pivot_rows(A) if pivots is None else pivots
-    for i in np.flatnonzero(d != 1):
-        gamma = int(d[i])
-        here = pivot == i
-        row = out[:, i, :]
-        row[...] = np.where(here, row, row.astype(work) * gamma % q)
-        k, c = np.nonzero(here)
-        below = out[k, i + 1:, c].astype(work)
-        out[k, i + 1:, c] = below * pow(gamma, q - 2, q) % q
-    return out
-
-
 def _is_torus(G: np.ndarray) -> bool:
     """Whether the residue matrix G is diagonal with no zero on its
     diagonal: a torus element, which acts in closed form."""
@@ -433,34 +435,36 @@ def _root_entry(G: np.ndarray) -> Optional[tuple[int, int, int]]:
 
 def _generator_image(part: OrbitPartition, G: np.ndarray,
                      boundaries: Sequence[int],
-                     src: Optional[np.ndarray] = None,
-                     pivots: Optional[np.ndarray] = None) -> np.ndarray:
-    """Index of G·F for every enumerated flag F at the indices ``src``, or
-    for every flag (then a permutation of the flags).  A torus G acts in
-    closed form (``_torus_image``), on the pivot rows of all flags
-    ``pivots`` (shape (N, C)) when they are given.  For any other G only
+                     src: Optional[np.ndarray] = None) -> np.ndarray:
+    """Index of G·F for every enumerated flag F at the ascending indices
+    ``src``, or for every flag (then a permutation of the flags).  A torus
+    G = diag(d) keeps F in its group and turns the digit x of cell (r, c)
+    into x·d_r/d_p mod q, for p the pivot row of column c: the image is
+    F's index plus two items of ``_half_tables``.  For any other G only
     the rows where it differs from the identity change, each recomputed
     from the nonzero entries of its row of G, and the result is
     canonicalized.  ``locate`` raises unless every image is enumerated."""
     q, reps = part.q, part.reps
     G = np.mod(G, q, dtype=np.int64)
-    torus = _is_torus(G)
+    src = np.arange(part.size) if src is None else src
+    count, img = len(src), np.empty(len(src), dtype=np.intp)
+    if _is_torus(G):
+        offsets, rows, cols, pivots = _enumeration_table(part.mm.n, part.mm, q)
+        d, x, D = np.diag(G), np.arange(min(q, part.size)), rows.shape[1]
+        gamma = d[rows] * _inverses(
+            d[np.take_along_axis(pivots, cols, 1)], q) % q
+        low, high = _half_tables(
+            (gamma[:, :, None] * x % q - x) * q ** np.arange(D)[:, None], q)
+        for lo in range(0, count, CHUNK):
+            a, b = _halves(offsets, D, q, src[lo:lo + CHUNK])
+            img[lo:lo + CHUNK] = (src[lo:lo + CHUNK] + np.take(low, a)
+                                  + np.take(high, b))
+        return img
     moved_rows = np.flatnonzero((G != np.eye(G.shape[0], dtype=np.int64))
                                 .any(axis=1))
     work = _work_dtype(q)
-    count = part.size if src is None else len(src)
-    img = np.empty(count, dtype=np.intp)
     for lo in range(0, count, CHUNK):
-        chunk = (reps[lo:lo + CHUNK] if src is None
-                 else reps[src[lo:lo + CHUNK]])
-        if torus:
-            piv = None
-            if pivots is not None:
-                piv = (pivots[lo:lo + CHUNK] if src is None
-                       else pivots[src[lo:lo + CHUNK]])
-            img[lo:lo + CHUNK] = part.locate(
-                _torus_image(chunk, np.diag(G), q, piv))
-            continue
+        chunk = reps[src[lo:lo + CHUNK]]
         moved = chunk.copy()
         for i in moved_rows:
             row = np.zeros(chunk.shape[::2], dtype=work)
@@ -504,46 +508,43 @@ def _root_sweep(part: OrbitPartition, root: np.ndarray,
     G = I + e·e_i e_jᵀ, given as (i, j, e) in ``moves``, and every flag F
     at the indices ``sources``: one sweep over the virtual list of
     (move, source) pairs.  Each CHUNK of pairs gets row i plus e times
-    row j, is canonicalized and located in one batch; the edges wait in
-    two preallocated buffers of N, hooked whenever they are full."""
-    q, reps, N = part.q, part.reps, part.size
-    count = len(moves) * len(sources)
-    if not count:
-        return
-    work = _work_dtype(q)
-    rows_i, rows_j, entries = (np.array(x, dtype=work) for x in zip(*moves))
-    pending, src_buf, dst_buf = 0, np.empty(N, np.intp), np.empty(N, np.intp)
+    row j, one slice per run of pairs with one move, and is canonicalized
+    and located in one batch; the edges wait in two preallocated buffers
+    of max(N, CHUNK), hooked before they overflow."""
+    q, reps, N, S = part.q, part.reps, part.size, len(sources)
+    work, size, pending = _work_dtype(q), max(N, CHUNK), 0
+    count = len(moves) * S
+    src_buf, dst_buf = np.empty((2, size), np.intp)
     for lo in range(0, count, CHUNK):
-        move, at = np.divmod(np.arange(lo, min(lo + CHUNK, count)),
-                             len(sources))
-        src = sources[at]
+        # pair p is (move p // S, source p % S): one run per move
+        hi = min(lo + CHUNK, count)
+        runs = range(lo // S, (hi - 1) // S + 1)
+        src = np.concatenate([sources[max(lo - m * S, 0):hi - m * S]
+                              for m in runs])
         A = reps[src]
-        k = np.arange(len(src))
-        i, j = rows_i[move], rows_j[move]
-        A[k, i] = (A[k, i] + entries[move, None] * A[k, j]) % q
+        for m in runs:
+            i, j, e = moves[m]
+            run = A[max(m * S - lo, 0):(m + 1) * S - lo]
+            run[:, i] = (run[:, i] + e * run[:, j].astype(work)) % q
         dst = part.locate(canonicalize_batch(A, q, boundaries))
-        done = 0
-        while done < len(dst):
-            take = min(len(dst) - done, N - pending)
-            src_buf[pending:pending + take] = src[done:done + take]
-            dst_buf[pending:pending + take] = dst[done:done + take]
-            pending, done = pending + take, done + take
-            if pending == N:
-                _hook(root, src_buf, dst_buf)
-                pending = 0
+        if pending + len(dst) > size:
+            _hook(root, src_buf[:pending], dst_buf[:pending])
+            pending = 0
+        src_buf[pending:pending + len(dst)] = src
+        dst_buf[pending:pending + len(dst)] = dst
+        pending += len(dst)
     _hook(root, src_buf[:pending], dst_buf[:pending])
 
 
 def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
                                 nn: Composition, mm: Composition,
-                                q: int,
-                                pivots: Optional[np.ndarray] = None
-                                ) -> OrbitPartition:
-    """Split canonical flags (shape (N, n, C), residues in any integer
-    dtype) into the orbits of the group the matrices ``gen_mats``
-    generate: the components of the graph with an edge F -- g·F for every
-    group element g sent to F.  Classes are numbered by their smallest
-    index, which is first appearance.
+                                q: int) -> OrbitPartition:
+    """Split the flags of ``enumerate_flag_array(n, mm, q)`` in its order
+    (shape (N, n, C), residues in any integer dtype; ``ValueError`` for
+    any other ``reps``) into the orbits of the group the matrices
+    ``gen_mats`` generate: the components of the graph with an edge
+    F -- g·F for every group element g sent to F.  Classes are numbered by
+    their smallest index, which is first appearance.
 
     Each generator goes only to the flags it has to, by its shape:
 
@@ -554,10 +555,8 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
        them is a scalar matrix, which fixes every flag, the last one
        moves flags as the product of the others' inverses does and is
        not sent at all; ``group_generators`` has this shape for every
-       q > 2.  A torus generator acts on the flags' pivot rows
-       ``pivots`` (shape (N, C), C bytes per flag for n <= 256), found
-       once here unless they are given, and freed after the torus
-       sweeps.
+       q > 2.  A torus generator's images are index arithmetic on the
+       enumeration (``_generator_image``).
     2. A root element G = I + c·e_i e_jᵀ (i != j) sends its powers G^k
        (entry k·c) for k = 1..q-1 to one flag per T-orbit: the roots as
        step 1 left them, not as later merges leave them, since only a
@@ -570,9 +569,14 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
 
     Over GF(2) T is trivial, so every generator goes to every flag.
     """
+    N, n, C = reps.shape
+    if (n, C, N) != (mm.n, n - mm.parts[-1], flag_count(n, mm, q)) or any(
+            not np.array_equal(flags, reps[lo:lo + CHUNK])
+            for lo, flags in _enumeration_chunks(n, mm, q)):
+        raise ValueError(f"the flags are not the enumeration of type {mm} "
+                         f"over GF({q}) in its order")
     boundaries = mm.prefix_sums()[: max(len(mm) - 1, 0)]
     part = OrbitPartition(q, nn, mm, reps, np.zeros(0, dtype=np.int64))
-    N = part.size
     root = np.arange(N)
 
     def class_roots() -> np.ndarray:
@@ -586,12 +590,9 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
                              (np.diag(G) for G in torus), 1)
     if torus and (scale == scale[0]).all():
         torus.pop()
-    if torus and pivots is None:
-        pivots = _pivot_rows(reps)
     for G in torus:
         src = class_roots()
-        _hook(root, src, _generator_image(part, G, boundaries, src, pivots))
-    del pivots
+        _hook(root, src, _generator_image(part, G, boundaries, src))
     torus_roots = class_roots()
     moves = []
     for G in gens:
@@ -611,14 +612,11 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
 def oracle_partition(nn: Composition, mm: Composition, q: int,
                      budget: int = DEFAULT_BUDGET) -> OrbitPartition:
     """Enumerate the variety and split it into block-Borel orbits; the
-    enumeration is already canonical, so it is partitioned as it is.  Its
-    pivot rows come from its groups, for the torus generators, which
-    ``group_generators`` has for q > 2 only."""
+    enumeration is already canonical, so it is partitioned as it is."""
     arr = enumerate_flag_array(nn.n, mm, q, budget)
     gen_mats = [np.array(g.data, dtype=np.int64)
                 for g in group_generators(nn, q)]
-    pivots = _enumeration_pivots(nn.n, mm, q) if q > 2 else None
-    return orbit_partition_from_arrays(arr, gen_mats, nn, mm, q, pivots)
+    return orbit_partition_from_arrays(arr, gen_mats, nn, mm, q)
 
 
 # ---------------------------------------------------------------------------

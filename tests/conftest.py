@@ -12,10 +12,15 @@ reduce a flag by field elimination, with the pivot sweep ``_sweep_up``
 and the row operation ``_row_axpy``; the library reads the same normal
 forms off the signature.  ``decode_flag`` and ``representative`` turn
 the oracle's GF(q) arrays back into flags one at a time, the reference
-for its batched signatures.  ``reference_partition`` sweeps each
-generator and root power on its own, the reference for the oracle's
-batched partition, and ``reference_signature_labels`` keys level sets by
-their bytes.  The helpers at the end build and check
+for its batched signatures.  ``reference_flag_array`` writes the
+enumeration group by group, the reference for its order.
+``reference_torus_image`` rescales
+canonical matrices by a torus element in closed form, the reference for
+the oracle's index arithmetic on torus generators.
+``reference_partition`` sweeps each generator and root power on its own,
+torus generators through ``reference_torus_image``, the reference for
+the oracle's batched partition, and ``reference_signature_labels`` keys
+level sets by their bytes.  The helpers at the end build and check
 test data: ``flags_equal``, permutation flags and matrices, random
 flags and group elements (``random_flag``, ``random_borel_prime``), and
 the standard flag.  The library needs none of them.
@@ -35,7 +40,7 @@ from flagorbits.linalg import (GF, QQ, Matrix, _col_axpy, _col_scale,
 from flagorbits.normalforms import (NFCase0, NFChain, NFPattern, _column_terms,
                                     case0_normal_forms, pattern_candidates)
 from flagorbits.oracle import (OrbitPartition, _generator_image, _hook,
-                               _is_torus, _root_entry)
+                               _pivot_paths, _root_entry)
 
 
 def compositions(n):
@@ -604,12 +609,71 @@ def representative(part, cid):
     return decode_flag(part.reps[part.first_index[cid]], part.mm, part.q)
 
 
+def reference_flag_array(n, mm, q):
+    """``enumerate_flag_array`` by writing each group in place: its pivots,
+    then each free cell through a reshaped view of the group, the cells
+    of later blocks least significant and, inside a block, those of
+    later columns and rows."""
+    C = n - mm.parts[-1]
+    groups = []
+    for path in _pivot_paths(list(range(n)), mm.parts[:-1]):
+        pivots, cells, col, used = [], [], 0, set()
+        for newpiv in path:
+            used.update(newpiv)
+            cells = [(r, col + k) for k, p in enumerate(newpiv)
+                     for r in range(p + 1, n) if r not in used] + cells
+            pivots += [(p, col + k) for k, p in enumerate(newpiv)]
+            col += len(newpiv)
+        groups.append((pivots, cells))
+    out = np.zeros((sum(q ** len(c) for _, c in groups), n, C), np.int64)
+    pos = 0
+    for pivots, cells in groups:
+        size = q ** len(cells)
+        group = out[pos:pos + size]
+        for r, c in pivots:
+            group[:, r, c] = 1
+        for e, (r, c) in enumerate(cells):
+            group.reshape(size // q ** (e + 1), q, q ** e, n, C)[
+                :, :, :, r, c] = np.arange(q)[:, None]
+        pos += size
+    return out
+
+
+def reference_torus_image(A, d, q):
+    """Canonical forms of diag(d)·F for a stack ``A`` of canonical
+    matrices F, for nonzero residues ``d``, with no elimination.
+
+    A canonical column's pivot is its first nonzero row.  Scaling row i by
+    d_i keeps every zero, so the only repair is to divide each column by
+    the factor its pivot row got: scale the non-pivot entries of row i by
+    d_i, and the entries below row i of the columns pivoting there by
+    1/d_i.  The result is canonical again, with the same pivots.
+    """
+    out = A.copy()
+    pivot = (A != 0).argmax(axis=1)
+    for i in np.flatnonzero(d != 1):
+        gamma = int(d[i])
+        here = pivot == i
+        row = out[:, i, :]
+        row[...] = np.where(here, row, row.astype(np.int64) * gamma % q)
+        k, c = np.nonzero(here)
+        below = out[k, i + 1:, c].astype(np.int64)
+        out[k, i + 1:, c] = below * pow(gamma, q - 2, q) % q
+    return out
+
+
+def is_torus_element(G):
+    """Whether the residue matrix G is diagonal with no zero on it."""
+    return not (G - np.diag(np.diag(G))).any() and np.diag(G).all()
+
+
 def reference_partition(reps, gen_mats, nn, mm, q):
     """Orbit labels of canonical flags by one sweep per generator and
     power, the loop ``orbit_partition_from_arrays`` batches: every torus
-    generator, the scalar one too, to one flag per current class; then
-    each power G^k of a root element G, in its own sweep, to one flag per
-    torus orbit; any other generator to every flag."""
+    generator, the scalar one too, to one flag per current class, its
+    images by ``reference_torus_image`` and ``locate``; then each power
+    G^k of a root element G, in its own sweep, to one flag per torus
+    orbit; any other generator to every flag."""
     boundaries = mm.prefix_sums()[: max(len(mm) - 1, 0)]
     part = OrbitPartition(q, nn, mm, reps, np.zeros(0, dtype=np.int64))
     N = part.size
@@ -622,11 +686,13 @@ def reference_partition(reps, gen_mats, nn, mm, q):
         _hook(root, src, _generator_image(part, G, boundaries, src))
 
     gens = [np.mod(G, q, dtype=np.int64) for G in gen_mats]
-    for G in filter(_is_torus, gens):
-        sweep(G, class_roots())
+    for G in filter(is_torus_element, gens):
+        src = class_roots()
+        _hook(root, src, part.locate(
+            reference_torus_image(reps[src], np.diag(G), q)))
     torus_roots = class_roots()
     for G in gens:
-        if _is_torus(G):
+        if is_torus_element(G):
             continue
         entry = _root_entry(G)
         if entry is None:

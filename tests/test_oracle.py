@@ -14,11 +14,11 @@ from flagorbits.flags import Composition, Flag, ParabolicSpec, act
 from flagorbits.invariants import invariant_family, signature
 from flagorbits.linalg import QQ, Matrix, gf
 from flagorbits.normalforms import counterexample_pair, witness_pair_over
-from flagorbits.oracle import (CHUNK, BudgetExceededError, _echelon_step,
-                               _encode_keys, _enumeration_pivots,
-                               _generator_image, _hook, _is_torus,
-                               _pivot_rows, _signature_labels,
-                               _signature_vectors, _torus_image, _work_dtype,
+from flagorbits.oracle import (CHUNK, BudgetExceededError, OrbitPartition,
+                               _echelon_step, _encode_keys,
+                               _enumeration_table, _generator_image, _hook,
+                               _is_torus, _signature_labels,
+                               _signature_vectors, _work_dtype,
                                canonicalize_batch, cross_validate,
                                enumerate_flag_array, flag_count,
                                gaussian_binomial, group_generators,
@@ -29,8 +29,9 @@ from flagorbits.orbits import enumerate_orbits
 
 from conftest import (borel_order, borel_translates, compositions,
                       decode_flag, flags_equal, parabolic_generators,
-                      random_flag, rank_batch, reference_partition,
-                      reference_signature_labels, representative,
+                      random_flag, rank_batch, reference_flag_array,
+                      reference_partition, reference_signature_labels,
+                      reference_torus_image, representative,
                       transporter_empty)
 
 
@@ -53,6 +54,20 @@ def test_enumerate_flags_counts_and_uniqueness():
         # enumerated representatives are already canonical
         for f in flags[:40]:
             assert flags_equal(Flag.from_matrix(mm, f.rep), f)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_enumeration_order_matches_the_group_writer(q):
+    # torus images are index arithmetic on this order: every type with
+    # n <= 5 and at most 60,000 flags
+    cases = 0
+    for n in range(1, 6):
+        for mm in compositions(n):
+            if flag_count(n, mm, q) <= 60_000:
+                assert np.array_equal(enumerate_flag_array(n, mm, q),
+                                      reference_flag_array(n, mm, q)), mm
+                cases += 1
+    assert cases == {2: 31, 3: 26, 5: 20}[q]
 
 
 def test_enumeration_is_a_canonical_fixed_point():
@@ -562,6 +577,24 @@ def test_partition_matches_reference_every_pair_n4_and_workload():
     assert len(cases) == 258
 
 
+def test_partition_refuses_all_but_the_enumeration():
+    # torus images are index arithmetic on the enumeration, so only the
+    # enumeration in its own order, in any integer dtype, is partitioned
+    nn, mm, q = Composition.of(2, 2), Composition.of(1, 2, 1), 3
+    reps = enumerate_flag_array(nn.n, mm, q)
+    gens = _matrices(group_generators(nn, q))
+    expect = oracle_partition(nn, mm, q).labels.tolist()
+    wide = orbit_partition_from_arrays(reps.astype(np.int64), gens, nn, mm, q)
+    assert wide.labels.tolist() == expect
+    changed = reps.copy()
+    changed[-1, 3, 0] = (changed[-1, 3, 0] + 1) % q
+    shuffled = reps[np.random.default_rng(0).permutation(len(reps))]
+    for bad, typ in [(shuffled, mm), (reps[::-1], mm), (changed, mm),
+                     (reps[:-1], mm), (reps, Composition.of(2, 1, 1))]:
+        with pytest.raises(ValueError):
+            orbit_partition_from_arrays(bad, gens, nn, typ, q)
+
+
 def _counting_torus_sweeps(monkeypatch):
     """Wrap ``_generator_image`` and count its calls with a torus G."""
     calls = []
@@ -634,13 +667,12 @@ TORUS_PAIRS = [((2, 1), (1, 1, 1)), ((2, 2), (1, 3)), ((3, 1), (2, 2)),
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_torus_image_matches_dense_product_on_all_flags(q):
-    # every torus generator: the closed-form image equals the canonical
-    # form of the dense product, and so locates to the same permutation;
-    # stored pivot rows give the same images, on every flag or on some
+    # every torus generator: the index arithmetic equals the dense
+    # product, canonicalized and located, on every flag or on some, and
+    # the reference image equals the canonical form of the dense product
     for nn_parts, mm_parts in TORUS_PAIRS:
         nn, mm = Composition(nn_parts), Composition(mm_parts)
         part = oracle_partition(nn, mm, q)
-        pivots = _enumeration_pivots(nn.n, mm, q)
         some = np.arange(0, part.size, 3)
         boundaries = mm.prefix_sums()[: len(mm) - 1]
         torus = [np.array(g.data, dtype=np.int64)
@@ -651,17 +683,39 @@ def test_torus_image_matches_dense_product_on_all_flags(q):
             dense = np.einsum("ij,njk->nik", G,
                               part.reps.astype(np.int64)) % q
             canon = canonicalize_batch(dense, q, boundaries)
-            got = _torus_image(part.reps, np.diag(G), q)
+            got = reference_torus_image(part.reps, np.diag(G), q)
             assert got.dtype == part.reps.dtype
             assert np.array_equal(got, canon), (nn, mm, q)
             img = _generator_image(part, G, boundaries)
             assert (img == part.locate(canon)).all()
             assert sorted(img.tolist()) == list(range(part.size))
-            assert np.array_equal(
-                _torus_image(part.reps, np.diag(G), q, pivots), got)
-            assert np.array_equal(
-                _generator_image(part, G, boundaries, some, pivots),
-                img[some])
+            assert np.array_equal(_generator_image(part, G, boundaries, some),
+                                  img[some])
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_torus_index_arithmetic_on_every_type_n5(q):
+    # random torus elements on every type with n <= 5 and at most 60,000
+    # flags: the index arithmetic equals the dense product, canonicalized
+    # and located
+    rng = np.random.default_rng(q)
+    cases = 0
+    for n in range(1, 6):
+        for mm in compositions(n):
+            if flag_count(n, mm, q) > 60_000:
+                continue
+            reps = enumerate_flag_array(n, mm, q)
+            part = OrbitPartition(q, Composition.of(n), mm, reps, None)
+            boundaries = mm.prefix_sums()[: len(mm) - 1]
+            for _ in range(3):
+                d = rng.integers(1, q, n)
+                dense = d[None, :, None] * reps.astype(np.int64) % q
+                expect = part.locate(canonicalize_batch(dense, q, boundaries))
+                assert np.array_equal(
+                    _generator_image(part, np.diag(d), boundaries), expect), \
+                    (mm, q, d.tolist())
+                cases += 1
+    assert cases == {3: 78, 5: 60}[q]
 
 
 @pytest.mark.parametrize("q", [257, 46349])
@@ -689,12 +743,10 @@ def test_torus_image_on_random_canonical_matrices(q):
         for d in diagonals:
             d = np.array(d, dtype=np.int64)
             dense = d[None, :, None] * A.astype(np.int64) % q
-            got = _torus_image(A, d, q)
+            got = reference_torus_image(A, d, q)
             assert got.dtype == np.min_scalar_type(q - 1)
             assert np.array_equal(got, canonicalize_batch(dense, q,
                                                           boundaries))
-            assert np.array_equal(_torus_image(A, d, q, _pivot_rows(A)),
-                                  got)
 
 
 def _reference_vectors(reps, fam, q):
@@ -767,13 +819,21 @@ def test_plan_vectors_with_record_keys():
 
 @pytest.mark.parametrize("nn_parts,mm_parts,q", PLAN_CASES + WORKLOAD_RUNS)
 def test_stored_pivots_are_the_first_nonzero_rows(nn_parts, mm_parts, q):
+    # the index table of the enumeration stores one pivot row per group
+    # and column, and its cells: every flag of group g has its first
+    # nonzero rows there, and reads the digits of its index minus the
+    # group's offset in its cells, padding cells reading 0
     nn, mm = Composition(nn_parts), Composition(mm_parts)
     reps = enumerate_flag_array(nn.n, mm, q)
-    expect = (reps != 0).argmax(axis=1)
-    for pivots in (_enumeration_pivots(nn.n, mm, q), _pivot_rows(reps)):
-        assert pivots.dtype == np.uint8
-        assert pivots.shape == expect.shape
-        assert np.array_equal(pivots, expect)
+    offsets, rows, cols, pivots = _enumeration_table(nn.n, mm, q)
+    assert offsets[0] == 0 and offsets[-1] == len(reps)
+    group = np.repeat(np.arange(len(pivots)), np.diff(offsets))
+    assert np.array_equal(pivots[group], (reps != 0).argmax(axis=1))
+    k = np.arange(len(reps))[:, None]
+    digits = reps[k, rows[group], cols[group]].astype(np.int64)
+    local = np.arange(len(reps)) - offsets[group]
+    assert np.array_equal(digits, local[:, None] // q ** np.arange(
+        rows.shape[1]) % q)
 
 
 def _same_classes(a, b):
@@ -948,7 +1008,13 @@ def test_partition_peak_within_stated_bound(nn_parts, mm_parts, q):
         tracemalloc.stop()
     N, n, C = part.reps.shape
     assert part.reps.dtype == np.uint8
-    bound = (n * C + 96) * N + 24 * n * C * CHUNK + 2**20
+    G, E = _enumeration_table(n, mm, q)[1].shape
+    items = G * (E * q + q ** (E // 2) + q ** (E - E // 2))
+    bound = ((n * C + 81) * N + items * (n * C + 8)
+             + max(24 * n * C, 80) * CHUNK + 2**20)
+    # tighter than the bound of stored pivot rows, (n*C + 96)*N +
+    # 24*n*C*CHUNK + 2**20, on both types
+    assert bound < (n * C + 96) * N + 24 * n * C * CHUNK + 2**20
     assert peak <= bound, (peak, bound)
 
 
