@@ -21,12 +21,13 @@ generator is sent only to the flags it has to, by its shape:
    to one flag per T-orbit, the roots as step 1 left them: for d in T,
    G·(d·F) = d·(G^k·F) with k = d_j/d_i, since d⁻¹Gd = G^k.  No such
    edge depends on another, so all powers of all root elements go out in
-   one batched sweep;
-3. any other generator goes to every flag.
+   one batched sweep.
 
-Only the others' images are canonicalized.  Signature vectors follow the
-family's rank plan, as catalog builds do: one batched GF(q) echelon step
-per distinct (subspace, row) pair, and each entry a count of pivots
+Any other generator, an n x n matrix of another shape or a matrix of
+another size, is refused before the first sweep.  Only the root powers'
+images are canonicalized.  Signature vectors follow the family's rank
+plan, as catalog builds do: one batched GF(q) echelon step per distinct
+(subspace, row) pair, and each entry a count of pivots
 (``_signature_vectors``).  Cross-validation realizes no catalog entry as
 a flag: every entry's integer rows are reduced mod q, canonicalized in
 one batch and found with one key search.
@@ -42,11 +43,10 @@ component forest 8; a torus sweep's sources and images 8 each, and
 hooking at most N edges two gathers and a mask, then four index arrays
 over the joining edges and the mask, and in pointer jumping one more
 forest and a mask: 33 bytes per flag at most.  Then the snapshot of the
-T-orbits' roots takes 8, and either a full sweep's sources and images or
-the batched sweep's two buffers of pending edges 16.  So the torus sweeps
-hold 73 bytes per flag and the later ones 81.  The rest is one chunk of
-working arrays (80 bytes per flag of it in a torus sweep) and small
-objects.
+T-orbits' roots takes 8, and the batched sweep's two buffers of pending
+edges 16.  So the torus sweeps hold 73 bytes per flag and the root sweep
+81.  The rest is one chunk of working arrays (80 bytes per flag of it in
+a torus sweep) and small objects.
 
 The signature vectors of N flags then peak below
 (E + 8*L + 3*C*C*s + 64)*N + 8*C*(C + 2)*w*CHUNK + 2**20 bytes, for E
@@ -416,64 +416,43 @@ class OrbitPartition:
         return int(self.labels[self.locate(mat)[0]])
 
 
-def _is_torus(G: np.ndarray) -> bool:
-    """Whether the residue matrix G is diagonal with no zero on its
-    diagonal: a torus element, which acts in closed form."""
-    diagonal = np.diag(G)
-    return bool(np.array_equal(G, np.diag(diagonal)) and diagonal.all())
-
-
-def _root_entry(G: np.ndarray) -> Optional[tuple[int, int, int]]:
-    """(i, j, c) when the residue matrix G is I + c·e_i e_jᵀ with i != j
-    and c != 0 (a root element), else None."""
-    off = np.argwhere(G != np.eye(G.shape[0], dtype=G.dtype))
-    if len(off) != 1 or off[0, 0] == off[0, 1]:
-        return None
-    i, j = off[0].tolist()
-    return i, j, int(G[i, j])
-
-
-def _generator_image(part: OrbitPartition, G: np.ndarray,
-                     boundaries: Sequence[int],
-                     src: Optional[np.ndarray] = None) -> np.ndarray:
-    """Index of G·F for every enumerated flag F at the ascending indices
-    ``src``, or for every flag (then a permutation of the flags).  A torus
-    G = diag(d) keeps F in its group and turns the digit x of cell (r, c)
-    into x·d_r/d_p mod q, for p the pivot row of column c: the image is
-    F's index plus two items of ``_half_tables``.  For any other G only
-    the rows where it differs from the identity change, each recomputed
-    from the nonzero entries of its row of G, and the result is
-    canonicalized.  ``locate`` raises unless every image is enumerated."""
-    q, reps = part.q, part.reps
+def _classify(G: np.ndarray, n: int, q: int,
+              pos: int) -> np.ndarray | tuple[int, int, int]:
+    """Generator ``pos`` of a partition, reduced mod q: the diagonal d of
+    a torus element diag(d) (no zero on it), or (i, j, c) for a root
+    element I + c·e_i e_jᵀ (i != j, c != 0).  ``ValueError`` for anything
+    else, an n x n matrix of another shape or a matrix of another size."""
     G = np.mod(G, q, dtype=np.int64)
-    src = np.arange(part.size) if src is None else src
-    count, img = len(src), np.empty(len(src), dtype=np.intp)
-    if _is_torus(G):
-        offsets, rows, cols, pivots = _enumeration_table(part.mm.n, part.mm, q)
-        d, x, D = np.diag(G), np.arange(min(q, part.size)), rows.shape[1]
-        gamma = d[rows] * _inverses(
-            d[np.take_along_axis(pivots, cols, 1)], q) % q
-        low, high = _half_tables(
-            (gamma[:, :, None] * x % q - x) * q ** np.arange(D)[:, None], q)
-        for lo in range(0, count, CHUNK):
-            a, b = _halves(offsets, D, q, src[lo:lo + CHUNK])
-            img[lo:lo + CHUNK] = (src[lo:lo + CHUNK] + np.take(low, a)
-                                  + np.take(high, b))
-        return img
-    moved_rows = np.flatnonzero((G != np.eye(G.shape[0], dtype=np.int64))
-                                .any(axis=1))
-    work = _work_dtype(q)
-    for lo in range(0, count, CHUNK):
-        chunk = reps[src[lo:lo + CHUNK]]
-        moved = chunk.copy()
-        for i in moved_rows:
-            row = np.zeros(chunk.shape[::2], dtype=work)
-            for j in np.flatnonzero(G[i]):
-                row += int(G[i, j]) * chunk[:, j, :].astype(work)
-                row %= q
-            moved[:, i, :] = row
-        img[lo:lo + CHUNK] = part.locate(
-            canonicalize_batch(moved, q, boundaries))
+    if G.shape == (n, n):
+        d = np.diag(G)
+        off = np.argwhere(G != np.diag(d))
+        if not len(off) and d.all():
+            return d
+        if len(off) == 1 and (d == 1).all():
+            i, j = off[0].tolist()
+            return i, j, int(G[i, j])
+    raise ValueError(f"generator {pos} is not a {n}x{n} torus or root "
+                     f"element mod {q}")
+
+
+def _torus_image(part: OrbitPartition, d: np.ndarray,
+                 src: np.ndarray) -> np.ndarray:
+    """Index of diag(d)·F for every enumerated flag F at the ascending
+    indices ``src``, for nonzero residues d.  diag(d) keeps F in its group
+    and turns the digit x of cell (r, c) into x·d_r/d_p mod q, for p the
+    pivot row of column c: the image is F's index plus two items of
+    ``_half_tables``."""
+    q = part.q
+    offsets, rows, cols, pivots = _enumeration_table(part.mm.n, part.mm, q)
+    x, D = np.arange(min(q, part.size)), rows.shape[1]
+    gamma = d[rows] * _inverses(d[np.take_along_axis(pivots, cols, 1)], q) % q
+    low, high = _half_tables(
+        (gamma[:, :, None] * x % q - x) * q ** np.arange(D)[:, None], q)
+    img = np.empty(len(src), dtype=np.intp)
+    for lo in range(0, len(src), CHUNK):
+        a, b = _halves(offsets, D, q, src[lo:lo + CHUNK])
+        img[lo:lo + CHUNK] = (src[lo:lo + CHUNK] + np.take(low, a)
+                              + np.take(high, b))
     return img
 
 
@@ -556,7 +535,7 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
        moves flags as the product of the others' inverses does and is
        not sent at all; ``group_generators`` has this shape for every
        q > 2.  A torus generator's images are index arithmetic on the
-       enumeration (``_generator_image``).
+       enumeration (``_torus_image``).
     2. A root element G = I + c·e_i e_jᵀ (i != j) sends its powers G^k
        (entry k·c) for k = 1..q-1 to one flag per T-orbit: the roots as
        step 1 left them, not as later merges leave them, since only a
@@ -565,9 +544,10 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
        G·(d·R) lies in the T-orbit of G^k·R.  These edges do not depend
        on one another, so every power of every root element goes out in
        one batched sweep (``_root_sweep``).
-    3. Any other generator goes to every flag.
 
-    Over GF(2) T is trivial, so every generator goes to every flag.
+    Any other generator, an n x n matrix of another shape or a matrix of
+    another size, raises ``ValueError`` before the first sweep.  Over
+    GF(2) T is trivial, so every root power goes to every flag.
     """
     N, n, C = reps.shape
     if (n, C, N) != (mm.n, n - mm.parts[-1], flag_count(n, mm, q)) or any(
@@ -575,36 +555,26 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
             for lo, flags in _enumeration_chunks(n, mm, q)):
         raise ValueError(f"the flags are not the enumeration of type {mm} "
                          f"over GF({q}) in its order")
-    boundaries = mm.prefix_sums()[: max(len(mm) - 1, 0)]
+    kinds = [_classify(G, n, q, pos) for pos, G in enumerate(gen_mats)]
+    torus = [d for d in kinds if isinstance(d, np.ndarray)]
+    roots = [e for e in kinds if isinstance(e, tuple)]
+    moves = [(i, j, k * c % q) for i, j, c in roots for k in range(1, q)]
     part = OrbitPartition(q, nn, mm, reps, np.zeros(0, dtype=np.int64))
     root = np.arange(N)
 
     def class_roots() -> np.ndarray:
         return np.flatnonzero(root == np.arange(N))
 
-    gens = [np.mod(G, q, dtype=np.int64) for G in gen_mats]
-    torus = [G for G in gens if _is_torus(G)]
     # the diagonal of the torus generators' product; each int64 step
     # multiplies two residues, below q**2 < 2**62
-    scale = functools.reduce(lambda x, y: x * y % q,
-                             (np.diag(G) for G in torus), 1)
+    scale = functools.reduce(lambda x, y: x * y % q, torus, 1)
     if torus and (scale == scale[0]).all():
         torus.pop()
-    for G in torus:
+    for d in torus:
         src = class_roots()
-        _hook(root, src, _generator_image(part, G, boundaries, src))
-    torus_roots = class_roots()
-    moves = []
-    for G in gens:
-        if _is_torus(G):
-            continue
-        entry = _root_entry(G)
-        if entry is None:
-            _hook(root, np.arange(N), _generator_image(part, G, boundaries))
-            continue
-        i, j, c = entry
-        moves += [(i, j, k * c % q) for k in range(1, q)]
-    _root_sweep(part, root, moves, torus_roots, boundaries)
+        _hook(root, src, _torus_image(part, d, src))
+    _root_sweep(part, root, moves, class_roots(),
+                mm.prefix_sums()[: max(len(mm) - 1, 0)])
     part.labels = (np.cumsum(root == np.arange(N)) - 1)[root]
     return part
 

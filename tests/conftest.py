@@ -14,16 +14,19 @@ forms off the signature.  ``decode_flag`` and ``representative`` turn
 the oracle's GF(q) arrays back into flags one at a time, the reference
 for its batched signatures.  ``reference_flag_array`` writes the
 enumeration group by group, the reference for its order.
-``reference_torus_image`` rescales
-canonical matrices by a torus element in closed form, the reference for
-the oracle's index arithmetic on torus generators.
-``reference_partition`` sweeps each generator and root power on its own,
-torus generators through ``reference_torus_image``, the reference for
-the oracle's batched partition, and ``reference_signature_labels`` keys
-level sets by their bytes.  The helpers at the end build and check
-test data: ``flags_equal``, permutation flags and matrices, random
-flags and group elements (``random_flag``, ``random_borel_prime``), and
-the standard flag.  The library needs none of them.
+``reference_torus_image`` rescales canonical matrices by a torus element
+in closed form, the reference for the oracle's index arithmetic on torus
+generators.  ``reference_image`` sends a generator to canonical flags by
+the dense product, canonicalized and located, the reference for every
+image the oracle takes.  ``reference_partition`` sweeps each torus
+generator and root power on its own, torus generators through
+``reference_torus_image`` and root powers through ``reference_image``,
+the reference for the oracle's batched partition, and
+``reference_signature_labels`` keys level sets by their bytes.  The
+helpers at the end build and check test data: ``flags_equal``,
+permutation flags and matrices, random flags and group elements
+(``random_flag``, ``random_borel_prime``), and the standard flag.  The
+library needs none of them.
 """
 
 import itertools
@@ -39,8 +42,8 @@ from flagorbits.linalg import (GF, QQ, Matrix, _col_axpy, _col_scale,
                                _row_reduce, gf, integer_rank)
 from flagorbits.normalforms import (NFCase0, NFChain, NFPattern, _column_terms,
                                     case0_normal_forms, pattern_candidates)
-from flagorbits.oracle import (OrbitPartition, _generator_image, _hook,
-                               _pivot_paths, _root_entry)
+from flagorbits.oracle import (OrbitPartition, _hook, _pivot_paths,
+                               canonicalize_batch)
 
 
 def compositions(n):
@@ -667,23 +670,29 @@ def is_torus_element(G):
     return not (G - np.diag(np.diag(G))).any() and np.diag(G).all()
 
 
+def reference_image(part, G, src):
+    """Index of G·F for every enumerated flag F at the indices ``src``:
+    the dense product mod q, canonicalized and located."""
+    q, mm = part.q, part.mm
+    dense = np.einsum("ij,njk->nik", np.asarray(G, dtype=np.int64),
+                      part.reps[src].astype(np.int64)) % q
+    return part.locate(canonicalize_batch(
+        dense, q, mm.prefix_sums()[: max(len(mm) - 1, 0)]))
+
+
 def reference_partition(reps, gen_mats, nn, mm, q):
     """Orbit labels of canonical flags by one sweep per generator and
     power, the loop ``orbit_partition_from_arrays`` batches: every torus
     generator, the scalar one too, to one flag per current class, its
     images by ``reference_torus_image`` and ``locate``; then each power
     G^k of a root element G, in its own sweep, to one flag per torus
-    orbit; any other generator to every flag."""
-    boundaries = mm.prefix_sums()[: max(len(mm) - 1, 0)]
+    orbit, its images by ``reference_image``."""
     part = OrbitPartition(q, nn, mm, reps, np.zeros(0, dtype=np.int64))
     N = part.size
     root = np.arange(N)
 
     def class_roots():
         return np.flatnonzero(root == np.arange(N))
-
-    def sweep(G, src):
-        _hook(root, src, _generator_image(part, G, boundaries, src))
 
     gens = [np.mod(G, q, dtype=np.int64) for G in gen_mats]
     for G in filter(is_torus_element, gens):
@@ -694,14 +703,11 @@ def reference_partition(reps, gen_mats, nn, mm, q):
     for G in gens:
         if is_torus_element(G):
             continue
-        entry = _root_entry(G)
-        if entry is None:
-            sweep(G, np.arange(N))
-            continue
-        i, j, c = entry
+        eye = np.eye(len(G), dtype=np.int64)
         for k in range(1, q):
-            G[i, j] = k * c % q     # G is now G^k
-            sweep(G, torus_roots)
+            # G - I = c·e_i e_jᵀ squares to 0, so G^k = I + k·(G - I)
+            G_k = eye + k * (G - eye)
+            _hook(root, torus_roots, reference_image(part, G_k, torus_roots))
     return (np.cumsum(root == np.arange(N)) - 1)[root]
 
 

@@ -16,9 +16,8 @@ from flagorbits.linalg import QQ, Matrix, gf
 from flagorbits.normalforms import counterexample_pair, witness_pair_over
 from flagorbits.oracle import (CHUNK, BudgetExceededError, OrbitPartition,
                                _echelon_step, _encode_keys,
-                               _enumeration_table, _generator_image, _hook,
-                               _is_torus, _signature_labels,
-                               _signature_vectors, _work_dtype,
+                               _enumeration_table, _hook, _signature_labels,
+                               _signature_vectors, _torus_image, _work_dtype,
                                canonicalize_batch, cross_validate,
                                enumerate_flag_array, flag_count,
                                gaussian_binomial, group_generators,
@@ -28,8 +27,9 @@ from flagorbits.oracle import (CHUNK, BudgetExceededError, OrbitPartition,
 from flagorbits.orbits import enumerate_orbits
 
 from conftest import (borel_order, borel_translates, compositions,
-                      decode_flag, flags_equal, parabolic_generators,
-                      random_flag, rank_batch, reference_flag_array,
+                      decode_flag, flags_equal, is_torus_element,
+                      parabolic_generators, random_flag, rank_batch,
+                      reference_flag_array, reference_image,
                       reference_partition, reference_signature_labels,
                       reference_torus_image, representative,
                       transporter_empty)
@@ -453,12 +453,11 @@ def test_component_labels_match_union_find(name, N, edges):
 
 
 def _full_sweep_labels(part, gens):
-    """Reference partition: every generator on every flag, joined by the
-    scalar union-find."""
-    bounds = part.mm.prefix_sums()[: max(len(part.mm) - 1, 0)]
+    """Reference partition: every generator on every flag by the dense
+    product (``reference_image``), joined by the scalar union-find."""
     everything = np.arange(part.size)
     return _union_find_labels(part.size, [
-        (everything, _generator_image(part, G, bounds)) for G in gens])
+        (everything, reference_image(part, G, everything)) for G in gens])
 
 
 def _matrices(gens):
@@ -538,32 +537,6 @@ def test_partition_matches_full_sweep_random_tori():
         cases += 1
 
 
-@pytest.mark.parametrize("q", [3, 5])
-def test_partition_matches_full_sweep_dense_generators(q):
-    # dense invertible generators, a scaled root element and a root
-    # element with entry 2, mixed with torus scalings: the dense ones and
-    # the scaled one take the every-flag path
-    rng = random.Random(q)
-    fld = gf(q)
-    nn, mm = Composition.of(2, 2), Composition.of(1, 2, 1)
-    part = oracle_partition(nn, mm, q)
-    torus = [G for G in _matrices(group_generators(nn, q))
-             if not (G - np.diag(np.diag(G))).any()]
-    scaled = np.eye(4, dtype=np.int64)
-    scaled[0, 3], scaled[1, 1] = 1, 2
-    entry2 = np.eye(4, dtype=np.int64)
-    entry2[2, 0] = 2
-    for trial in range(4):
-        dense = []
-        while len(dense) < 1 + trial % 2:
-            rows = [[rng.randrange(q) for _ in range(4)] for _ in range(4)]
-            if Matrix.from_rows(fld, rows).rank() == 4:
-                dense.append(np.array(rows, dtype=np.int64))
-        gens = dense + torus[trial:] + [scaled, entry2][: trial % 3]
-        got = orbit_partition_from_arrays(part.reps, gens, nn, mm, q)
-        assert got.labels.tolist() == _full_sweep_labels(part, gens)
-
-
 def test_partition_matches_reference_every_pair_n4_and_workload():
     # every pair with n <= 4 at q in {2, 3, 5}, and the benchmark's runs
     cases = [(nn, mm, q) for n in range(1, 5) for nn in compositions(n)
@@ -595,15 +568,42 @@ def test_partition_refuses_all_but_the_enumeration():
             orbit_partition_from_arrays(bad, gens, nn, typ, q)
 
 
+def test_partition_refuses_other_generators(monkeypatch):
+    # only n x n torus and root elements mod q are swept; anything else
+    # raises a one-line ValueError naming its position, before any sweep
+    nn, mm, q = Composition.of(2, 2), Composition.of(1, 2, 1), 3
+    reps = enumerate_flag_array(nn.n, mm, q)
+    gens = _matrices(group_generators(nn, q))
+    swept = []
+    monkeypatch.setattr("flagorbits.oracle._torus_image",
+                        lambda *args: swept.append("torus"))
+    monkeypatch.setattr("flagorbits.oracle._root_sweep",
+                        lambda *args: swept.append("root"))
+    dense = np.array([[2, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1],
+                      [1, 1, 0, 2]], dtype=np.int64)
+    assert Matrix.from_rows(gf(q), dense.tolist()).rank() == 4
+    scaled = np.eye(4, dtype=np.int64)
+    scaled[0, 3], scaled[1, 1] = 1, 2
+    zero = np.diag([1, q, 1, 1])            # a 0 on the diagonal mod q
+    wide, narrow = np.diag([2, 1, 1, 1, 2]), np.diag([2, 1, 1])
+    for bad in [dense, scaled, zero, wide, narrow]:
+        for mats, at in [([bad], 0), ([bad] + gens, 0),
+                         (gens + [bad], len(gens))]:
+            with pytest.raises(ValueError, match=f"^generator {at} ") as err:
+                orbit_partition_from_arrays(reps, mats, nn, mm, q)
+            assert "\n" not in str(err.value)
+    assert swept == []
+
+
 def _counting_torus_sweeps(monkeypatch):
-    """Wrap ``_generator_image`` and count its calls with a torus G."""
+    """Wrap ``_torus_image`` and record the diagonal of each call."""
     calls = []
 
-    def counted(part, G, *args):
-        calls.append(_is_torus(np.mod(G, part.q)))
-        return _generator_image(part, G, *args)
+    def counted(part, d, src):
+        calls.append(d.tolist())
+        return _torus_image(part, d, src)
 
-    monkeypatch.setattr("flagorbits.oracle._generator_image", counted)
+    monkeypatch.setattr("flagorbits.oracle._torus_image", counted)
     return calls
 
 
@@ -614,20 +614,21 @@ def test_scalar_torus_generator_is_skipped_only_when_scalar(
     nn, mm = Composition(nn_parts), Composition(mm_parts)
     reps = enumerate_flag_array(nn.n, mm, q)
     gens = _matrices(group_generators(nn, q))
-    torus = [G for G in gens if _is_torus(G)]
+    torus = [G for G in gens if is_torus_element(G)]
     assert len(torus) == nn.n
     calls = _counting_torus_sweeps(monkeypatch)
     # all n row scalings: their product is the scalar gamma·I
     part = orbit_partition_from_arrays(reps, gens, nn, mm, q)
-    assert calls.count(True) == nn.n - 1
+    assert len(calls) == nn.n - 1
     assert part.labels.tolist() == \
         reference_partition(reps, gens, nn, mm, q).tolist()
     # without the scaling of row 0 no product is scalar: every one is swept
-    lacking = [G for G in gens if not (_is_torus(G) and G[0, 0] != 1)]
+    lacking = [G for G in gens
+               if not (is_torus_element(G) and G[0, 0] != 1)]
     assert len(lacking) == len(gens) - 1
     calls.clear()
     part = orbit_partition_from_arrays(reps, lacking, nn, mm, q)
-    assert calls.count(True) == nn.n - 1
+    assert len(calls) == nn.n - 1
     assert part.labels.tolist() == \
         reference_partition(reps, lacking, nn, mm, q).tolist()
     # a lone scalar generator fixes every flag and is not swept
@@ -635,29 +636,6 @@ def test_scalar_torus_generator_is_skipped_only_when_scalar(
     scalar = [np.eye(nn.n, dtype=np.int64) * 2]
     part = orbit_partition_from_arrays(reps, scalar, nn, mm, q)
     assert calls == [] and part.class_count == part.size
-
-
-def test_generator_image_matches_dense_product():
-    # dense invertible generators: rows with several nonzero entries,
-    # including a row that is not moved and rows that move together
-    rng = random.Random(8)
-    nn, mm, q = Composition.of(2, 2), Composition.of(1, 2, 1), 3
-    part = oracle_partition(nn, mm, q)
-    boundaries = mm.prefix_sums()[: len(mm) - 1]
-    fld = gf(q)
-    tried = 0
-    while tried < 6:
-        rows = [[rng.randrange(q) for _ in range(4)] for _ in range(4)]
-        rows[tried % 4] = [int(a == tried % 4) for a in range(4)]
-        if Matrix.from_rows(fld, rows).rank() < 4:
-            continue
-        tried += 1
-        G = np.array(rows, dtype=np.int64)
-        dense = np.einsum("ij,njk->nik", G, part.reps.astype(np.int64)) % q
-        expect = part.locate(canonicalize_batch(dense, q, boundaries))
-        img = _generator_image(part, G, boundaries)
-        assert (img == expect).all()
-        assert sorted(img.tolist()) == list(range(part.size))
 
 
 # pairs whose torus generators are checked on every flag at q in {3, 5, 7}
@@ -686,10 +664,10 @@ def test_torus_image_matches_dense_product_on_all_flags(q):
             got = reference_torus_image(part.reps, np.diag(G), q)
             assert got.dtype == part.reps.dtype
             assert np.array_equal(got, canon), (nn, mm, q)
-            img = _generator_image(part, G, boundaries)
+            img = _torus_image(part, np.diag(G), np.arange(part.size))
             assert (img == part.locate(canon)).all()
             assert sorted(img.tolist()) == list(range(part.size))
-            assert np.array_equal(_generator_image(part, G, boundaries, some),
+            assert np.array_equal(_torus_image(part, np.diag(G), some),
                                   img[some])
 
 
@@ -706,13 +684,12 @@ def test_torus_index_arithmetic_on_every_type_n5(q):
                 continue
             reps = enumerate_flag_array(n, mm, q)
             part = OrbitPartition(q, Composition.of(n), mm, reps, None)
-            boundaries = mm.prefix_sums()[: len(mm) - 1]
+            every = np.arange(len(reps))
             for _ in range(3):
                 d = rng.integers(1, q, n)
-                dense = d[None, :, None] * reps.astype(np.int64) % q
-                expect = part.locate(canonicalize_batch(dense, q, boundaries))
                 assert np.array_equal(
-                    _generator_image(part, np.diag(d), boundaries), expect), \
+                    _torus_image(part, d, every),
+                    reference_image(part, np.diag(d), every)), \
                     (mm, q, d.tolist())
                 cases += 1
     assert cases == {3: 78, 5: 60}[q]
