@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import (Field, Matrix, _col_axpy, _col_scale, gf,
+from .linalg import (Field, Matrix, _col_axpy, _col_scale, _is_digits, gf,
                      parse_matrix_literal)
 
 
@@ -38,12 +38,19 @@ class Composition:
 
     @staticmethod
     def parse(text: str) -> "Composition":
-        """Parts separated by commas or whitespace; an empty comma field
-        (``2,,1``, ``2,``, ``,2``) raises ``ValueError``."""
+        """Parts of ASCII digits separated by commas or whitespace; an
+        empty comma field (``2,,1``, ``2,``, ``,2``) or a part of another
+        form (``1_0``, ``1.5``, a full-width digit) raises ``ValueError``
+        naming the text."""
         fields = text.split(",")
         if len(fields) > 1 and not all(f.strip() for f in fields):
             raise ValueError(f"empty part in composition {text!r}")
-        return Composition(tuple(int(t) for f in fields for t in f.split()))
+        parts = [t for f in fields for t in f.split()]
+        for t in parts:
+            if not _is_digits(t):
+                raise ValueError(f"part {t!r} of composition {text!r} is "
+                                 f"not a whole number")
+        return Composition(tuple(map(int, parts)))
 
     @property
     def n(self) -> int:
@@ -166,6 +173,10 @@ def parse_flag_literal(text: str) -> Flag:
         raise ValueError("flag literal must start with 'm: ... of n=...'")
     comp_text, n_text = head[2:].split(" of n=")
     typ = Composition.parse(comp_text.strip())
+    n_text = n_text.strip()
+    if not _is_digits(n_text):
+        raise ValueError(f"n={n_text!r} in the flag header is not a whole "
+                         f"number")
     if typ.n != int(n_text):
         raise ValueError("composition does not sum to the declared n")
     mat = parse_matrix_literal("\n".join(lines[1:]))

@@ -46,6 +46,12 @@ def _parse_entry(token: str) -> Fraction:
     return Fraction(token)
 
 
+def _is_digits(token: str) -> bool:
+    """Whether ``token`` is nonempty ASCII digits: ``int`` also reads
+    ``1_0``, surrounding whitespace and non-ASCII digits."""
+    return token.isascii() and token.isdigit()
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -214,7 +220,7 @@ def field_by_name(name: str) -> Field:
     if name == "Q":
         return QQ
     digits = name[1:]
-    if name.startswith("F") and digits.isascii() and digits.isdigit():
+    if name.startswith("F") and _is_digits(digits):
         return gf(int(digits))
     raise ValueError("expected Q or Fp for a prime p")
 
@@ -396,8 +402,9 @@ def echelon_extend(basis, row):
     return basis
 
 
-def _echelon_basis(rows: Sequence[Sequence[int]]):
-    basis = ()
+def _echelon_basis(rows: Sequence[Sequence[int]], basis=()):
+    """``basis`` extended by each of ``rows`` in turn with
+    ``echelon_extend``; it stops once the basis spans every column."""
     for row in rows:
         basis = echelon_extend(basis, row)
         if len(basis) == len(row):
@@ -414,24 +421,33 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
 
 def integer_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Integer basis of the right null space {y : A y = 0} of an integer
-    matrix, one vector per free column of its echelon basis.
+    matrix: ``_basis_kernel`` of the echelon basis of its rows.  ``rows``
+    must be nonempty, since the width is read from them.
+    """
+    if not rows:
+        raise ValueError("integer_kernel needs at least one row")
+    return _basis_kernel(_echelon_basis(rows), len(rows[0]))
+
+
+def _basis_kernel(basis, width: int) -> list[list[int]]:
+    """Integer basis of the right null space of the ``width``-column rows
+    an echelon ``basis`` spans, one vector per free column.
 
     For a free column f, y starts as the unit vector at f; then, for each
     basis row b with pivot p < f, from the last such pivot to the first,
     y is scaled by b[p] and y[p] is set to minus b's product with the
     old y, which makes b.y = 0 and keeps the later rows' products zero.
-    Each vector is divided by its content.  ``rows`` must be nonempty,
-    since the width is read from them.
+    Each vector is divided by its content.  A caller that keeps the basis
+    of a matrix's first rows reads the kernel of a longer prefix from
+    that basis extended by the rows after it, as ``orbits`` does for
+    column prefixes.
     """
-    if not rows:
-        raise ValueError("integer_kernel needs at least one row")
-    basis = _echelon_basis(rows)
     pivots = {p for p, _ in basis}
     kernel = []
-    for free in range(len(rows[0])):
+    for free in range(width):
         if free in pivots:
             continue
-        y = [0] * len(rows[0])
+        y = [0] * width
         y[free] = 1
         for p, b in reversed(basis):
             if p < free:

@@ -3,19 +3,21 @@
 A catalog lists one entry per orbit of the block Borel on the flag
 variety of the pair: the normal form, its full rank signature and the
 orbit dimension, all taken from the form's own integer rows, whose
-column prefixes span its flag; its rational flag is realized only when
-read.  The dimension is the codimension in b' of the Lie-algebra
-stabilizer: X stabilizes the flag when y^T X u = 0 for every column u of
-each block t and every y annihilating the t-th subspace, and the rank of
-these integer conditions is the dimension.  Forms share column
-prefixes, so a build keeps one memo of these conditions, dropped when the
-build ends: it maps (entry for the blocks before t, columns of block t)
-to the echelon basis of the conditions of blocks 1..t, and stores nothing
-for the last block with conditions, whose prefixes are almost all
-distinct (its measured size is in the README's catalogs bullet).
-``orbit_dimension`` computes the dimension the same way for one rational
-flag, with a memo of its own for that call, after scaling each column of
-its representative to integers; the g^{-1} X g
+column prefixes span its flag, and the form's serialized key, which the
+build computes once and the catalog text and DOT print; its rational
+flag is realized only when read.  The dimension is the codimension in b'
+of the Lie-algebra stabilizer: X stabilizes the flag when y^T X u = 0
+for every column u of each block t and every y annihilating the t-th
+subspace, and the rank of these integer conditions is the dimension.
+Forms share column prefixes, so a build keeps one memo of these
+conditions, dropped when the build ends: it maps (entry for the blocks
+before t, columns of block t) to the echelon bases of the conditions and
+of the columns of blocks 1..t, so a miss reduces only the block's own
+columns, and it stores nothing for the last block with conditions, whose
+prefixes are almost all distinct (its measured size is in the README's
+catalogs bullet).  ``orbit_dimension`` computes the dimension the same
+way for one rational flag, with a memo of its own for that call, after
+scaling each column of its representative to integers; the g^{-1} X g
 formulation is kept in ``tests/conftest.py`` as the reference the tests
 compare against.  Closed orbits are the fixed points: dimension 0.
 The candidate partial order is entry-wise signature dominance, which rank
@@ -24,9 +26,10 @@ reduction is emitted as a DOT digraph but never claimed to be the closure
 order itself.  Its covers come from bitsets over the entries: ANDing, over
 the signature coordinates, the set of entries whose value there is at
 least an entry's own gives the entries that dominate it, and its covers
-are the minimal ones among those.  A catalog computes them on the first
-read of its ``covers`` and keeps them, so ``enumerate`` and ``hasse`` in
-one process reduce the order once.
+are the minimal ones among those; each coordinate's sets are read off
+one bit text filled value by value, from the largest down.  A catalog
+computes them on the first read of its ``covers`` and keeps them, so
+``enumerate`` and ``hasse`` in one process reduce the order once.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from typing import Sequence
 from .flags import Composition, Flag
 from .invariants import (JFamily, Signature, invariant_family, rank_table,
                          verify_family_invariance)
-from .linalg import QQ, Matrix, echelon_extend, integer_kernel
+from .linalg import (QQ, Matrix, _basis_kernel, _echelon_basis,
+                     echelon_extend)
 from .normalforms import (CaseTag, InfinitePairError, NonInjectiveError,
                           NormalForm, UnsupportedCaseError,
                           case0_normal_forms, case3prime_normal_forms,
@@ -53,6 +57,7 @@ class CatalogEntry:
     nf: NormalForm
     sig: Signature
     dim: int
+    key: str  # nf.serialize(), computed once by the build
 
     @property
     def closed(self) -> bool:
@@ -149,19 +154,23 @@ def enumerate_orbits(nn: Composition, mm: Composition) -> OrbitCatalog:
     ranked = sorted((_annihilator_dimension(rows, nn, mm, memo), key,
                      values, nf)
                     for values, (key, nf, rows) in by_sig.items())
-    entries = tuple(CatalogEntry(nf, Signature(fam, values), dim)
-                    for dim, _, values, nf in ranked)
+    entries = tuple(CatalogEntry(nf, Signature(fam, values), dim, key)
+                    for dim, key, values, nf in ranked)
     return OrbitCatalog(tag, nn, mm, fam, entries)
 
 
 @lru_cache(maxsize=None)
-def _bprime_coords(nn: Composition) -> tuple[tuple[int, int], ...]:
-    """The coordinates X_ab of b': a <= b inside one row block, in order;
-    built once per ``nn``."""
-    return tuple((a, b)
-                 for blk in range(len(nn))
-                 for a in nn.block_range(blk)
-                 for b in nn.block_range(blk) if a <= b)
+def _bprime_rows(nn: Composition) -> tuple[tuple, int]:
+    """For each row a, the pairs (k, b) with X_ab the k-th coordinate of
+    b' (a <= b inside one row block, numbered row by row), and the number
+    of coordinates; built once per ``nn``."""
+    rows, k = [], 0
+    for blk in range(len(nn)):
+        stop = nn.block_range(blk).stop
+        for a in nn.block_range(blk):
+            rows.append(tuple(enumerate(range(a, stop), k)))
+            k += stop - a
+    return tuple(rows), k
 
 
 def _annihilator_dimension(rows: Sequence[Sequence[int]], nn: Composition,
@@ -175,25 +184,28 @@ def _annihilator_dimension(rows: Sequence[Sequence[int]], nn: Composition,
     annihilator of U_t, a condition linear in the coordinates X_ab of b'
     with coefficient y_a * u[b].  The orbit dimension is the rank of these
     conditions, all integers: no completion, no inverse, no ``Fraction``.
-    The nonzero conditions of blocks 1..t are folded into one echelon
-    basis with ``linalg.echelon_extend``, block after block, and the rank
-    is its size.
+    Each condition is built from the nonzero entries of y and u alone,
+    and one with no nonzero coefficient is skipped.  The conditions of
+    blocks 1..t are folded into one echelon basis with
+    ``linalg.echelon_extend``, block after block, and the rank is its
+    size.  The annihilator of U_t is read off the echelon basis of its
+    columns, which extends that of U_{t-1} by the columns of block t.
 
     ``memo`` shares these bases between the forms of one catalog build,
     which creates it and drops it when it ends; a call given none uses a
     fresh one.  Its key for block t is (id of the entry for the blocks
     before t, the columns of block t), so a key names a whole column
     prefix; its value is (entry id, echelon basis of the conditions of
-    blocks 1..t).  The last block with conditions is not stored, since
-    its prefixes are almost all distinct.  The README's catalogs bullet
-    gives its measured size.
+    blocks 1..t, echelon basis of the columns of blocks 1..t).  The last
+    block with conditions is not stored, since its prefixes are almost
+    all distinct.  The README's catalogs bullet gives its measured size.
     """
     memo = {} if memo is None else memo
-    coords = _bprime_coords(nn)
+    table, size = _bprime_rows(nn)
     cols = list(zip(*rows))
     cuts = mm.prefix_sums()
     last = len(mm) - 2
-    entry, basis = 0, ()
+    entry, basis, span = 0, (), ()
     for t in range(last + 1):
         block = tuple(cols[cuts[t]:cuts[t + 1]])
         stored = t < last
@@ -201,16 +213,24 @@ def _annihilator_dimension(rows: Sequence[Sequence[int]], nn: Composition,
             key = (entry, block)
             known = memo.get(key)
             if known is not None:
-                entry, basis = known
+                entry, basis, span = known
                 continue
-        for y in integer_kernel(cols[:cuts[t + 1]]):
+        span = _echelon_basis(block, span)
+        for y in _basis_kernel(span, len(rows)):
+            nonzero = [(table[a], x) for a, x in enumerate(y) if x]
             for u in block:
-                row = [y[a] * u[b] for a, b in coords]
-                if any(row):
+                row = None
+                for coords, x in nonzero:
+                    for k, b in coords:
+                        if u[b]:
+                            if row is None:
+                                row = [0] * size
+                            row[k] = x * u[b]
+                if row is not None:
                     basis = echelon_extend(basis, row)
         if stored:
             entry = len(memo) + 1
-            memo[key] = (entry, basis)
+            memo[key] = (entry, basis, span)
     return len(basis)
 
 
@@ -334,21 +354,31 @@ def hasse_candidate(cat: OrbitCatalog) -> tuple[tuple[int, int], ...]:
     Comput. 1(2), 1972).  Bits are numbered by signature sum, which
     strictly increases along dominance, so the lowest bit left is always
     minimal: take it as a cover, clear its ``up``, repeat.  Index order
-    and ``dim`` play no part.  This needs catalog signatures to be
-    pairwise distinct, so that dominance is a partial order;
-    ``enumerate_orbits`` keeps one entry per signature.
+    and ``dim`` play no part.  A coordinate's bitsets take one pass: one
+    bit text, all ``0``, gains a ``1`` for each entry, value by value from
+    the largest down, and is parsed once per distinct value.  This needs
+    catalog signatures to be pairwise distinct, so that dominance is a
+    partial order; ``enumerate_orbits`` keeps one entry per signature.
 
     Guard: every cover must strictly increase the orbit dimension (a
     consequence of closures being unions of smaller orbits); violations
     are reported, never repaired.
     """
     sigs = [e.sig.values for e in cat.entries]
-    order = sorted(range(len(sigs)), key=lambda i: sum(sigs[i]))
-    up = [(1 << len(sigs)) - 1] * len(sigs)
+    n = len(sigs)
+    order = sorted(range(n), key=lambda i: sum(sigs[i]))
+    up = [(1 << n) - 1] * n
     for column in zip(*sigs):
-        at_least = {v: int("".join("01"[column[i] >= v]
-                                   for i in reversed(order)), 2)
-                    for v in set(column)}
+        # character n - 1 - pos of the text is bit pos
+        chars: dict[int, list[int]] = {}
+        for pos, a in enumerate(order):
+            chars.setdefault(column[a], []).append(n - 1 - pos)
+        bits = bytearray(b"0" * n)
+        at_least = {}
+        for v in sorted(chars, reverse=True):
+            for i in chars[v]:
+                bits[i] = 49  # ord("1")
+            at_least[v] = int(bits, 2)
         for a, v in enumerate(column):
             up[a] &= at_least[v]
     edges = []
@@ -387,7 +417,7 @@ def emit_dot(covers: Sequence[tuple[int, int]], cat: OrbitCatalog) -> str:
         ids = " ".join(f"n{i};" for i in sorted(by_dim[d]))
         lines.append(f"  {{ rank=same; {ids} }}")
     for i, e in enumerate(cat.entries):
-        label = e.nf.serialize().replace('"', r'\"')
+        label = e.key.replace('"', r'\"')
         lines.append(f'  n{i} [label="dim={e.dim} {label}"];')
     for a, b in covers:
         lines.append(f"  n{a} -> n{b};")
@@ -405,7 +435,7 @@ def catalog_to_text(cat: OrbitCatalog) -> str:
              f"count={len(cat.entries)}"]
     for i, e in enumerate(cat.entries):
         lines.append(f"entry {i} dim={e.dim} closed={int(e.closed)} "
-                     f"sig={e.sig.hash()} nf={e.nf.serialize()}")
+                     f"sig={e.sig.hash()} nf={e.key}")
     for a, b in cat.covers:
         lines.append(f"cover {a} {b}")
     return "\n".join(lines) + "\n"

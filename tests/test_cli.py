@@ -212,6 +212,28 @@ def test_composition_separators():
         assert run_cli(["enumerate", "--nn", nn, "--mm", "1,2"]) == expected
 
 
+@pytest.mark.parametrize("nn,mm,part", [
+    ("1_0,1", "11", "1_0"), ("２,1", "3", "２"), ("1,1", "1.5", "1.5")])
+def test_composition_part_of_another_form_names_it(nn, mm, part):
+    # int() reads 1_0 as 10 and a full-width digit as the digit
+    code, out, err = run_cli(["classify", "--nn", nn, "--mm", mm])
+    _assert_one_line_error(code, out, err)
+    assert repr(part) in err and "invalid literal for int()" not in err
+
+
+@pytest.mark.parametrize("verb", FLAG_VERBS)
+@pytest.mark.parametrize("header,names", [("m: 1,x of n=2", "'x'"),
+                                          ("m: 1,1 of n=1_0", "'1_0'")])
+def test_flag_header_with_a_bad_number_names_it(verb, header, names,
+                                                tmp_path):
+    flag_file = tmp_path / "flag.txt"
+    flag_file.write_text(header + "\n2 1 Q\n1\n0\n")
+    code, out, err = run_cli([verb, "--nn", "1,1", "--mm", "1,1",
+                              "--flag", str(flag_file)])
+    _assert_one_line_error(code, out, err)
+    assert names in err and "invalid literal for int()" not in err
+
+
 @pytest.mark.parametrize("verb", FLAG_VERBS)
 @pytest.mark.parametrize("text", [
     "", "\n  \n", "m: 1,1,1 of n=3\n3 2 Q\n1 0\n1/0 1\n1 0\n"])

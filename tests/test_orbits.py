@@ -488,12 +488,13 @@ def test_catalog_dimensions_match_orbit_dimension():
                 (nn, mm, e.nf)
             assert orbit_dimension(e.flag, nn) == e.dim, (nn, mm, e.nf)
             assert is_closed_flag(e.flag, nn) == (e.dim == 0), (nn, mm, e.nf)
+            assert e.key == e.nf.serialize(), (nn, mm, e.nf)
     assert pairs == 131 and entries == 6427
 
 
 def test_shared_dimension_memo_matches_fresh_calls():
-    """One memo shared by every form of a pair, in build order, gives each
-    form the dimension it gets with no memo."""
+    """One memo shared by every form of a pair, in build order or
+    reversed, gives each form the dimension it gets with no memo."""
     pairs = [(tag, nn, mm) for tag, nn, mm in _catalog_pairs(5)
              if tag.label in ("0", "III'")]
     for nn in (Composition.of(5, 1), Composition.of(1, 5)):
@@ -508,6 +509,29 @@ def test_shared_dimension_memo_matches_fresh_calls():
                 _annihilator_dimension(nf.rows, nn, mm), (nn, mm, nf)
         assert memo or len(mm) < 3
     assert forms == 4348 + 2 * 4051
+
+    # every catalog tag, pattern candidates with their +-1 kernel rows
+    # included, in build order and reversed: a memo hit hands on the
+    # stored column basis, so a stale one shows in a later form
+    labels, forms, duals = set(), 0, 0
+    for tag, nn, mm in _catalog_pairs(5):
+        labels.add(tag.label)
+        dims = [(nf, _annihilator_dimension(nf.rows, nn, mm))
+                for nf in _forms(tag, nn, mm)]
+        # the +-1 rows' conditions against the g^{-1} X g reference
+        for nf, dim in dims:
+            if isinstance(nf, NFPattern) and nf.dualize:
+                duals += 1
+                assert dim == reference_orbit_dimension(nf.realize(QQ), nn), \
+                    (nn, mm, nf)
+        for order in (1, -1):
+            memo = {}
+            for nf, dim in dims[::order]:
+                forms += 1
+                assert _annihilator_dimension(nf.rows, nn, mm, memo) == dim, \
+                    (nn, mm, nf, order)
+    assert labels == {"0", "I", "I'", "III", "III'"} and duals > 0
+    assert forms == 2 * 12101
 
     # equal block-2 columns after different block-1 columns: the key of
     # block 2 names its parent entry, so each flag keeps its own conditions
@@ -539,7 +563,7 @@ def test_catalog_build_keeps_one_memo_without_its_last_level(monkeypatch):
     memo = memos[0]
     # a key is (parent entry id, columns of block t); ids start at 1
     depth = {0: -1}
-    for (parent, block), (entry, _) in memo.items():
+    for (parent, block), (entry, *_) in memo.items():
         depth[entry] = depth[parent] + 1
         assert len(block) == mm.parts[depth[entry]]
     # blocks t = 0..3 are stored; t = 4, the last with conditions, is not
