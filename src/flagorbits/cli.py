@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .flags import Composition, Flag, parse_flag_literal
 from .invariants import invariant_family, signature
-from .linalg import gf
+from .linalg import _is_integer, gf
 from .normalforms import (InfinitePairError, NonInjectiveError,
                           UnsupportedCaseError, classify_pair,
                           counterexample_pair, reduce_flag)
@@ -31,6 +31,14 @@ EXIT_VALIDATION = 4
 
 def _comp(text: str) -> Composition:
     return Composition.parse(text)
+
+
+def _int(text: str) -> int:
+    """An integer option: ASCII digits with an optional sign, where
+    ``int`` alone also reads ``1_0`` and full-width digits."""
+    if not _is_integer(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _read_flag(args) -> tuple[Composition, Flag]:
@@ -188,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("count", help="closed-form orbit count, row blocks (n-1,1)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--mm", required=True)
     p.set_defaults(func=cmd_count)
 
@@ -204,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force cross-validation over GF(q)")
     pair_args(p)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--q", type=_int, default=2)
+    p.add_argument("--budget", type=_int, default=10**6)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("counterexample", help="equal-signature witness pair")

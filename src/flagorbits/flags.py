@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import (Field, Matrix, _col_axpy, _col_scale, _is_digits, gf,
+from .linalg import (Field, Matrix, _column_sweep, _is_digits, gf,
                      parse_matrix_literal)
 
 
@@ -93,33 +93,20 @@ def _canonical_rep(mat: Matrix, boundaries: Sequence[int]) -> Matrix:
     """Canonical representative modulo the right block-upper action.
 
     ``boundaries`` are the column indices where blocks start (ascending,
-    first entry 0).  Left to right, each column is cleared at the earlier
-    columns' pivot rows, pivots at its first nonzero row not yet a pivot
-    row, is scaled to 1 there and clears that row from the earlier columns
-    of its block; then each block's columns are ordered by pivot row.
+    first entry 0).  ``linalg._column_sweep``, left to right, clears each
+    column at the earlier pivot rows, pivots it at its first nonzero row,
+    scales it to 1 there and clears that row from the earlier columns of
+    its block; then each block's columns are ordered by pivot row.
     ``oracle.canonicalize_batch`` follows this convention on GF(q) stacks.
     Raises ``ValueError`` on rank deficiency.
     """
-    F, z = mat.field, mat.field.zero
     cols = [list(col) for col in mat.columns()]
     start = [max(b for b in boundaries if b <= c) for c in range(mat.cols)]
-    pivots: list[int] = []      # pivot row per processed column
-    for c in range(mat.cols):
-        for pc, r in enumerate(pivots):
-            if cols[c][r] != z:
-                _col_axpy(F, cols, c, pc, F.sub(z, cols[c][r]))
-        pivot = next((i for i, x in enumerate(cols[c])
-                      if x != z and i not in pivots), None)
-        if pivot is None:
-            raise ValueError("flag representative is rank deficient")
-        if cols[c][pivot] != F.one:
-            _col_scale(F, cols, c, F.inv(cols[c][pivot]))
-        for pc in range(start[c], c):
-            if cols[pc][pivot] != z:
-                _col_axpy(F, cols, pc, c, F.sub(z, cols[pc][pivot]))
-        pivots.append(pivot)
+    pivots = _column_sweep(mat.field, cols, start)
+    if None in pivots:
+        raise ValueError("flag representative is rank deficient")
     order = sorted(range(mat.cols), key=lambda c: (start[c], pivots[c]))
-    return Matrix.from_columns(F, [cols[c] for c in order], mat.rows)
+    return Matrix.from_columns(mat.field, [cols[c] for c in order], mat.rows)
 
 
 @dataclass(frozen=True)
@@ -136,8 +123,6 @@ class Flag:
             raise ValueError(
                 f"flag of type {typ} needs a {typ.n}x{stored} representative, "
                 f"got {mat.rows}x{mat.cols}")
-        if len(typ) == 1:
-            return Flag(typ, mat)
         canon = _canonical_rep(mat, typ.prefix_sums()[: len(typ) - 1])
         return Flag(typ, canon)
 
@@ -228,8 +213,6 @@ def act(g: Matrix, f: Flag) -> Flag:
     """Left action on flags: the canonical flag of ``g @ rep``."""
     if g.rows != f.n or g.cols != f.n:
         raise ValueError("acting matrix has the wrong size")
-    if f.rep.cols == 0:
-        return f
     return Flag.from_matrix(f.typ, g * f.rep)
 
 

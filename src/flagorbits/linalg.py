@@ -8,10 +8,10 @@ offers two scalar domains and nothing else:
 * ``GF(p)`` -- canonical residues ``0..p-1`` for a prime ``p < 2**31``,
   with inverses by Fermat's little theorem.
 
-Matrices are immutable row-major tuples.  Elimination over a field has
-two callers, ``Matrix`` row reduction and the canonical flag form, and
-both run on two elementary operations on a list of columns, defined
-here once.  Integer matrices over Q need no ``Fraction``:
+Matrices are immutable row-major tuples.  There is one elimination over
+a field, the column sweep ``_column_sweep``: ``Matrix.rank`` counts its
+pivots, and the canonical flag form also clears each pivot row from the
+earlier columns of its block.  Integer matrices over Q need no ``Fraction``:
 ``echelon_extend`` adds one integer row to an echelon basis by
 cross-multiplication and content division, and ``integer_rank`` and
 ``integer_kernel`` are folds of it.  ``integer_dual`` builds the rows of a
@@ -28,8 +28,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-Scalar = Union[int, Fraction]
 
 # an entry of a matrix literal: an integer or a fraction, ASCII digits only
 _ENTRY = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -52,6 +50,11 @@ def _is_digits(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _is_integer(token: str) -> bool:
+    """Whether ``token`` is ``_is_digits`` after an optional sign."""
+    return _is_digits(token[1:] if token[:1] in ("+", "-") else token)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -65,42 +68,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class Field:
-    """Scalar domain tag: the rationals or a prime field."""
-
-    name: str
-
-    def coerce(self, x) -> Scalar:
-        raise NotImplementedError
-
-    def inv(self, x: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    @property
-    def zero(self) -> Scalar:
-        raise NotImplementedError
-
-    @property
-    def one(self) -> Scalar:
-        raise NotImplementedError
-
-    def parse(self, token: str) -> Scalar:
-        raise NotImplementedError
-
-    def format(self, x: Scalar) -> str:
-        return str(x)
-
-
-class _RationalField(Field):
+class _RationalField:
     name = "Q"
 
     @property
@@ -145,7 +113,7 @@ class _RationalField(Field):
         return "QQ"
 
 
-class GF(Field):
+class GF:
     """Prime field GF(p); elements are canonical residues in [0, p)."""
 
     def __init__(self, p: int):
@@ -194,6 +162,9 @@ class GF(Field):
             raise ValueError(f"{token!r} has a denominator divisible by "
                              f"{self.p}") from None
 
+    def format(self, x):
+        return str(x)
+
     def __eq__(self, other):
         return isinstance(other, GF) and other.p == self.p
 
@@ -203,6 +174,9 @@ class GF(Field):
     def __repr__(self):
         return f"GF({self.p})"
 
+
+# the scalar domain of a matrix: the rationals or a prime field
+Field = Union[_RationalField, GF]
 
 QQ = _RationalField()
 
@@ -313,7 +287,9 @@ class Matrix:
     # -- rank ----------------------------------------------------------
 
     def rank(self) -> int:
-        return len(_row_reduce([list(r) for r in self.data], self.field)[1])
+        cols = [list(col) for col in zip(*self.data)]
+        pivots = _column_sweep(self.field, cols, range(len(cols)))
+        return len(pivots) - pivots.count(None)
 
     # -- serialization ---------------------------------------------------
 
@@ -350,30 +326,27 @@ def _col_scale(F: Field, cols: list[list], j: int, c) -> None:
     cols[j] = [F.mul(c, x) for x in cols[j]]
 
 
-def _row_reduce(rows: list[list], F: Field):
-    """In-place RREF with first-nonzero pivots; returns (rows, pivot
-    columns), the rank being the number of pivots.  A column is a pivot
-    exactly when it is independent of the columns before it.  The rows
-    are the "columns" of ``_col_scale`` and ``_col_axpy``.
-    """
-    pivots: list[int] = []
+def _column_sweep(F: Field, cols: list[list], start: Sequence[int]) -> list:
+    """Each column's pivot row, or ``None`` for a column that depends on
+    those before it.  Left to right, in place, a column is cleared at the
+    earlier pivot rows, pivots at its first nonzero row, is scaled to 1
+    there and clears that row from columns ``start[c]..c-1``; so the
+    pivots count the rank."""
     z = F.zero
-    for col in range(len(rows[0]) if rows else 0):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != z),
-                     None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        if rows[rank][col] != F.one:
-            _col_scale(F, rows, rank, F.inv(rows[rank][col]))
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != z:
-                _col_axpy(F, rows, r, rank, F.sub(z, rows[r][col]))
-        pivots.append(col)
-        if len(pivots) == len(rows):
-            break
-    return rows, pivots
+    pivots: list = []
+    for c in range(len(cols)):
+        for pc, r in enumerate(pivots):
+            if r is not None and cols[c][r] != z:
+                _col_axpy(F, cols, c, pc, F.sub(z, cols[c][r]))
+        pivot = next((i for i, x in enumerate(cols[c]) if x != z), None)
+        if pivot is not None:
+            if cols[c][pivot] != F.one:
+                _col_scale(F, cols, c, F.inv(cols[c][pivot]))
+            for pc in range(start[c], c):
+                if cols[pc][pivot] != z:
+                    _col_axpy(F, cols, pc, c, F.sub(z, cols[pc][pivot]))
+        pivots.append(pivot)
+    return pivots
 
 
 def echelon_extend(basis, row):
@@ -496,10 +469,12 @@ def parse_matrix_literal(text: str) -> Matrix:
     separated, with ``|`` separators ignored.
     Over ``Fp`` an entry a/b is a times the inverse of b mod p.  The result
     has the declared shape, a 0 x c literal keeping its c columns.  A
-    negative or non-integer size, a field tag that names no field, an
-    entry of another form (``0.5``, ``1e3``, ``1_0``) and a denominator
-    that is 0 (or divisible by p over ``Fp``) raise ``ValueError`` with a
-    one-line message naming the header or the entry.
+    size is ASCII digits with an optional sign.  A negative size, a size
+    of another form (``0_2``, a full-width digit), a field tag that names
+    no field, an entry of another form (``0.5``, ``1e3``, ``1_0``) and a
+    denominator that is 0 (or divisible by p over ``Fp``) raise
+    ``ValueError`` with a one-line message naming the header or the
+    entry.
     """
     tokens = text.replace("|", " ").split()
     if len(tokens) < 3:
@@ -507,11 +482,10 @@ def parse_matrix_literal(text: str) -> Matrix:
     header = f"matrix literal header {' '.join(tokens[:3])!r}"
 
     def size(token: str, role: str) -> int:
-        try:
-            return int(token)
-        except ValueError:
+        if not _is_integer(token):
             raise ValueError(f"{role} {token!r} in {header} is not an "
-                             f"integer") from None
+                             f"integer")
+        return int(token)
 
     rows, cols = size(tokens[0], "row count"), size(tokens[1], "column count")
     if rows < 0 or cols < 0:

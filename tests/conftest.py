@@ -4,7 +4,9 @@ Everything here is deliberately written from scratch (naive elimination,
 minor expansion, subword products) so that tests never validate the
 library against itself.  The field references (``complete_to_invertible``,
 ``inverse``, ``dual`` and ``reference_orbit_dimension``) run on
-``linalg._row_reduce``, which no integer path of the library uses.
+``row_reduce``, a row RREF kept here: the library's one field
+elimination is the column sweep, and ``row_reduce`` is the reference
+for its ranks.
 ``transporter_empty`` searches B'-orbits over GF(q) and is the reference
 for the library's witness certificate, which compares orbit dimensions
 over Q.  ``reference_reduce_case0`` and ``reference_reduce_case3prime``
@@ -38,8 +40,8 @@ import numpy as np
 
 from flagorbits import Composition
 from flagorbits.flags import Flag, act, group_generators
-from flagorbits.linalg import (GF, QQ, Matrix, _col_axpy, _col_scale,
-                               _row_reduce, gf, integer_rank)
+from flagorbits.linalg import (GF, QQ, Matrix, _col_axpy, _col_scale, gf,
+                               integer_rank)
 from flagorbits.normalforms import (NFCase0, NFChain, NFPattern, _column_terms,
                                     case0_normal_forms, pattern_candidates)
 from flagorbits.oracle import (OrbitPartition, _hook, _pivot_paths,
@@ -95,6 +97,32 @@ def _gcd(a, b):
     return a
 
 
+def row_reduce(rows, F):
+    """In-place RREF with first-nonzero pivots; returns (rows, pivot
+    columns), the rank being the number of pivots.  A column is a pivot
+    exactly when it is independent of the columns before it.  The rows
+    are the "columns" of ``_col_scale`` and ``_col_axpy``.
+    """
+    pivots = []
+    z = F.zero
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != z),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        if rows[rank][col] != F.one:
+            _col_scale(F, rows, rank, F.inv(rows[rank][col]))
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != z:
+                _col_axpy(F, rows, r, rank, F.sub(z, rows[r][col]))
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots
+
+
 def complete_to_invertible(mat):
     """Deterministic greedy completion to an invertible square matrix:
     the input's columns, which must be independent, then each standard
@@ -103,7 +131,7 @@ def complete_to_invertible(mat):
     """
     F, n, k = mat.field, mat.rows, mat.cols
     eye = Matrix.identity(F, n).data
-    _, pivots = _row_reduce([list(a + e) for a, e in zip(mat.data, eye)], F)
+    _, pivots = row_reduce([list(a + e) for a, e in zip(mat.data, eye)], F)
     if pivots[:k] != list(range(k)):
         raise ValueError("columns are not independent")
     return Matrix.from_columns(
@@ -117,7 +145,7 @@ def inverse(mat):
     n = mat.rows
     eye = Matrix.identity(mat.field, n).data
     aug = [list(a + e) for a, e in zip(mat.data, eye)]
-    reduced, pivots = _row_reduce(aug, mat.field)
+    reduced, pivots = row_reduce(aug, mat.field)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return Matrix(mat.field, n, n, tuple(tuple(r[n:]) for r in reduced))

@@ -254,6 +254,60 @@ def test_flag_file_with_a_negative_size_names_it(verb, tmp_path):
     assert "negative size" in err and "-1 -2 Q" in err
 
 
+@pytest.mark.parametrize("verb", FLAG_VERBS)
+@pytest.mark.parametrize("header,size", [("0_2 1 Q", "0_2"),
+                                         ("２ 1 Q", "２"),
+                                         ("2 +1_0 Q", "+1_0")])
+def test_flag_file_with_a_size_of_another_form_names_it(verb, header, size,
+                                                        tmp_path):
+    # int() reads 0_2 as 2 and a full-width digit as the digit
+    flag_file = tmp_path / "flag.txt"
+    flag_file.write_text(f"m: 1,1 of n=2\n{header}\n1\n1\n")
+    code, out, err = run_cli([verb, "--nn", "1,1", "--mm", "1,1",
+                              "--flag", str(flag_file)])
+    _assert_one_line_error(code, out, err)
+    assert repr(size) in err and repr(header) in err
+
+
+def test_flag_file_size_may_carry_a_plus_sign(tmp_path):
+    runs = []
+    for header in ("2 1 Q", "+2 +1 Q"):
+        flag_file = tmp_path / "flag.txt"
+        flag_file.write_text(f"m: 1,1 of n=2\n{header}\n1\n1\n")
+        runs.append(run_cli(["signature", "--nn", "1,1", "--mm", "1,1",
+                             "--flag", str(flag_file)]))
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
+_ORACLE = ["oracle", "--nn", "2,1", "--mm", "1,1,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--mm", "1,1,1", "--n", "３"],
+    _ORACLE + ["--q", "1_1"],
+    _ORACLE + ["--q", "７"],
+    _ORACLE + ["--q", " 7"],
+    _ORACLE + ["--budget", "1_000"],
+])
+def test_integer_option_of_another_form_is_a_usage_error(argv):
+    # int() reads 1_1 as 11 and a full-width digit as the digit; the
+    # option fails as a word in its place does, with the same message
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    as_word = run_cli(argv[:-1] + ["x"])
+    assert as_word[0] == 1
+    assert err == as_word[2].replace("'x'", repr(argv[-1]))
+
+
+def test_integer_options_take_a_sign():
+    assert run_cli(["count", "--n", "+3", "--mm", "1,1,1"]) == \
+        run_cli(["count", "--n", "3", "--mm", "1,1,1"])
+    assert run_cli(_ORACLE + ["--q", "+2", "--budget", "+100"]) == \
+        run_cli(_ORACLE + ["--q", "2", "--budget", "100"])
+    code, out, err = run_cli(_ORACLE + ["--budget", "-1"])
+    assert code == 1 and out == "" and "budget" in err
+
+
 def test_flag_file_over_a_prime_field_with_a_fraction(tmp_path):
     # 1/2 is 3 in F5, so both files hold the same flag
     runs = []

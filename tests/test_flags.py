@@ -139,6 +139,19 @@ def test_act_identity_and_permutations():
     assert flags_equal(lhs, flag_from_permutation(comp, typ))
 
 
+def test_act_on_a_one_block_flag():
+    # a flag of type (n) stores no columns, so every g fixes it
+    typ = Composition.of(3)
+    for fld in (QQ, gf(3)):
+        f = Flag.from_matrix(typ, Matrix.zero(fld, 3, 0))
+        assert (f.rep.rows, f.rep.cols) == (3, 0)
+        g = random_borel_prime(Composition.of(2, 1), fld, random.Random(4))
+        for h in (g, permutation_matrix(fld, (3, 1, 2))):
+            assert act(h, f) == f
+    with pytest.raises(ValueError, match="wrong size"):
+        act(Matrix.identity(QQ, 2), f)
+
+
 def test_dual_basics():
     typ = Composition.of(1, 1)
     e1 = Flag.from_matrix(typ, Matrix.from_columns(QQ, [[1, 0]], 2))

@@ -13,7 +13,7 @@ from flagorbits.linalg import (GF, Matrix, QQ, gf, integer_dual,
                                parse_matrix_literal)
 
 from conftest import (bareiss_rank, complete_to_invertible, dual,
-                      gf2_minor_rank, inverse, is_invertible)
+                      gf2_minor_rank, inverse, is_invertible, row_reduce)
 
 
 def rand_matrix(field, rows, cols, rng, lo=-4, hi=4):
@@ -72,6 +72,41 @@ def test_rank_gf2_matches_minor_expansion():
     for _ in range(200):
         m = rand_matrix(f2, 4, 4, rng)
         assert m.rank() == gf2_minor_rank([list(r) for r in m.data])
+
+
+def _scalar(field, rng):
+    return rng.randint(-4, 4) if field is QQ else rng.randrange(field.p)
+
+
+@pytest.mark.parametrize("fld", [QQ, gf(3), gf(5), gf(7)], ids=repr)
+@pytest.mark.parametrize("rows,cols", [(6, 3), (5, 2), (4, 4), (3, 3),
+                                       (2, 5), (3, 6), (1, 4), (4, 1),
+                                       (0, 3), (3, 0), (0, 0)])
+def test_rank_matches_the_reference_row_reduction(fld, rows, cols):
+    # tall, square, wide and empty shapes, each also with a zero column
+    # and a combination of two of its columns spliced in: the column
+    # sweep counts the pivots of the reference RREF, and bareiss over Q
+    rng = random.Random(rows * 10 + cols)
+    for _ in range(25):
+        columns = [[_scalar(fld, rng) for _ in range(rows)]
+                   for _ in range(cols)]
+        base = Matrix.from_columns(fld, columns, rows)
+        spliced = list(columns)
+        if columns:
+            a, b = rng.choice(columns), rng.choice(columns)
+            x, y = _scalar(fld, rng), _scalar(fld, rng)
+            spliced.insert(rng.randrange(len(spliced) + 1),
+                           [fld.add(fld.mul(fld.coerce(x), u),
+                                    fld.mul(fld.coerce(y), v))
+                            for u, v in zip(a, b)])
+        spliced.insert(rng.randrange(len(spliced) + 1), [fld.zero] * rows)
+        wider = Matrix.from_columns(fld, spliced, rows)
+        assert wider.rank() == base.rank()
+        for m in (base, wider, wider.transpose()):
+            pivots = row_reduce([list(r) for r in m.data], fld)[1]
+            assert m.rank() == len(pivots)
+            if fld is QQ:
+                assert m.rank() == bareiss_rank(m.data)
 
 
 def test_reduced_column_echelon_of_example_block():
