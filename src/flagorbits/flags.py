@@ -15,22 +15,21 @@ representative.  Dual flags are built on integer rows, by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import (Field, Matrix, _column_sweep, _is_digits, gf,
-                     parse_matrix_literal)
+from .linalg import (Field, Matrix, _Value, _column_sweep, _is_digits, _set,
+                     gf, parse_matrix_literal)
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(_Value):
     """Ordered tuple of positive integers; indexes block structures."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError(f"invalid composition {self.parts}")
+    def __init__(self, parts: tuple[int, ...]):
+        if not parts or any(p < 1 for p in parts):
+            raise ValueError(f"invalid composition {parts}")
+        _set(self, "parts", parts)
 
     @staticmethod
     def of(*parts: int) -> "Composition":
@@ -109,12 +108,14 @@ def _canonical_rep(mat: Matrix, boundaries: Sequence[int]) -> Matrix:
     return Matrix.from_columns(mat.field, [cols[c] for c in order], mat.rows)
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(_Value):
     """A flag of type ``typ`` holding its canonical representative."""
 
-    typ: Composition
-    rep: Matrix  # canonical, n x (n - m_l), full column rank
+    __slots__ = ("typ", "rep")
+
+    def __init__(self, typ: Composition, rep: Matrix):
+        _set(self, "typ", typ)
+        _set(self, "rep", rep)  # canonical, n x (n - m_l), full column rank
 
     @staticmethod
     def from_matrix(typ: Composition, mat: Matrix) -> "Flag":
@@ -219,16 +220,16 @@ def act(g: Matrix, f: Flag) -> Flag:
 # -- maximal parabolics over B' and P ---------------------------------------
 
 
-@dataclass(frozen=True)
-class ParabolicSpec:
+class ParabolicSpec(_Value):
     """Parabolic ``M_perm P_shape M_perm^{-1}``; perm is 1-based one-line."""
 
-    shape: Composition
-    perm: tuple[int, ...]
+    __slots__ = ("shape", "perm")
 
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(1, self.shape.n + 1)):
+    def __init__(self, shape: Composition, perm: tuple[int, ...]):
+        if sorted(perm) != list(range(1, shape.n + 1)):
             raise ValueError("perm is not a permutation")
+        _set(self, "shape", shape)
+        _set(self, "perm", perm)
 
 
 def invariant_row_sets(nn: Composition) -> list[tuple[int, ...]]:

@@ -13,21 +13,24 @@ classical baseline on permutation matrices.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .flags import Composition, Flag, invariant_row_sets
-from .linalg import QQ, echelon_extend, integer_rank
+from .linalg import QQ, _Value, _set, echelon_extend, integer_rank
 
 
-@dataclass(frozen=True)
-class JFamily:
+class JFamily(_Value):
     """Ordered family of (s, J) pairs whose rank maps are B'-invariant."""
 
-    nn: Composition
-    mm: Composition
-    entries: tuple[tuple[int, tuple[int, ...]], ...]  # (s, rows J), sorted
+    # ``__dict__`` holds the cached properties
+    __slots__ = ("nn", "mm", "entries", "__dict__")
+
+    def __init__(self, nn: Composition, mm: Composition,
+                 entries: tuple[tuple[int, tuple[int, ...]], ...]):
+        _set(self, "nn", nn)
+        _set(self, "mm", mm)
+        _set(self, "entries", entries)  # (s, rows J), sorted
 
     def index(self):
         return {e: i for i, e in enumerate(self.entries)}
@@ -55,12 +58,14 @@ class JFamily:
         return tuple(extend), entries
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Value):
     """Values of every invariant rank map on one flag."""
 
-    family: JFamily
-    values: tuple[int, ...]
+    __slots__ = ("family", "values")
+
+    def __init__(self, family: JFamily, values: tuple[int, ...]):
+        _set(self, "family", family)
+        _set(self, "values", values)
 
     def serialize(self) -> str:
         return "\n".join([head + str(v) for head, v in

@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .flags import Composition, Flag
 from .invariants import Signature, invariant_family, rank_table, signature
-from .linalg import Field, Matrix, QQ, gf, integer_dual, integer_rank
+from .linalg import (Field, Matrix, QQ, _Value, _set, gf, integer_dual,
+                     integer_rank)
 
 
 class InfinitePairError(ValueError):
@@ -69,11 +69,14 @@ class InconsistentSignatureError(ValueError):
     """No flag attains the given signature."""
 
 
-@dataclass(frozen=True)
-class CaseTag:
-    label: str                 # one of 0 I II III I' II' III'
-    subcase: Optional[str] = None
-    injective: bool = True
+class CaseTag(_Value):
+    __slots__ = ("label", "subcase", "injective")
+
+    def __init__(self, label: str, subcase: Optional[str] = None,
+                 injective: bool = True):
+        _set(self, "label", label)  # one of 0 I II III I' II' III'
+        _set(self, "subcase", subcase)
+        _set(self, "injective", injective)
 
     def __str__(self):
         if self.subcase:
@@ -144,15 +147,18 @@ def _relabel(rows: Sequence[tuple], perm: Sequence[int]) -> tuple[tuple, ...]:
     return tuple(rows[p - 1] for p in perm)
 
 
-@dataclass(frozen=True)
-class NFCase0:
+class NFCase0(_Value):
     """Two-block normal form: columns carrying f-rows (sorted by the f index,
     each optionally paired with an e index) followed by sorted pure e columns.
     """
 
-    nn: Composition
-    mm: Composition
-    cols: tuple[tuple[Optional[int], Optional[int]], ...]  # (e, f), 1-based
+    __slots__ = ("nn", "mm", "cols")
+
+    def __init__(self, nn: Composition, mm: Composition,
+                 cols: tuple[tuple[Optional[int], Optional[int]], ...]):
+        _set(self, "nn", nn)
+        _set(self, "mm", mm)
+        _set(self, "cols", cols)  # (e, f), 1-based
 
     @property
     def s(self) -> int:
@@ -183,19 +189,23 @@ class NFCase0:
     realize = _realize
 
 
-@dataclass(frozen=True)
-class NFChain:
+class NFChain(_Value):
     """Normal form for the one-small-row-block case: a pivot block ``j0``
     (1-based, possibly the dropped last block), disjoint marked row sets for
     the stored blocks, and a chain of (block, row) marks with increasing
     blocks past ``j0`` and strictly decreasing rows.
     """
 
-    nn: Composition            # original orientation, (n-1,1) or (1,n-1)
-    mm: Composition
-    j0: int
-    blocks: tuple[tuple[int, ...], ...]   # stored blocks 1..l-1, sorted rows
-    chain: tuple[tuple[int, int], ...]    # (block, row) pairs
+    __slots__ = ("nn", "mm", "j0", "blocks", "chain")
+
+    def __init__(self, nn: Composition, mm: Composition, j0: int,
+                 blocks: tuple[tuple[int, ...], ...],
+                 chain: tuple[tuple[int, int], ...]):
+        _set(self, "nn", nn)  # original orientation, (n-1,1) or (1,n-1)
+        _set(self, "mm", mm)
+        _set(self, "j0", j0)
+        _set(self, "blocks", blocks)  # stored blocks 1..l-1, sorted rows
+        _set(self, "chain", chain)    # (block, row) pairs
 
     @property
     def swapped(self) -> bool:
@@ -229,8 +239,7 @@ def _column_terms(col: Sequence[int]) -> str:
     return "+".join(f"x{i + 1}" for i, x in enumerate(col) if x) or "0"
 
 
-@dataclass(frozen=True)
-class NFPattern:
+class NFPattern(_Value):
     """Catalog entry for the signature-lookup cases: a 0/1 representative on
     the primal side together with the transform back to the original pair
     (a row relabeling for case I, the orthogonal swap g -> w0 g^{-T} w0
@@ -238,13 +247,20 @@ class NFPattern:
     reversal).
     """
 
-    case: str
-    subcase: Optional[str]
-    nn: Composition
-    mm: Composition
-    matrix01: tuple[tuple[int, ...], ...]   # primal-side rows
-    row_perm: Optional[tuple[int, ...]] = None
-    dualize: bool = False
+    __slots__ = ("case", "subcase", "nn", "mm", "matrix01", "row_perm",
+                 "dualize")
+
+    def __init__(self, case: str, subcase: Optional[str], nn: Composition,
+                 mm: Composition, matrix01: tuple[tuple[int, ...], ...],
+                 row_perm: Optional[tuple[int, ...]] = None,
+                 dualize: bool = False):
+        _set(self, "case", case)
+        _set(self, "subcase", subcase)
+        _set(self, "nn", nn)
+        _set(self, "mm", mm)
+        _set(self, "matrix01", matrix01)  # primal-side rows
+        _set(self, "row_perm", row_perm)
+        _set(self, "dualize", dualize)
 
     def serialize(self) -> str:
         cols = [_column_terms(col) for col in zip(*self.matrix01)]
@@ -719,13 +735,16 @@ def pattern_candidates(tag: CaseTag, nn: Composition,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessPair:
-    d1: Flag
-    d2: Flag
-    case: CaseTag
-    nn: Composition
-    mm: Composition
+class WitnessPair(_Value):
+    __slots__ = ("d1", "d2", "case", "nn", "mm")
+
+    def __init__(self, d1: Flag, d2: Flag, case: CaseTag, nn: Composition,
+                 mm: Composition):
+        _set(self, "d1", d1)
+        _set(self, "d2", d2)
+        _set(self, "case", case)
+        _set(self, "nn", nn)
+        _set(self, "mm", mm)
 
 
 # (nn, mm) -> (whether the flags are dualized, the rows of the two flags,

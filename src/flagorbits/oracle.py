@@ -64,14 +64,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .flags import Composition, Flag, group_generators
 from .invariants import invariant_family, signature
-from .linalg import gf
+from .linalg import _Value, _set, gf
 from .normalforms import WitnessPair
 from .orbits import OrbitCatalog
 
@@ -358,18 +357,20 @@ def _encode_keys(A: np.ndarray, p: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OrbitPartition:
-    q: int
-    nn: Composition
-    mm: Composition
-    reps: np.ndarray            # (N, n, C) canonical representatives
-    labels: np.ndarray          # (N,) class ids, by first appearance
+class OrbitPartition(_Value):
+    # ``__dict__`` holds the key index and the cached property
+    __slots__ = ("q", "nn", "mm", "reps", "labels", "__dict__")
 
-    def __post_init__(self):
-        keys = _encode_keys(self.reps, self.q)
-        self._sort_idx = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[self._sort_idx]
+    def __init__(self, q: int, nn: Composition, mm: Composition,
+                 reps: np.ndarray, labels: np.ndarray):
+        _set(self, "q", q)
+        _set(self, "nn", nn)
+        _set(self, "mm", mm)
+        _set(self, "reps", reps)      # (N, n, C) canonical representatives
+        _set(self, "labels", labels)  # (N,) class ids, by first appearance
+        keys = _encode_keys(reps, q)
+        _set(self, "_sort_idx", np.argsort(keys, kind="stable"))
+        _set(self, "_sorted_keys", keys[self._sort_idx])
 
     @property
     def size(self) -> int:
@@ -575,7 +576,8 @@ def orbit_partition_from_arrays(reps: np.ndarray, gen_mats: list[np.ndarray],
         _hook(root, src, _torus_image(part, d, src))
     _root_sweep(part, root, moves, class_roots(),
                 mm.prefix_sums()[: max(len(mm) - 1, 0)])
-    part.labels = (np.cumsum(root == np.arange(N)) - 1)[root]
+    # the sweeps search the partition, so it holds its labels only now
+    _set(part, "labels", (np.cumsum(root == np.arange(N)) - 1)[root])
     return part
 
 
@@ -594,19 +596,24 @@ def oracle_partition(nn: Composition, mm: Composition, q: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(_Value):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    nn: Composition
-    mm: Composition
-    q: int
-    checks: tuple[CheckResult, ...]
+class ValidationReport(_Value):
+    __slots__ = ("nn", "mm", "q", "checks")
+
+    def __init__(self, nn: Composition, mm: Composition, q: int,
+                 checks: tuple[CheckResult, ...]):
+        _set(self, "nn", nn)
+        _set(self, "mm", mm)
+        _set(self, "q", q)
+        _set(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

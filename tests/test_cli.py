@@ -155,6 +155,38 @@ def test_reused_parser_keeps_no_state(tmp_path):
     assert text == (tmp_path / "fresh.txt").read_text()
 
 
+def test_verbs_import_neither_dataclasses_nor_inspect(tmp_path):
+    # the value classes are plain classes: importing dataclasses, and the
+    # inspect it pulls in, would add about 21 ms to every process start;
+    # numpy imports inspect, so after the oracle only dataclasses is
+    # checked
+    src = os.path.dirname(os.path.dirname(flagorbits.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    flag_file = tmp_path / "flag.txt"
+    flag_file.write_text("m: 1,1,1 of n=3\n3 2 Q\n1 0\n1 1\n1 0\n")
+    pair = ["--nn", "2,1", "--mm", "1,1,1"]
+    verbs = [["enumerate", *pair], ["hasse", "--dot", *pair],
+             ["signature", *pair, "--flag", str(flag_file)],
+             ["normalize", *pair, "--flag", str(flag_file)]]
+    script = ("import sys\n"
+              "from flagorbits.cli import main\n"
+              f"for argv in {verbs!r}:\n"
+              "    assert main(argv) == 0, argv\n"
+              "for name in ('dataclasses', 'inspect'):\n"
+              "    assert name not in sys.modules, name + ' imported'\n"
+              f"assert main(['oracle', *{pair!r}, '--q', '3']) == 0\n"
+              "assert 'numpy' in sys.modules\n"
+              "assert 'dataclasses' not in sys.modules, "
+              "'dataclasses imported'\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("case=III' nn=2,1 mm=1,1,1 count=13\n")
+    assert "oracle-report nn=2,1 mm=1,1,1 q=3 ok=1" in proc.stdout
+
+
 def test_signature_normalize_dimension(tmp_path):
     # the README flag, and the same flag with its columns scaled by 1/2
     # and 1/3

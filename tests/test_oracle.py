@@ -24,7 +24,7 @@ from flagorbits.oracle import (CHUNK, BudgetExceededError, OrbitPartition,
                                oracle_partition,
                                orbit_partition_from_arrays,
                                validate_witnesses)
-from flagorbits.orbits import enumerate_orbits
+from flagorbits.orbits import OrbitCatalog, enumerate_orbits
 
 from conftest import (borel_order, borel_translates, compositions,
                       decode_flag, flags_equal, is_torus_element,
@@ -234,8 +234,8 @@ def test_cross_validate_detects_mismatch():
     nn, mm = Composition.of(2, 2), Composition.of(1, 3)
     cat = enumerate_orbits(nn, mm)
     # wrong-prime partition: the flag sets do not even match
-    import dataclasses
-    broken = dataclasses.replace(cat, entries=cat.entries[:-1])
+    broken = OrbitCatalog(cat.case, cat.nn, cat.mm, cat.family,
+                          cat.entries[:-1])
     report = cross_validate(oracle_partition(nn, mm, 2), broken)
     assert not report.ok
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import os
@@ -19,10 +18,11 @@ from flagorbits.normalforms import (InfinitePairError, NFCase0, NFChain,
                                     _block_reversal_perm, case0_normal_forms,
                                     case3prime_normal_forms, classify_pair,
                                     has_catalog, pattern_candidates)
-from flagorbits.orbits import (DominanceDimensionError,
-                               _annihilator_dimension, _integer_rows,
-                               catalog_to_text, count_multiplicity_free,
-                               emit_dot, enumerate_orbits, enumeration_count,
+from flagorbits.orbits import (CatalogEntry, DominanceDimensionError,
+                               OrbitCatalog, _annihilator_dimension,
+                               _integer_rows, catalog_to_text,
+                               count_multiplicity_free, emit_dot,
+                               enumerate_orbits, enumeration_count,
                                hasse_candidate, is_closed_flag,
                                orbit_dimension)
 
@@ -224,8 +224,9 @@ def test_hasse_cover_count_on_largest_hook_pair():
 
 def test_dominance_dimension_guard():
     cat = enumerate_orbits(Composition.of(2, 1), Composition.of(1, 1, 1))
-    flat = dataclasses.replace(
-        cat, entries=tuple(dataclasses.replace(e, dim=0) for e in cat.entries))
+    flat = OrbitCatalog(cat.case, cat.nn, cat.mm, cat.family,
+                        tuple(CatalogEntry(e.nf, e.sig, 0, e.key)
+                              for e in cat.entries))
     with pytest.raises(DominanceDimensionError):
         hasse_candidate(flat)
     with pytest.raises(DominanceDimensionError):
